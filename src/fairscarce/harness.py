@@ -181,7 +181,10 @@ def parse_uncertainty_source(text: str) -> UncertaintySource:
             inner = text[len(kind):].strip("()")
             if not inner:
                 return UncertaintySource(kind)
-            return UncertaintySource(kind, **{param: float(inner)})
+            try:
+                return UncertaintySource(kind, **{param: float(inner)})
+            except ValueError:
+                break
     raise ConfigError(f"unknown uncertainty source {text!r}")
 
 
@@ -446,6 +449,11 @@ def parse_sweep_config(path) -> SweepConfig:
     kv = read_kv_file(path)
     def split_list(text):
         return tuple(t.strip() for t in text.split(",") if t.strip())
+    def number(kind, key, text):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from None
     cfg = SweepConfig(
         data=kv.get("data", ""),
         schema=kv.get("schema", ""),
@@ -453,19 +461,19 @@ def parse_sweep_config(path) -> SweepConfig:
         out_dir=kv.get("out_dir", kv.get("run_dir", "sweep_out")),
         variants=split_list(kv.get("variants", "certain")) or ("certain",),
         constraint=kv.get("constraint", "dp"),
-        eps_grid=tuple(float(v) for v in split_list(kv.get("eps_grid", ""))),
-        seeds=int(kv.get("seeds", "7")),
-        base_seed=int(kv.get("base_seed", "0")),
-        threshold=(float(kv["H"]) if "H" in kv else None),
-        tune_lo=float(kv.get("tune_lo", "0.1")),
+        eps_grid=tuple(number(float, "eps_grid", v) for v in split_list(kv.get("eps_grid", ""))),
+        seeds=number(int, "seeds", kv.get("seeds", "7")),
+        base_seed=number(int, "base_seed", kv.get("base_seed", "0")),
+        threshold=(number(float, "H", kv["H"]) if "H" in kv else None),
+        tune_lo=number(float, "tune_lo", kv.get("tune_lo", "0.1")),
         # the entropy scale tops out at ln 2, so a nominal 0.7 upper end
         # (a common way to say "no upper cut") clamps to it
-        tune_hi=min(float(kv.get("tune_hi", str(LN2))), LN2),
+        tune_hi=min(number(float, "tune_hi", kv.get("tune_hi", str(LN2))), LN2),
         source=parse_uncertainty_source(kv.get("uncertainty_source", "mc-dropout")),
-        ratio=float(kv.get("ratio", "0.2")),
-        test_fraction=float(kv.get("test_fraction", "0.3")),
-        exp_grad_iters=int(kv.get("exp_grad_iters", "50")),
-        oracle_max_iter=int(kv.get("oracle_max_iter", "5000")),
+        ratio=number(float, "ratio", kv.get("ratio", "0.2")),
+        test_fraction=number(float, "test_fraction", kv.get("test_fraction", "0.3")),
+        exp_grad_iters=number(int, "exp_grad_iters", kv.get("exp_grad_iters", "50")),
+        oracle_max_iter=number(int, "oracle_max_iter", kv.get("oracle_max_iter", "5000")),
     )
     if not 0 < cfg.tune_lo <= cfg.tune_hi <= LN2 + 1e-9:
         raise ConfigError("tune range must lie within (0, ln 2]")

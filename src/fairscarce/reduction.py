@@ -11,10 +11,11 @@ mixture of the iterates chosen by a duality-gap criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import (
@@ -69,7 +70,7 @@ class LinearModel:
         return (self.decision(x) >= 0.0).astype(float)
 
 
-def fit_cost_sensitive(features: np.ndarray, signed_costs: np.ndarray, seed: int = 0,
+def fit_cost_sensitive(features: np.ndarray, signed_costs: np.ndarray,
                        max_iter: int = 5000, tol: float = 1e-6,
                        ridge: float = 1e-3) -> LinearModel:
     """Best-response oracle: minimize sum_i c_i * h(x_i) over linear
@@ -84,8 +85,15 @@ def fit_cost_sensitive(features: np.ndarray, signed_costs: np.ndarray, seed: int
     Full-batch gradient descent with line-halving, stopping when the
     gradient 2-norm drops below ``tol`` or after ``max_iter`` iterations.
     Deterministic: the start point is always zero.
+
+    The design (features plus the intercept column) is held as a CSR matrix
+    with a CSR copy of its transpose, so the two products of each loss
+    evaluation cost one pass over the nonzeros; the one-hot encoded corpora
+    are mostly zeros. Each evaluation takes one ``exp(-|z|)`` and derives
+    both the softplus term and the sigmoid from it. The iterates equal
+    those of the same loop on a dense design up to floating-point rounding
+    of the products.
     """
-    del seed  # fit is seed-free; parameter kept for interface stability
     x = np.asarray(features, dtype=float)
     c = np.asarray(signed_costs, dtype=float)
     if not np.isfinite(c).all():
@@ -98,22 +106,20 @@ def fit_cost_sensitive(features: np.ndarray, signed_costs: np.ndarray, seed: int
         return LinearModel(np.zeros(d), 0.0)
     weights = weights * (n / total)  # mean-one weights keep gradients scale-free
 
-    design = np.column_stack([x, np.ones(n)])
+    design = sparse.csr_array(np.column_stack([x, np.ones(n)]))
+    design_t = design.T.tocsr()
     theta = np.zeros(d + 1)
     penalty_mask = np.ones(d + 1)
     penalty_mask[-1] = 0.0  # free intercept
 
     def loss_and_grad(th):
         z = design @ th
-        per_row = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
+        e = np.exp(-np.abs(z))
+        per_row = np.maximum(z, 0.0) - z * targets + np.log1p(e)
         value = float((weights * per_row).mean())
         value += 0.5 * ridge * float((penalty_mask * th * th).sum())
-        sig = np.empty_like(z)
-        pos = z >= 0
-        sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        sig[~pos] = ez / (1.0 + ez)
-        g = design.T @ (weights * (sig - targets)) / n + ridge * penalty_mask * th
+        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        g = design_t @ (weights * (sig - targets)) / n + ridge * penalty_mask * th
         return value, g
 
     value, g = loss_and_grad(theta)
@@ -221,7 +227,6 @@ class ExpGradLog:
     final_violations: np.ndarray
     max_violation: float
     error: float
-    lambda_history: list[np.ndarray] = field(default_factory=list)
 
 
 def exp_grad_train(rows: Sequence[WeightedSample], constraint: MomentConstraint,
@@ -254,7 +259,7 @@ def exp_grad_train(rows: Sequence[WeightedSample], constraint: MomentConstraint,
     member_viol: list[np.ndarray] = []
 
     def fit_and_register(costs) -> int:
-        model = fit_cost_sensitive(x, costs, seed=seed, max_iter=oracle_max_iter)
+        model = fit_cost_sensitive(x, costs, max_iter=oracle_max_iter)
         preds = model.predict(x)
         members.append(model)
         member_err.append(float(np.abs(preds - y).mean()))
@@ -322,7 +327,6 @@ def exp_grad_train(rows: Sequence[WeightedSample], constraint: MomentConstraint,
     for t in range(iters):
         expt = np.exp(theta - theta.max())
         lam = bound * expt / (math.exp(-theta.max()) + expt.sum())
-        log.lambda_history.append(lam)
         lambda_sum += lam
 
         idx = fit_and_register(base_cost + cons.cost_contribution(lam))
@@ -358,8 +362,7 @@ def unconstrained_train(rows: Sequence[WeightedSample], seed: int = 0,
                         oracle_max_iter: int = 5000) -> RandomizedClassifier:
     """Plain accuracy-only logistic fit wrapped as a single-member mixture."""
     x, y, _, _, _ = stack_samples(rows)
-    model = fit_cost_sensitive(x, (1.0 - 2.0 * y) / len(rows), seed=seed,
-                               max_iter=oracle_max_iter)
+    model = fit_cost_sensitive(x, (1.0 - 2.0 * y) / len(rows), max_iter=oracle_max_iter)
     return RandomizedClassifier((model,), np.array([1.0]))
 
 

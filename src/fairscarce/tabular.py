@@ -9,8 +9,9 @@ visible ``labels`` / ``sensitive`` fields.
 from __future__ import annotations
 
 import csv
+import zipfile
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,9 +28,6 @@ from .errors import (
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
-
-_DATASET_MAGIC = "fairscarce-dataset"
-_DATASET_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -363,55 +361,31 @@ def split_scarce(ds: Dataset, ratio: float, seed: int, test_fraction: float) -> 
 
 
 # --- dataset cache io --------------------------------------------------------
-# Line-oriented text: a header, then one line per row with the id, any
-# label/sensitive/masked values, and the feature values written with repr()
-# so the cache round-trips bit-exactly.
+# One uncompressed npz archive per Dataset: ``features``, ``sample_ids`` and
+# whichever label / sensitive / masked vectors are present (absent ones are
+# left out). Arrays round-trip bit-exactly, and loading never unpickles.
 
-def write_dataset(fh: IO[str], ds: Dataset) -> None:
-    flags = [int(v is not None) for v in
-             (ds.labels, ds.sensitive, ds.masked_labels, ds.masked_sensitive)]
-    fh.write(f"{_DATASET_MAGIC} {_DATASET_VERSION}\n")
-    fh.write(f"n {len(ds)} d {ds.n_features}\n")
-    fh.write("has " + " ".join(map(str, flags)) + "\n")
-    for i in range(len(ds)):
-        parts = [str(int(ds.sample_ids[i]))]
-        for vec in (ds.labels, ds.sensitive, ds.masked_labels, ds.masked_sensitive):
-            if vec is not None:
-                parts.append(str(int(vec[i])))
-        parts.extend(repr(float(v)) for v in ds.features[i])
-        fh.write(" ".join(parts) + "\n")
-
-
-def read_dataset(fh: IO[str]) -> Dataset:
-    magic = fh.readline().split()
-    if magic[:1] != [_DATASET_MAGIC] or int(magic[1]) != _DATASET_VERSION:
-        raise ValueError("not a fairscarce dataset cache")
-    _, n, _, d = fh.readline().split()
-    n, d = int(n), int(d)
-    flags = [bool(int(v)) for v in fh.readline().split()[1:]]
-    ids = np.empty(n, dtype=int)
-    vecs = [np.empty(n, dtype=int) if present else None for present in flags]
-    features = np.empty((n, d))
-    for i in range(n):
-        parts = fh.readline().split()
-        ids[i] = int(parts[0])
-        pos = 1
-        for vec in vecs:
-            if vec is not None:
-                vec[i] = int(parts[pos])
-                pos += 1
-        features[i] = [float(v) for v in parts[pos:]]
-    return Dataset(features, ids, *vecs)
+_DATASET_FIELDS = ("features", "sample_ids", "labels", "sensitive",
+                   "masked_labels", "masked_sensitive")
 
 
 def save_dataset(path, ds: Dataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_dataset(fh, ds)
+    arrays = {name: getattr(ds, name) for name in _DATASET_FIELDS
+              if getattr(ds, name) is not None}
+    # through a handle, so the archive lands at exactly ``path`` (a path
+    # argument would get ".npz" appended)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_dataset(fh)
+    try:
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        return Dataset(**arrays)
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path} is not an npz dataset cache; "
+                          "rerun train-attr to rebuild the run directory") from exc
 
 
 def prepare_split(csv_path, schema: Schema, ratio: float, test_fraction: float,

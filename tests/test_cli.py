@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -72,7 +73,35 @@ def test_fig2_command(demo_run, capsys):
     assert (demo_run / "run" / "fig2.csv").exists()
 
 
-def test_config_error_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("line", [
+    "variants = nonsense",
+    "seeds = many",
+    "uncertainty_source = conformalXYZ",
+    "uncertainty_source = conformal(x)",
+    "eps_grid = 0.1, abc",
+    "H = high",
+], ids=["variants", "seeds", "source-suffix", "source-param", "eps_grid", "H"])
+def test_config_error_exit_code(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("variants = nonsense\nrun_dir = nowhere\n", encoding="utf-8")
+    bad.write_text(f"{line}\nrun_dir = nowhere\n", encoding="utf-8")
     assert cli.main(["sweep", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_stale_text_dataset_cache_exit_code(demo_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(demo_run / "run", run)
+    # the line-oriented text cache written by earlier versions
+    (run / "d1.ds").write_text("fairscarce-dataset 1\nn 1 d 1\nhas 1 0 0 1\n0 1 0 0.5\n",
+                               encoding="utf-8")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"run_dir = {run}\nout_dir = {tmp_path / 'out'}\n"
+                   "variants = vanilla\neps_grid = 0.1\nseeds = 1\nH = 0.5\n",
+                   encoding="utf-8")
+    commands = (["train-fair", "--variant", "vanilla", "--run", str(run)],
+                ["sweep", "--config", str(cfg)],
+                ["fig2", "--run", str(run), "--grid", "0.0", "--seeds", "1"])
+    for argv in commands:
+        assert cli.main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert "d1.ds" in err and "rerun train-attr" in err, argv[0]

@@ -163,7 +163,7 @@ def test_sweep_parallel_equals_serial(small_run, tmp_path):
         os.environ[harness.WORKERS_ENV] = workers
         try:
             config = harness.SweepConfig(run_dir=str(run_dir), out_dir=str(out),
-                                         variants=("vanilla", "uncertain"),
+                                         variants=("vanilla", "uncertain", "certain"),
                                          eps_grid=(0.05,), seeds=2, threshold=median_u(small_run[1]),
                                          exp_grad_iters=4, oracle_max_iter=150)
             harness.run_sweep(config)

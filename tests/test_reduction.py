@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from fairscarce import reduction as red
-from fairscarce import tabular
+from fairscarce import synthdata, tabular
 from fairscarce.errors import EmptySelection, NonFiniteCost
 from fairscarce.uncertainty import LN2
 
@@ -66,6 +66,85 @@ def test_logreg_weight_mass_invariance():
 def test_logreg_rejects_non_finite_costs():
     with pytest.raises(NonFiniteCost):
         red.fit_cost_sensitive(np.zeros((2, 1)), np.array([np.nan, 1.0]))
+
+
+def dense_reference_fit(features, signed_costs, max_iter=5000, tol=1e-6, ridge=1e-3):
+    """The oracle's gradient-descent loop on a dense design (BLAS products,
+    masked sigmoid), kept as the reference for the sparse kernel. Returns
+    theta with the intercept last."""
+    x = np.asarray(features, dtype=float)
+    c = np.asarray(signed_costs, dtype=float)
+    n, d = x.shape
+    targets = (c < 0).astype(float)
+    weights = np.abs(c)
+    weights = weights * (n / weights.sum())
+    design = np.column_stack([x, np.ones(n)])
+    theta = np.zeros(d + 1)
+    penalty_mask = np.ones(d + 1)
+    penalty_mask[-1] = 0.0
+
+    def loss_and_grad(th):
+        z = design @ th
+        per_row = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
+        value = float((weights * per_row).mean())
+        value += 0.5 * ridge * float((penalty_mask * th * th).sum())
+        sig = np.empty_like(z)
+        pos = z >= 0
+        sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        sig[~pos] = ez / (1.0 + ez)
+        g = design.T @ (weights * (sig - targets)) / n + ridge * penalty_mask * th
+        return value, g
+
+    value, g = loss_and_grad(theta)
+    step = 1.0
+    for _ in range(max_iter):
+        gnorm2 = float(g @ g)
+        if math.sqrt(gnorm2) < tol:
+            break
+        accepted_first_try = True
+        while True:
+            candidate = theta - step * g
+            cand_value, cand_grad = loss_and_grad(candidate)
+            if cand_value <= value - 1e-4 * step * gnorm2 or step < 1e-16:
+                break
+            step *= 0.5
+            accepted_first_try = False
+        theta, value, g = candidate, cand_value, cand_grad
+        if accepted_first_try:
+            step = min(step * 2.0, 1e6)
+    return theta
+
+
+@pytest.fixture(scope="module")
+def demo_d1(tmp_path_factory):
+    root = tmp_path_factory.mktemp("demo")
+    synthdata.write_corpus(root / "census.csv", 2000, seed=11)
+    synthdata.write_schema(root / "census.schema")
+    schema = tabular.Schema.from_file(root / "census.schema")
+    split, _ = tabular.prepare_split(root / "census.csv", schema, ratio=0.2,
+                                     test_fraction=0.3, seed=11)
+    return split.d1
+
+
+def test_sparse_oracle_matches_dense_reference(demo_d1):
+    x = demo_d1.features
+    y = demo_d1.labels.astype(float)
+    a = tabular.oracle_sensitive(demo_d1)
+    n = len(y)
+    base_cost = (1.0 - 2.0 * y) / n
+    cons = red._ConstraintSet(red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.02),
+                              y, a, np.ones(n))
+    signed = base_cost + cons.cost_contribution(np.array([0.6, 0.0]))
+    flipped = np.sign(signed) != np.sign(base_cost)
+    assert 0 < flipped.sum() < n  # the multiplier moves some targets, not all
+    for costs in (base_cost, signed):
+        reference = dense_reference_fit(x, costs)
+        model = red.fit_cost_sensitive(x, costs)
+        theta = np.append(model.coef, model.intercept)
+        assert np.abs(theta - reference).max() <= 1e-10
+        reference_preds = (x @ reference[:-1] + reference[-1] >= 0.0).astype(float)
+        np.testing.assert_array_equal(model.predict(x), reference_preds)
 
 
 # --- brute-force oracle for the reduction --------------------------------------

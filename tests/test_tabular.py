@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -219,14 +218,12 @@ def test_split_scarce_empty_cell_raises():
         tabular.split_scarce(ds, 0.2, 1, 0.3)
 
 
-def test_dataset_cache_roundtrip():
+def test_dataset_cache_roundtrip(tmp_path):
     ds = balanced_dataset(38, seed=12)
     split = tabular.split_scarce(ds, 0.25, 3, 0.2)
-    for part in (split.d1, split.d2, split.test):
-        buf = io.StringIO()
-        tabular.write_dataset(buf, part)
-        buf.seek(0)
-        back = tabular.read_dataset(buf)
+    for name, part in (("d1.ds", split.d1), ("d2.ds", split.d2), ("test.ds", split.test)):
+        tabular.save_dataset(tmp_path / name, part)
+        back = tabular.load_dataset(tmp_path / name)
         np.testing.assert_array_equal(part.features, back.features)
         np.testing.assert_array_equal(part.sample_ids, back.sample_ids)
         for name in ("labels", "sensitive", "masked_labels", "masked_sensitive"):
@@ -234,6 +231,8 @@ def test_dataset_cache_roundtrip():
             assert (a is None) == (b is None)
             if a is not None:
                 np.testing.assert_array_equal(a, b)
+    # each archive sits at exactly the given path, with no ".npz" appended
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d1.ds", "d2.ds", "test.ds"]
 
 
 def test_prepare_split_pipeline(tmp_path, schema):
