@@ -87,21 +87,60 @@ class ProxyRecord:
 
 def _mc_probs_f32(params: nn.MlpParams, x: np.ndarray, passes: int,
                   seed: int, counter: int) -> np.ndarray:
-    """Tiled stochastic forward in float32 (the scoring pass is memory-bound
-    and does not need double precision); deterministic in (seed, counter)."""
+    """Mean sigmoid of ``passes`` stochastic forward passes in float32 (the
+    scoring pass is memory-bound and does not need double precision);
+    deterministic in (seed, counter).
+
+    The output is bit-identical to stacking ``passes`` copies of ``x`` and
+    running every layer on the stack with keep-masks drawn as
+    ``rng.random(..., dtype=float32) < keep``, layer by layer:
+
+    - Keep-masks come from raw PCG64 bits. numpy's float32 uniform is
+      ``(next_uint32 >> 8) * 2**-24`` and PCG64 serves 32-bit draws as the
+      low, then the high half of each 64-bit draw, so one ``random_raw``
+      call viewed as uint32 is the same stream across all layers, odd
+      counts included; ``u < keep`` is ``bits < ceil(keep * 2**24) * 256``.
+    - Layer 0 runs once per input row: ``relu(z) * (kept / keep)`` equals
+      ``(relu(z) * (1 / keep)) * kept`` exactly, so the per-pass activations
+      are one broadcast product of that with the masks.
+    - numpy sends a one-row product to gemv, which rounds differently from
+      the gemm a stack of two or more rows gets, so a single row with
+      several passes runs layer 0 on two copies of itself, and a net with
+      no hidden layer keeps the tiled product.
+    """
     rng = np.random.default_rng((seed, counter))
     keep = np.float32(1.0 - params.dropout_rate)
-    a = np.tile(np.asarray(x, dtype=np.float32), (passes, 1))
-    rows = a.shape[0]
+    scale = np.float32(1.0) / keep
+    # bits <= limit, i.e. bits < ceil(keep * 2**24) * 256 without
+    # overflowing uint32 when keep rounds to 1
+    limit = np.uint32(math.ceil(float(keep) * 2.0 ** 24) * 256 - 1)
+    a = np.asarray(x, dtype=np.float32)
+    n = len(a)
+    rows = passes * n
+    hidden = [w.shape[1] for w in params.weights[:-1]]
+    bits = rng.bit_generator.random_raw((rows * sum(hidden) + 1) // 2).view(np.uint32)
+    if not hidden:
+        a = np.tile(a, (passes, 1))
+    elif n == 1 and passes > 1:
+        a = np.tile(a, (2, 1))
+    offset = 0
     for k in range(params.n_layers):
-        w = params.weights[k].astype(np.float32)
-        b = params.biases[k].astype(np.float32)
-        z = a @ w + b
-        if k < params.n_layers - 1:
-            mask = (rng.random((rows, w.shape[1]), dtype=np.float32) < keep) / keep
-            a = np.maximum(z, np.float32(0.0)) * mask
+        z = a @ params.weights[k].astype(np.float32)
+        z += params.biases[k].astype(np.float32)
+        if k == params.n_layers - 1:
+            break
+        h = hidden[k]
+        kept = bits[offset:offset + rows * h] <= limit
+        offset += rows * h
+        np.maximum(z, np.float32(0.0), out=z)
+        z *= scale
+        if k == 0:
+            a = (z[:n] * kept.reshape(passes, n, h)).reshape(rows, h)
+        else:
+            z *= kept.reshape(rows, h)
+            a = z
     logits = z[:, 0].astype(float)
-    return nn.sigmoid(logits).reshape(passes, len(x)).mean(axis=0)
+    return nn.sigmoid(logits).reshape(passes, n).mean(axis=0)
 
 
 def mc_dropout_predict(params: nn.MlpParams, x: np.ndarray, passes: int,

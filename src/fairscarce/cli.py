@@ -73,9 +73,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    try:
+        grid = [float(v) for v in args.grid.split(",")] if args.grid else None
+    except ValueError:
+        raise ConfigError(f"--grid must be comma-separated numbers, got {args.grid!r}") from None
     artifacts = harness.load_run(args.run)
     out = Path(args.run) / "fig2.csv" if args.out is None else Path(args.out)
-    grid = [float(v) for v in args.grid.split(",")] if args.grid else None
     kwargs = {"seeds": args.seeds, "base_seed": args.seed}
     if grid:
         kwargs["h_grid"] = grid

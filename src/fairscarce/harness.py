@@ -182,9 +182,16 @@ def parse_uncertainty_source(text: str) -> UncertaintySource:
             if not inner:
                 return UncertaintySource(kind)
             try:
-                return UncertaintySource(kind, **{param: float(inner)})
+                value = float(inner)
             except ValueError:
                 break
+            # checked here, not per cell, so a bad value fails the config
+            # instead of every sweep cell that uses it
+            if kind == "conformal" and not 0.0 < value < 1.0:
+                raise ConfigError(f"conformal epsilon must lie in (0, 1), got {inner}")
+            if kind == "confidence" and not 0.5 <= value <= 1.0:
+                raise ConfigError(f"confidence tau must lie in [0.5, 1], got {inner}")
+            return UncertaintySource(kind, **{param: value})
     raise ConfigError(f"unknown uncertainty source {text!r}")
 
 

@@ -374,13 +374,3 @@ def read_mlp(fh: IO[str]) -> MlpParams:
         weights.append(np.vstack(rows).reshape(fan_in, fan_out))
         biases.append(np.array([float(v) for v in fh.readline().split()]))
     return MlpParams(tuple(weights), tuple(biases), dropout)
-
-
-def save_mlp(path, params: MlpParams) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_mlp(fh, params)
-
-
-def load_mlp(path) -> MlpParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_mlp(fh)

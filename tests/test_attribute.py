@@ -76,6 +76,46 @@ def test_mc_dropout_deterministic_and_entropy_bounds():
     assert np.all((u1 >= 0) & (u1 <= LN2 + 1e-12))
 
 
+def reference_mc_probs(params, x, passes, seed, counter):
+    """The tiled MC-dropout kernel: every layer runs on ``passes`` stacked
+    copies of ``x`` with float32 uniform keep-masks drawn layer by layer.
+    Kept as the reference for the raw-bit, layer-0-once kernel."""
+    rng = np.random.default_rng((seed, counter))
+    keep = np.float32(1.0 - params.dropout_rate)
+    a = np.tile(np.asarray(x, dtype=np.float32), (passes, 1))
+    rows = a.shape[0]
+    for k in range(params.n_layers):
+        w = params.weights[k].astype(np.float32)
+        b = params.biases[k].astype(np.float32)
+        z = a @ w + b
+        if k < params.n_layers - 1:
+            mask = (rng.random((rows, w.shape[1]), dtype=np.float32) < keep) / keep
+            a = np.maximum(z, np.float32(0.0)) * mask
+    logits = z[:, 0].astype(float)
+    return nn.sigmoid(logits).reshape(passes, len(x)).mean(axis=0)
+
+
+@pytest.mark.parametrize("rate", [1e-9, 0.1, 0.3, 0.5, 0.6])
+@pytest.mark.parametrize("dims", [[100, 64, 32], [3, 8], [10, 7, 5], [6]],
+                         ids=["100-64-32", "3-8", "10-7-5", "no-hidden"])
+def test_mc_probs_bit_identical_to_tiled_reference(dims, rate):
+    # odd widths give odd mask-draw counts per layer; n == 1 with several
+    # passes is the case where a one-row product would take gemv; rate 1e-9
+    # rounds keep to 1 and rate 0.6 leaves keep * 2**24 between integers
+    rng = np.random.default_rng(len(dims) * 1000 + int(rate * 100))
+    base = nn.init_mlp(dims, dropout_rate=rate, seed=7)
+    params = nn.MlpParams(base.weights,
+                          tuple(rng.normal(scale=0.3, size=b.shape) for b in base.biases),
+                          rate)
+    x_all = rng.normal(size=(2775, dims[0]))
+    for n in (1, 2, 7, 256, 2775):
+        for passes in (1, 5, 30):
+            x = x_all[:n]
+            expected = reference_mc_probs(params, x, passes, seed=11, counter=n)
+            got = attr._mc_probs_f32(params, x, passes, seed=11, counter=n)
+            assert np.array_equal(got, expected), (n, passes)
+
+
 def two_cluster_split(n=600, gap=8.0, seed=0):
     # gap 8 sigma: the realized sample is linearly separable with margin
     rng = np.random.default_rng(seed)

@@ -73,6 +73,12 @@ def test_fig2_command(demo_run, capsys):
     assert (demo_run / "run" / "fig2.csv").exists()
 
 
+def test_fig2_bad_grid_exit_code(demo_run, capsys):
+    rc = cli.main(["fig2", "--run", str(demo_run / "run"), "--grid", "0.1,abc"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 @pytest.mark.parametrize("line", [
     "variants = nonsense",
     "seeds = many",
@@ -80,12 +86,18 @@ def test_fig2_command(demo_run, capsys):
     "uncertainty_source = conformal(x)",
     "eps_grid = 0.1, abc",
     "H = high",
-], ids=["variants", "seeds", "source-suffix", "source-param", "eps_grid", "H"])
+    "uncertainty_source = confidence(5)",
+    "uncertainty_source = conformal(1.5)",
+], ids=["variants", "seeds", "source-suffix", "source-param", "eps_grid", "H",
+        "confidence-range", "conformal-range"])
 def test_config_error_exit_code(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"{line}\nrun_dir = nowhere\n", encoding="utf-8")
     assert cli.main(["sweep", "--config", str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    # the bad line fails at parse time, before the placeholder run_dir is read
+    assert "run_dir" not in err
 
 
 def test_stale_text_dataset_cache_exit_code(demo_run, tmp_path, capsys):
