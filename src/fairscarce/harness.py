@@ -195,24 +195,71 @@ def parse_uncertainty_source(text: str) -> UncertaintySource:
     raise ConfigError(f"unknown uncertainty source {text!r}")
 
 
-def _certainty_flags(artifacts: RunArtifacts, source: UncertaintySource,
-                     threshold: float) -> dict[int, bool]:
-    """sample_id -> certain? under the given uncertainty machinery."""
+def proxy_columns(artifacts: RunArtifacts) -> tuple[np.ndarray, np.ndarray]:
+    """Proxy attribute ``a_hat`` and its uncertainty ``u`` of every d1 row,
+    in d1 row order. Proxies that miss a d1 row are a bad input."""
+    by_id = {r.sample_id: r for r in artifacts.proxies}
+    try:
+        records = [by_id[int(i)] for i in artifacts.split.d1.sample_ids]
+    except KeyError as exc:
+        raise ConfigError(f"proxies do not cover d1: no record for sample id {exc.args[0]}") from None
+    return (np.array([r.a_hat for r in records], dtype=int),
+            np.array([r.u for r in records], dtype=float))
+
+
+def certain_mask(artifacts: RunArtifacts, source: UncertaintySource, threshold: float,
+                 u: np.ndarray) -> np.ndarray:
+    """Which d1 rows (in row order) count as reliably labeled under the given
+    uncertainty machinery; ``u`` is the d1 proxy uncertainty column."""
     if source.kind == "mc-dropout":
-        return {r.sample_id: r.u <= threshold for r in artifacts.proxies}
-    ordered_ids = sorted(r.sample_id for r in artifacts.proxies)
+        return u <= threshold
+    # d1_eval_probs lists d1 in sample-id order, not row order
+    ids = artifacts.split.d1.sample_ids
+    order = np.argsort(ids)
     if source.kind == "conformal":
         cal = uncertainty.conformal_calibrate(artifacts.calib_probs,
                                               artifacts.calib_truth, source.epsilon)
-        sets = uncertainty.conformal_sets(cal, artifacts.d1_eval_probs, ordered_ids)
-        return {s.sample_id: s.certain for s in sets}
-    if source.kind == "confidence":
-        low, high = uncertainty.confidence_band_filter(artifacts.d1_eval_probs,
-                                                       ordered_ids, source.tau)
-        flags = {i: True for i in low}
-        flags.update({i: False for i in high})
-        return flags
-    raise ConfigError(f"unknown uncertainty source kind {source.kind!r}")
+        sets = uncertainty.conformal_sets(cal, artifacts.d1_eval_probs, ids[order])
+        by_id_order = np.array([s.certain for s in sets], dtype=bool)
+    elif source.kind == "confidence":
+        by_id_order = uncertainty.confidence_band_filter(artifacts.d1_eval_probs, source.tau)
+    else:
+        raise ConfigError(f"unknown uncertainty source kind {source.kind!r}")
+    mask = np.empty(len(ids), dtype=bool)
+    mask[order] = by_id_order
+    return mask
+
+
+def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: float,
+           source: UncertaintySource) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The training rows of one variant out of the d1 row indices ``rows``:
+    their indices, the attribute each fairness constraint reads (-1 for the
+    unconstrained vanilla and uncertain variants) and the weight of each
+    row's constraint terms."""
+    d1 = artifacts.split.d1
+    ones = np.ones(len(rows))
+    if variant == "vanilla":
+        return rows, np.full(len(rows), -1), ones
+    if variant == "clean":
+        return rows, tabular.oracle_sensitive(d1)[rows], ones
+    if variant == "proxy-knn":
+        return rows, reduction.knn_impute(d1.take(rows), artifacts.split.d2, k=5), ones
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    a_hat, u = proxy_columns(artifacts)
+    if variant == "proxy-dnn":
+        return rows, a_hat[rows], ones
+    if variant == "weighted" and source.kind == "mc-dropout":
+        # entropy scaled to [0, 1]: weight 1 at u = 0, weight 0 at u = ln 2
+        return rows, a_hat[rows], np.maximum(1.0 - u[rows] / LN2, 0.0)
+    certain = certain_mask(artifacts, source, threshold, u)[rows]
+    if variant == "weighted":
+        return rows, a_hat[rows], certain.astype(float)
+    idx = rows[certain] if variant == "certain" else rows[~certain]
+    if len(idx) == 0:
+        raise EmptySelection(f"{variant} variant kept no rows")
+    a = a_hat[idx] if variant == "certain" else np.full(len(idx), -1)
+    return idx, a, np.ones(len(idx))
 
 
 # --- one sweep cell ------------------------------------------------------------
@@ -226,56 +273,6 @@ def _d1_train_eval(artifacts: RunArtifacts, seed: int,
     return np.sort(order[:cut]), np.sort(order[cut:])
 
 
-def _training_rows(artifacts: RunArtifacts, variant: str, rows: np.ndarray,
-                   threshold: float, source: UncertaintySource,
-                   weight_scheme: str = "scaled") -> list[reduction.WeightedSample]:
-    d1 = artifacts.split.d1.take(rows)
-    proxy_map = {r.sample_id: r for r in artifacts.proxies}
-    if variant == "clean":
-        true_a = tabular.oracle_sensitive(d1)
-        return [reduction.WeightedSample(int(d1.sample_ids[i]), d1.features[i],
-                                         int(d1.labels[i]), int(true_a[i]), 1.0)
-                for i in range(len(d1))]
-    if variant == "proxy-knn":
-        imputed = reduction.knn_impute(d1, artifacts.split.d2, k=5)
-        return [reduction.WeightedSample(int(d1.sample_ids[i]), d1.features[i],
-                                         int(d1.labels[i]), int(imputed[i]), 1.0)
-                for i in range(len(d1))]
-    if variant in ("vanilla", "proxy-dnn"):
-        attach = variant == "proxy-dnn"
-        return [reduction.WeightedSample(int(d1.sample_ids[i]), d1.features[i],
-                                         int(d1.labels[i]),
-                                         proxy_map[int(d1.sample_ids[i])].a_hat if attach else None,
-                                         1.0)
-                for i in range(len(d1))]
-    flags = _certainty_flags(artifacts, source, threshold)
-    if variant == "certain":
-        out = [reduction.WeightedSample(int(d1.sample_ids[i]), d1.features[i],
-                                        int(d1.labels[i]),
-                                        proxy_map[int(d1.sample_ids[i])].a_hat, 1.0)
-               for i in range(len(d1)) if flags[int(d1.sample_ids[i])]]
-        if not out:
-            raise EmptySelection("certain variant kept no rows")
-        return out
-    if variant == "weighted":
-        if source.kind == "mc-dropout":
-            return reduction.weight_from_uncertainty(
-                [proxy_map[int(i)] for i in d1.sample_ids], d1, scheme=weight_scheme)
-        return [reduction.WeightedSample(int(d1.sample_ids[i]), d1.features[i],
-                                         int(d1.labels[i]),
-                                         proxy_map[int(d1.sample_ids[i])].a_hat,
-                                         1.0 if flags[int(d1.sample_ids[i])] else 0.0)
-                for i in range(len(d1))]
-    if variant == "uncertain":
-        out = [reduction.WeightedSample(int(d1.sample_ids[i]), d1.features[i],
-                                        int(d1.labels[i]), None, 1.0)
-               for i in range(len(d1)) if not flags[int(d1.sample_ids[i])]]
-        if not out:
-            raise EmptySelection("uncertain variant kept no rows")
-        return out
-    raise ConfigError(f"unknown variant {variant!r}")
-
-
 def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
              eps_fair: float, seed: int, threshold: float,
              source: UncertaintySource = UncertaintySource(),
@@ -284,44 +281,17 @@ def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
     """Train one variant on a per-seed 70 percent slice of d1 and score it on
     the held-out 30 percent against the true (masked) sensitive attributes."""
     train_rows, eval_rows = _d1_train_eval(artifacts, seed, train_fraction)
-    rows = _training_rows(artifacts, variant, train_rows, threshold, source)
+    idx, a, w = select(artifacts, variant, train_rows, threshold, source)
+    d1 = artifacts.split.d1
     kw = dict(exp_grad_kw or {})
     if variant in ("vanilla", "uncertain"):
-        model = reduction.unconstrained_train(rows, seed=seed,
+        model = reduction.unconstrained_train(d1.features[idx], d1.labels[idx],
                                               oracle_max_iter=kw.get("oracle_max_iter", 5000))
     else:
         constraint = reduction.MomentConstraint(constraint_kind, eps_fair)
-        model, _ = reduction.exp_grad_train(rows, constraint, seed=seed, **kw)
-    d1_eval = artifacts.split.d1.take(eval_rows)
-    preds = model.expected_predictions(d1_eval.features)
-    return metrics.evaluate_report(preds, d1_eval.labels,
-                                   tabular.oracle_sensitive(d1_eval))
-
-
-def unconstrained_subset_cell(artifacts: RunArtifacts, side: str, seed: int,
-                              source: UncertaintySource, threshold: float = 0.0,
-                              oracle_max_iter: int = 5000,
-                              train_fraction: float = 0.7) -> metrics.FairnessReport:
-    """Plain (no fairness constraint) model trained on the certain or the
-    uncertain side of the partition, scored like any other cell. This is the
-    conformal-ablation protocol: certain rows are singleton prediction sets,
-    uncertain rows empty or two-element sets."""
-    if side not in ("certain", "uncertain", "all"):
-        raise ConfigError("side must be certain, uncertain, or all")
-    train_rows, eval_rows = _d1_train_eval(artifacts, seed, train_fraction)
-    d1 = artifacts.split.d1.take(train_rows)
-    if side == "all":
-        keep = list(range(len(d1)))
-    else:
-        flags = _certainty_flags(artifacts, source, threshold)
-        want = side == "certain"
-        keep = [i for i in range(len(d1)) if flags[int(d1.sample_ids[i])] == want]
-    if not keep:
-        raise EmptySelection(f"{side} side kept no rows")
-    rows = [reduction.WeightedSample(int(d1.sample_ids[i]), d1.features[i],
-                                     int(d1.labels[i]), None, 1.0) for i in keep]
-    model = reduction.unconstrained_train(rows, seed=seed, oracle_max_iter=oracle_max_iter)
-    d1_eval = artifacts.split.d1.take(eval_rows)
+        model, _ = reduction.exp_grad_train(d1.features[idx], d1.labels[idx], a, w,
+                                            constraint, **kw)
+    d1_eval = d1.take(eval_rows)
     preds = model.expected_predictions(d1_eval.features)
     return metrics.evaluate_report(preds, d1_eval.labels,
                                    tabular.oracle_sensitive(d1_eval))
@@ -358,7 +328,8 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
     if len(fit_rows) > max_rows:
         fit_rows = np.sort(fit_rows[np.random.default_rng((seed, 137)).permutation(len(fit_rows))[:max_rows]])
 
-    d1_val = artifacts.split.d1.take(val_rows)
+    d1 = artifacts.split.d1
+    d1_val = d1.take(val_rows)
     val_truth = tabular.oracle_sensitive(d1_val)
 
     lo, hi = tune_range
@@ -368,11 +339,12 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
     best_h, best_obj = None, -math.inf
     for h_cand in grid:
         try:
-            rows = _training_rows(artifacts, "certain", fit_rows, h_cand,
-                                  UncertaintySource("mc-dropout"))
+            idx, a, w = select(artifacts, "certain", fit_rows, h_cand,
+                               UncertaintySource("mc-dropout"))
             model, _ = reduction.exp_grad_train(
-                rows, reduction.MomentConstraint(constraint_kind, eps_fair),
-                iters=iters, seed=seed, oracle_max_iter=oracle_max_iter)
+                d1.features[idx], d1.labels[idx], a, w,
+                reduction.MomentConstraint(constraint_kind, eps_fair),
+                iters=iters, oracle_max_iter=oracle_max_iter)
         except (EmptySelection, DegenerateGroup, DegenerateCell):
             # a candidate that keeps no rows, or rows from one group only,
             # simply cannot win the tuning
@@ -508,7 +480,6 @@ def run_sweep(config: SweepConfig, artifacts: RunArtifacts | None = None,
     """Execute every (variant, eps, seed) cell, write results.csv, pareto.csv
     and a manifest sufficient to reproduce both byte for byte."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     say = progress or (lambda _msg: None)
 
     if artifacts is None:
@@ -523,6 +494,7 @@ def run_sweep(config: SweepConfig, artifacts: RunArtifacts | None = None,
                                             seed=config.base_seed)
         else:
             raise ConfigError("sweep needs either run_dir with artifacts or data+schema")
+    out.mkdir(parents=True, exist_ok=True)
 
     if config.threshold is not None:
         threshold = config.threshold
@@ -631,23 +603,18 @@ def fig2_study(artifacts: RunArtifacts, out_path,
     metrics per (H, seed)."""
     rows_out = []
     results = []
-    proxy_map = {r.sample_id: r for r in artifacts.proxies}
+    d1 = artifacts.split.d1
+    _, u = proxy_columns(artifacts)
     for h_cut in h_grid:
         for j in range(seeds):
             seed = base_seed + j
             train_rows, eval_rows = _d1_train_eval(artifacts, seed)
-            d1_train = artifacts.split.d1.take(train_rows)
-            keep = [i for i in range(len(d1_train))
-                    if proxy_map[int(d1_train.sample_ids[i])].u >= h_cut]
-            if not keep:
+            keep = train_rows[u[train_rows] >= h_cut]
+            if len(keep) == 0:
                 raise EmptySelection(f"H={h_cut} keeps no rows")
-            samples = [reduction.WeightedSample(int(d1_train.sample_ids[i]),
-                                                d1_train.features[i],
-                                                int(d1_train.labels[i]), None, 1.0)
-                       for i in keep]
-            model = reduction.unconstrained_train(samples, seed=seed,
+            model = reduction.unconstrained_train(d1.features[keep], d1.labels[keep],
                                                   oracle_max_iter=oracle_max_iter)
-            d1_eval = artifacts.split.d1.take(eval_rows)
+            d1_eval = d1.take(eval_rows)
             preds = model.expected_predictions(d1_eval.features)
             report = metrics.evaluate_report(preds, d1_eval.labels,
                                              tabular.oracle_sensitive(d1_eval))

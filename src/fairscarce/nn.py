@@ -203,25 +203,6 @@ def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(per_row.mean())
 
 
-def consistency_loss(
-    student_logits: np.ndarray,
-    teacher_logits: np.ndarray,
-    mask: np.ndarray,
-    universe_size: int | None = None,
-) -> float:
-    """Sum of squared logit differences over masked rows, divided by the
-    universe size (the batch size when not given)."""
-    s = np.asarray(student_logits, dtype=float)
-    t = np.asarray(teacher_logits, dtype=float)
-    m = np.asarray(mask, dtype=bool)
-    if s.shape != t.shape or s.shape != m.shape:
-        raise ShapeMismatch("logits and mask must have equal length")
-    universe = len(s) if universe_size is None else int(universe_size)
-    if universe <= 0 or not m.any():
-        return 0.0
-    return float(np.square(s[m] - t[m]).sum() / universe)
-
-
 def _loss_and_logit_grad(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.ndarray]:
     n = len(logits)
     loss = 0.0

@@ -1,7 +1,8 @@
 """Fair classification by reduction: a cost-sensitive logistic-regression
 oracle inside an exponentiated-gradient saddle-point loop, plus the
-uncertainty-driven row selections (certain / weighted / uncertain) and the
-nearest-neighbor imputation baseline.
+nearest-neighbor imputation baseline. Training takes plain arrays: features
+``x``, labels ``y``, the attribute ``a`` each fairness constraint reads and
+the weight ``w`` of each row's constraint terms.
 
 The reduction alternates (1) a best-response fit against signed per-row costs
 built from the current multipliers with (2) a multiplicative-weights update
@@ -12,48 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .errors import (
-    DegenerateCell,
-    DegenerateGroup,
-    EmptySelection,
-    NonFiniteCost,
-)
+from .errors import DegenerateCell, DegenerateGroup, NonFiniteCost
 from .tabular import Dataset
-from .uncertainty import LN2
 
 DEMOGRAPHIC_PARITY = "dp"
 EQUALIZED_ODDS = "eod"
 EQUAL_OPPORTUNITY = "eop"
-
-_MIXTURE_MAGIC = "fairscarce-mixture"
-_MIXTURE_VERSION = 1
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """One training row for the fair phase: features, task label, proxy
-    attribute, and the weight its fairness-constraint terms receive."""
-
-    sample_id: int
-    features: np.ndarray
-    label: int
-    a_hat: int | None
-    fairness_weight: float = 1.0
-
-
-def stack_samples(rows: Sequence[WeightedSample]):
-    x = np.vstack([r.features for r in rows])
-    y = np.array([r.label for r in rows], dtype=float)
-    a = np.array([-1 if r.a_hat is None else r.a_hat for r in rows], dtype=int)
-    w = np.array([r.fairness_weight for r in rows], dtype=float)
-    ids = np.array([r.sample_id for r in rows], dtype=int)
-    return x, y, a, w, ids
 
 
 @dataclass(frozen=True)
@@ -229,29 +199,32 @@ class ExpGradLog:
     error: float
 
 
-def exp_grad_train(rows: Sequence[WeightedSample], constraint: MomentConstraint,
-                   iters: int = 50, eta: float = 2.0, bound: float = 100.0,
-                   gap_tol: float = 1e-3, seed: int = 0,
-                   oracle_max_iter: int = 5000,
-                   hull_step: bool = True) -> tuple[RandomizedClassifier, ExpGradLog]:
-    """Train a randomized fair classifier by exponentiated gradient.
+def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
+                   constraint: MomentConstraint, iters: int = 50, eta: float = 2.0,
+                   bound: float = 100.0, gap_tol: float = 1e-3,
+                   oracle_max_iter: int = 5000) -> tuple[RandomizedClassifier, ExpGradLog]:
+    """Train a randomized fair classifier by exponentiated gradient on rows
+    ``x`` with labels ``y``, attributes ``a`` (0 or 1) and constraint weights
+    ``w``.
 
     Per iteration: form signed costs from the current multipliers, fit the
     best response, measure its constraint violations, and update the
     multipliers multiplicatively (log-weights shifted by (eta / bound) *
     (violation - slack); the exponentiated-weights normalization keeps their
     1-norm below ``bound``). Candidate solutions are the uniform mixture over
-    iterates and, when ``hull_step`` is on, the small LP re-mix over all
-    generated classifiers; the candidate with the smallest duality gap is
-    returned and ``converged`` says whether that gap beat ``gap_tol``.
+    iterates and, while the gap stays above ``gap_tol``, the small LP re-mix
+    over all generated classifiers; the candidate with the smallest duality
+    gap is returned and ``converged`` says whether that gap beat ``gap_tol``.
     """
-    if not rows:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    a = np.asarray(a)
+    if len(x) == 0:
         raise ValueError("no training rows")
-    x, y, a, w, _ = stack_samples(rows)
     if (a < 0).any():
         raise ValueError("every row needs a proxy attribute under fairness constraints")
-    cons = _ConstraintSet(constraint, y, a, w)
-    n = len(rows)
+    cons = _ConstraintSet(constraint, y, a, np.asarray(w, dtype=float))
+    n = len(x)
     base_cost = (1.0 - 2.0 * y) / n  # derivative of expected error wrt h_i
 
     members: list[LinearModel] = []
@@ -337,7 +310,7 @@ def exp_grad_train(rows: Sequence[WeightedSample], constraint: MomentConstraint,
         for i in chosen:
             uniform[i] += 1.0 / len(chosen)
         consider(uniform, lambda_sum / (t + 1), verify=True)
-        if hull_step and log.best_gap >= gap_tol:
+        if log.best_gap >= gap_tol:
             lp_pair = hull_lp()
             if lp_pair is not None:
                 consider(np.pad(lp_pair[0], (0, len(members) - len(lp_pair[0]))),
@@ -358,75 +331,12 @@ def exp_grad_train(rows: Sequence[WeightedSample], constraint: MomentConstraint,
     return RandomizedClassifier(kept_members, kept_weights), log
 
 
-def unconstrained_train(rows: Sequence[WeightedSample], seed: int = 0,
+def unconstrained_train(x: np.ndarray, y: np.ndarray,
                         oracle_max_iter: int = 5000) -> RandomizedClassifier:
     """Plain accuracy-only logistic fit wrapped as a single-member mixture."""
-    x, y, _, _, _ = stack_samples(rows)
-    model = fit_cost_sensitive(x, (1.0 - 2.0 * y) / len(rows), max_iter=oracle_max_iter)
+    y = np.asarray(y, dtype=float)
+    model = fit_cost_sensitive(x, (1.0 - 2.0 * y) / len(y), max_iter=oracle_max_iter)
     return RandomizedClassifier((model,), np.array([1.0]))
-
-
-# --- uncertainty-driven selections -------------------------------------------
-
-def _proxy_lookup(proxies) -> dict[int, tuple[int, float]]:
-    table = {}
-    for rec in proxies:
-        table[int(rec.sample_id)] = (int(rec.a_hat), float(rec.u))
-    return table
-
-
-def _require_coverage(table, ids):
-    missing = [int(i) for i in ids if int(i) not in table]
-    if missing:
-        raise ValueError(f"proxies missing for {len(missing)} rows, e.g. id {missing[0]}")
-
-
-def filter_certain(proxies, d1: Dataset, threshold: float) -> list[WeightedSample]:
-    """Rows whose proxy uncertainty is at most the threshold (inclusive),
-    each with weight 1 and its proxy attribute attached."""
-    table = _proxy_lookup(proxies)
-    _require_coverage(table, d1.sample_ids)
-    if d1.labels is None:
-        raise ValueError("d1 must carry labels")
-    out = []
-    for i in range(len(d1)):
-        a_hat, u = table[int(d1.sample_ids[i])]
-        if u <= threshold:
-            out.append(WeightedSample(int(d1.sample_ids[i]), d1.features[i],
-                                      int(d1.labels[i]), a_hat, 1.0))
-    if not out:
-        raise EmptySelection(f"no row has uncertainty <= {threshold}")
-    return out
-
-
-def weight_from_uncertainty(proxies, d1: Dataset, scheme: str = "scaled") -> list[WeightedSample]:
-    """Every row kept; fairness weight 1 - u/ln2 (``scaled``, endpoints 1 and
-    0) or 1 - u (``raw``). Only constraint terms see these weights."""
-    if scheme not in ("scaled", "raw"):
-        raise ValueError("scheme must be 'scaled' or 'raw'")
-    table = _proxy_lookup(proxies)
-    _require_coverage(table, d1.sample_ids)
-    if d1.labels is None:
-        raise ValueError("d1 must carry labels")
-    out = []
-    for i in range(len(d1)):
-        a_hat, u = table[int(d1.sample_ids[i])]
-        weight = 1.0 - (u / LN2 if scheme == "scaled" else u)
-        out.append(WeightedSample(int(d1.sample_ids[i]), d1.features[i],
-                                  int(d1.labels[i]), a_hat, max(weight, 0.0)))
-    return out
-
-
-def select_uncertain(proxies, d1: Dataset, threshold: float) -> Dataset:
-    """Rows with uncertainty >= threshold, labels kept, no attributes attached
-    (downstream training is unconstrained)."""
-    table = _proxy_lookup(proxies)
-    _require_coverage(table, d1.sample_ids)
-    keep = [i for i in range(len(d1)) if table[int(d1.sample_ids[i])][1] >= threshold]
-    if not keep:
-        raise EmptySelection(f"no row has uncertainty >= {threshold}")
-    sub = d1.take(np.array(keep))
-    return Dataset(sub.features, sub.sample_ids, labels=sub.labels)
 
 
 def knn_impute(d1: Dataset, d2: Dataset, k: int) -> np.ndarray:
@@ -450,39 +360,3 @@ def knn_impute(d1: Dataset, d2: Dataset, k: int) -> np.ndarray:
         votes = d2.sensitive[nearest].sum(axis=1)
         out[start:start + len(block)] = (2 * votes >= k).astype(int)
     return out
-
-
-# --- mixture model io ---------------------------------------------------------
-
-def write_mixture(fh: IO[str], model: RandomizedClassifier) -> None:
-    dim = len(model.members[0].coef)
-    fh.write(f"{_MIXTURE_MAGIC} {_MIXTURE_VERSION}\n")
-    fh.write(f"members {len(model.members)} dim {dim}\n")
-    for q, member in zip(model.mix_weights, model.members):
-        parts = [repr(float(q)), repr(float(member.intercept))]
-        parts.extend(repr(float(v)) for v in member.coef)
-        fh.write(" ".join(parts) + "\n")
-
-
-def read_mixture(fh: IO[str]) -> RandomizedClassifier:
-    magic = fh.readline().split()
-    if magic[:1] != [_MIXTURE_MAGIC] or int(magic[1]) != _MIXTURE_VERSION:
-        raise ValueError("not a fairscarce mixture file")
-    _, m, _, dim = fh.readline().split()
-    m, dim = int(m), int(dim)
-    members, weights = [], []
-    for _ in range(m):
-        parts = [float(v) for v in fh.readline().split()]
-        weights.append(parts[0])
-        members.append(LinearModel(np.array(parts[2:2 + dim]), parts[1]))
-    return RandomizedClassifier(tuple(members), np.array(weights))
-
-
-def save_mixture(path, model: RandomizedClassifier) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_mixture(fh, model)
-
-
-def load_mixture(path) -> RandomizedClassifier:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_mixture(fh)

@@ -132,13 +132,6 @@ def load_csv(path, schema: Schema, strict: bool = True) -> RawTable:
     return RawTable(header, tuple(rows), n_dropped=dropped)
 
 
-def write_csv(table: RawTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.column_names)
-        writer.writerows(table.rows)
-
-
 @dataclass(frozen=True)
 class Encoder:
     """Per-column encoding state.

@@ -1,10 +1,10 @@
 """Alternate uncertainty machinery: binary entropy, split conformal
-prediction sets with marginal coverage, and the confidence-band filter."""
+prediction sets with marginal coverage, and the confidence-band mask."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,50 +87,9 @@ def conformal_sets(cal: ConformalCalibrator, p_groups: Sequence[float],
     return [conformal_set(cal, p, i) for p, i in zip(p_groups, sample_ids)]
 
 
-def partition_by_certainty(sets: Iterable[PredictionSet]) -> tuple[list[int], list[int]]:
-    """Singleton sets are certain; empty or two-element sets are uncertain."""
-    certain, uncertain = [], []
-    for s in sets:
-        (certain if s.certain else uncertain).append(s.sample_id)
-    return certain, uncertain
-
-
-def confidence_band_filter(probs: Sequence[float], ids: Sequence[int],
-                           tau: float) -> tuple[list[int], list[int]]:
-    """Low-uncertainty iff p <= 1 - tau or p >= tau; tau in [0.5, 1]."""
+def confidence_band_filter(probs: Sequence[float], tau: float) -> np.ndarray:
+    """Low-uncertainty mask: p <= 1 - tau or p >= tau; tau in [0.5, 1]."""
     if not 0.5 <= tau <= 1.0:
         raise ValueError("tau must lie in [0.5, 1]")
-    low, high = [], []
-    for p, i in zip(np.asarray(probs, dtype=float), ids):
-        if p <= 1.0 - tau or p >= tau:
-            low.append(int(i))
-        else:
-            high.append(int(i))
-    return low, high
-
-
-# --- prediction-set file -----------------------------------------------------
-
-_SET_TOKEN = {frozenset(): "", frozenset({0}): "0", frozenset({1}): "1",
-              frozenset({0, 1}): "01"}
-_TOKEN_SET = {v: k for k, v in _SET_TOKEN.items()}
-
-
-def write_prediction_sets(fh: IO[str], sets: Iterable[PredictionSet]) -> None:
-    fh.write("sample_id,set\n")
-    for s in sets:
-        fh.write(f"{s.sample_id},{_SET_TOKEN[s.members]}\n")
-
-
-def read_prediction_sets(fh: IO[str]) -> list[PredictionSet]:
-    header = fh.readline().strip()
-    if header != "sample_id,set":
-        raise ValueError("not a prediction-set file")
-    out = []
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        sid, _, token = line.partition(",")
-        out.append(PredictionSet(int(sid), _TOKEN_SET[token]))
-    return out
+    p = np.asarray(probs, dtype=float)
+    return (p <= 1.0 - tau) | (p >= tau)

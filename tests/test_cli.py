@@ -46,6 +46,29 @@ def test_train_fair_command(demo_run, capsys):
     assert out[1].startswith("vanilla,1,")
 
 
+def test_train_fair_partial_proxies_exit_code(demo_run, tmp_path, capsys):
+    lines = (demo_run / "run" / "proxies.csv").read_text().splitlines()
+    partial = tmp_path / "partial.csv"
+    partial.write_text("\n".join(lines[:1] + lines[2:]) + "\n", encoding="utf-8")
+    missing = lines[1].split(",")[0]
+    for variant, source in (("proxy-dnn", "mc-dropout"), ("certain", "conformal(0.1)"),
+                            ("weighted", "confidence(0.8)")):
+        rc = cli.main(["train-fair", "--variant", variant, "--uncertainty-source", source,
+                       "--proxies", str(partial), "--run", str(demo_run / "run")])
+        assert rc == 2, variant
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"sample id {missing}" in err, err
+
+
+def test_sweep_bad_run_dir_creates_no_directory(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"run_dir = {tmp_path / 'ghost' / 'run'}\nvariants = vanilla\n",
+                   encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "ghost").exists()
+
+
 def test_sweep_and_table_commands(demo_run, capsys, tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 
@@ -6,25 +5,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from fairscarce import harness, synthdata, tabular
 from fairscarce import reduction as red
-from fairscarce import synthdata, tabular
+from fairscarce.attribute import ProxyRecord
 from fairscarce.errors import EmptySelection, NonFiniteCost
 from fairscarce.uncertainty import LN2
-
-
-class Rec:
-    def __init__(self, sample_id, a_hat, u):
-        self.sample_id = sample_id
-        self.a_hat = a_hat
-        self.u = u
-
-
-def make_rows(x, y, a=None, w=None):
-    n = len(y)
-    return [red.WeightedSample(i, x[i], int(y[i]),
-                               None if a is None else int(a[i]),
-                               1.0 if w is None else float(w[i]))
-            for i in range(n)]
 
 
 def separable_instance(n=60, seed=0):
@@ -149,7 +134,7 @@ def test_sparse_oracle_matches_dense_reference(demo_d1):
 
 # --- brute-force oracle for the reduction --------------------------------------
 
-def brute_force_fair_mixture(y, a, eps=0.0):
+def brute_force_fair_optimum(y, a, eps=0.0):
     """LP over mixtures of all 2^n deterministic labelings: maximize expected
     accuracy subject to |rate gap| <= eps. Independent of the reduction."""
     n = len(y)
@@ -182,10 +167,9 @@ def test_exp_grad_matches_brute_force_on_8_point_instances():
             a = rng.integers(0, 2, size=8)
             if 0 < a.sum() < 8:
                 break
-        oracle_acc, _ = brute_force_fair_mixture(y, a, eps=0.0)
-        rows = make_rows(x, y, a)
+        oracle_acc, _ = brute_force_fair_optimum(y, a, eps=0.0)
         model, log = red.exp_grad_train(
-            rows, red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.0), seed=trial)
+            x, y, a, np.ones(8), red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.0))
         preds = model.expected_predictions(x)
         acc = float((preds * y + (1 - preds) * (1 - y)).mean())
         r0 = preds[a == 0].mean()
@@ -197,9 +181,9 @@ def test_exp_grad_matches_brute_force_on_8_point_instances():
 def test_exp_grad_inactive_constraint_equals_unconstrained():
     x, y = separable_instance(80, seed=5)
     a = (np.random.default_rng(6).random(80) < 0.5).astype(int)
-    rows = make_rows(x, y, a)
-    fair, _ = red.exp_grad_train(rows, red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 1.0))
-    plain = red.unconstrained_train(rows)
+    fair, _ = red.exp_grad_train(x, y, a, np.ones(80),
+                                 red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 1.0))
+    plain = red.unconstrained_train(x, y)
     np.testing.assert_allclose(fair.expected_predictions(x), plain.expected_predictions(x))
 
 
@@ -208,8 +192,8 @@ def test_exp_grad_feasible_start_stays_put():
     x = np.array([[1.0], [2.0], [-1.0], [-2.0], [1.5], [2.5], [-1.5], [-2.5]])
     y = np.array([1, 1, 0, 0, 1, 1, 0, 0])
     a = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    rows = make_rows(x, y, a)
-    model, log = red.exp_grad_train(rows, red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.01))
+    model, log = red.exp_grad_train(x, y, a, np.ones(8),
+                                    red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.01))
     preds = model.expected_predictions(x)
     assert float((preds * y + (1 - preds) * (1 - y)).mean()) >= 0.99
     assert log.max_violation <= 0.01 + 1e-9
@@ -223,11 +207,11 @@ def test_exp_grad_monotone_dial():
     x[:, 0] += 1.1 * a  # group leaks into a predictive feature
     logits = 1.5 * x[:, 0] - 0.8 * x[:, 1]
     y = (logits + rng.normal(scale=0.7, size=n) > 0.4).astype(int)
-    rows = make_rows(x, y, a)
     grid = [0.3, 0.1, 0.03, 0.01]
     dps = []
     for eps in grid:
-        model, _ = red.exp_grad_train(rows, red.MomentConstraint(red.DEMOGRAPHIC_PARITY, eps))
+        model, _ = red.exp_grad_train(x, y, a, np.ones(n),
+                                      red.MomentConstraint(red.DEMOGRAPHIC_PARITY, eps))
         preds = model.expected_predictions(x)
         dps.append(abs(preds[a == 0].mean() - preds[a == 1].mean()))
     for wide, tight in zip(dps, dps[1:]):
@@ -241,8 +225,7 @@ def test_exp_grad_equalized_odds_reduces_gap():
     x = rng.normal(size=(n, 3))
     x[:, 0] += 1.4 * a
     y = ((x[:, 0] + x[:, 1] + rng.normal(scale=0.8, size=n)) > 0.7).astype(int)
-    rows = make_rows(x, y, a)
-    plain = red.unconstrained_train(rows)
+    plain = red.unconstrained_train(x, y)
 
     def eod(preds):
         out = 0.0
@@ -251,14 +234,15 @@ def test_exp_grad_equalized_odds_reduces_gap():
             out += abs(preds[m & (a == 0)].mean() - preds[m & (a == 1)].mean())
         return out
 
-    fair, _ = red.exp_grad_train(rows, red.MomentConstraint(red.EQUALIZED_ODDS, 0.02))
+    fair, _ = red.exp_grad_train(x, y, a, np.ones(n),
+                                 red.MomentConstraint(red.EQUALIZED_ODDS, 0.02))
     assert eod(fair.expected_predictions(x)) < eod(plain.expected_predictions(x)) * 0.5
 
 
 def test_mixture_rate_identity():
     x, y = separable_instance(50, seed=9)
     a = (np.random.default_rng(10).random(50) < 0.4).astype(int)
-    model, _ = red.exp_grad_train(make_rows(x, y, a),
+    model, _ = red.exp_grad_train(x, y, a, np.ones(50),
                                   red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.05))
     expected = model.expected_predictions(x)
     manual = np.zeros(len(x))
@@ -268,60 +252,120 @@ def test_mixture_rate_identity():
     assert model.mix_weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-# --- selections ----------------------------------------------------------------
+# --- selections (harness.select) ---------------------------------------------
 
-def tiny_d1(n=6):
-    rng = np.random.default_rng(1)
-    return tabular.Dataset(rng.normal(size=(n, 2)), np.arange(n),
-                           labels=rng.integers(0, 2, size=n))
+MC_DROPOUT = harness.UncertaintySource("mc-dropout")
+
+
+def tiny_artifacts(records, d1=None, d2=None, d1_eval_probs=(), calib=((), ())):
+    """A hand-built run: d1 (sample id i on row i by default), proxy records
+    given as (sample_id, a_hat, u), and the conformal inputs."""
+    if d1 is None:
+        rng = np.random.default_rng(1)
+        d1 = tabular.Dataset(rng.normal(size=(len(records), 2)), np.arange(len(records)),
+                             labels=rng.integers(0, 2, size=len(records)))
+    split = tabular.ScarceSplit(d1, d2, d1, 0.2)
+    proxies = [ProxyRecord(i, a_hat, 0.5, u) for i, a_hat, u in records]
+    return harness.RunArtifacts(split, None, proxies, np.array(calib[0]), np.array(calib[1]),
+                                np.array(d1_eval_probs), {})
+
+
+def select_all(records, variant, threshold, source=MC_DROPOUT):
+    arts = tiny_artifacts(records)
+    return harness.select(arts, variant, np.arange(len(records)), threshold, source)
 
 
 def test_filter_certain_membership_and_boundary():
-    d1 = tiny_d1(2)
-    rows = red.filter_certain([Rec(0, 1, 0.1), Rec(1, 0, 0.4)], d1, 0.3)
-    assert [r.sample_id for r in rows] == [0]
-    assert rows[0].fairness_weight == 1.0 and rows[0].a_hat == 1
-    rows = red.filter_certain([Rec(0, 1, 0.3), Rec(1, 0, 0.3)], d1, 0.3)
-    assert len(rows) == 2  # <= is inclusive
-    rows = red.filter_certain([Rec(0, 1, 0.5), Rec(1, 0, LN2)], d1, LN2)
-    assert len(rows) == 2  # ln 2 keeps everything
+    idx, a, w = select_all([(0, 1, 0.1), (1, 0, 0.4)], "certain", 0.3)
+    assert idx.tolist() == [0]
+    assert w.tolist() == [1.0] and a.tolist() == [1]
+    idx, _, _ = select_all([(0, 1, 0.3), (1, 0, 0.3)], "certain", 0.3)
+    assert len(idx) == 2  # <= is inclusive
+    idx, _, _ = select_all([(0, 1, 0.5), (1, 0, LN2)], "certain", LN2)
+    assert len(idx) == 2  # ln 2 keeps everything
 
 
 def test_filter_certain_empty_selection():
-    d1 = tiny_d1(2)
     with pytest.raises(EmptySelection):
-        red.filter_certain([Rec(0, 1, 0.5), Rec(1, 0, 0.6)], d1, 0.1)
+        select_all([(0, 1, 0.5), (1, 0, 0.6)], "certain", 0.1)
 
 
 def test_weight_from_uncertainty_endpoints():
-    d1 = tiny_d1(3)
-    rows = red.weight_from_uncertainty(
-        [Rec(0, 1, 0.0), Rec(1, 0, LN2), Rec(2, 1, LN2 / 2)], d1)
-    weights = {r.sample_id: r.fairness_weight for r in rows}
-    assert weights[0] == pytest.approx(1.0)
-    assert weights[1] == pytest.approx(0.0)
-    assert weights[2] == pytest.approx(0.5)
+    idx, a, w = select_all([(0, 1, 0.0), (1, 0, LN2), (2, 1, LN2 / 2)], "weighted", 0.3)
+    assert idx.tolist() == [0, 1, 2] and a.tolist() == [1, 0, 1]
+    assert w[0] == pytest.approx(1.0)
+    assert w[1] == pytest.approx(0.0)
+    assert w[2] == pytest.approx(0.5)
 
 
 def test_select_uncertain_membership():
-    d1 = tiny_d1(2)
-    ds = red.select_uncertain([Rec(0, 1, 0.2), Rec(1, 0, 0.5)], d1, 0.4)
-    assert ds.sample_ids.tolist() == [1]
-    assert ds.sensitive is None and ds.masked_sensitive is None
-    ds_all = red.select_uncertain([Rec(0, 1, 0.2), Rec(1, 0, 0.5)], d1, 0.0)
-    assert len(ds_all) == 2
+    idx, a, _ = select_all([(0, 1, 0.2), (1, 0, 0.5)], "uncertain", 0.4)
+    assert idx.tolist() == [1]
+    assert a.tolist() == [-1]  # no attribute attached: training is unconstrained
+    idx, _, _ = select_all([(0, 1, 0.2), (1, 0, 0.5)], "uncertain", 0.0)
+    assert len(idx) == 2
 
 
 def test_filter_nesting():
     rng = np.random.default_rng(7)
-    d1 = tiny_d1(30)
-    recs = [Rec(i, int(rng.integers(0, 2)), float(rng.uniform(0, LN2))) for i in range(30)]
-    lo = {r.sample_id for r in red.filter_certain(recs, d1, 0.2)}
-    hi = {r.sample_id for r in red.filter_certain(recs, d1, 0.5)}
+    recs = [(i, int(rng.integers(0, 2)), float(rng.uniform(0, LN2))) for i in range(30)]
+    lo = set(select_all(recs, "certain", 0.2)[0].tolist())
+    hi = set(select_all(recs, "certain", 0.5)[0].tolist())
     assert lo <= hi
-    un_lo = set(red.select_uncertain(recs, d1, 0.2).sample_ids.tolist())
-    un_hi = set(red.select_uncertain(recs, d1, 0.5).sample_ids.tolist())
+    un_lo = set(select_all(recs, "uncertain", 0.2)[0].tolist())
+    un_hi = set(select_all(recs, "uncertain", 0.5)[0].tolist())
     assert un_hi <= un_lo
+
+
+def test_select_every_variant_and_source_on_unsorted_ids():
+    # d1 rows hold sample ids 40, 10, 30, 0, 50, 20: row order is not id order
+    ids = np.array([40, 10, 30, 0, 50, 20])
+    near_a = np.array([True, False, True, False, False, True])
+    features = np.where(near_a[:, None], 10.0, -10.0) + np.arange(12.0).reshape(6, 2) / 100
+    d1 = tabular.Dataset(features, ids, labels=np.array([1, 0, 1, 1, 0, 0]),
+                         masked_sensitive=np.array([1, 1, 0, 0, 1, 0]))
+    # five d2 rows near (10, 10) vote 1 by 4 to 1, five near (-10, -10) vote 0
+    d2 = tabular.Dataset(np.repeat([[10.0, 10.0], [-10.0, -10.0]], 5, axis=0), np.arange(10),
+                         sensitive=np.array([1, 1, 1, 1, 0, 0, 0, 0, 1, 0]))
+    a_hat = [1, 0, 0, 1, 1, 0]
+    u = [0.1, 0.6, 0.3, 0.69, 0.0, 0.45]
+    # proxies listed in sample-id order; eval probabilities by sorted id
+    # 0, 10, 20, 30, 40, 50, i.e. 0.6, 0.97, 0.05, 0.5, 0.92, 0.15 in row order
+    records = sorted(zip(ids.tolist(), a_hat, u))
+    # calibration scores 0.1..0.4 at eps 0.7: q_hat = 0.2
+    arts = tiny_artifacts(records, d1, d2, d1_eval_probs=[0.5, 0.97, 0.15, 0.05, 0.6, 0.92],
+                          calib=([0.1, 0.2, 0.3, 0.4], [0, 0, 0, 0]))
+    sources = {
+        # u <= 0.3
+        "mc-dropout": (MC_DROPOUT, {0, 2, 4}),
+        # singleton set iff p >= 0.8 or p <= 0.2
+        "conformal": (harness.UncertaintySource("conformal", epsilon=0.7), {1, 2, 4, 5}),
+        # p <= 0.1 or p >= 0.9
+        "confidence": (harness.UncertaintySource("confidence", tau=0.9), {1, 2, 4}),
+    }
+    rows = np.array([0, 1, 2, 4, 5])  # row 3 is held out
+    for name, (source, certain) in sources.items():
+        kept = [r for r in rows if r in certain]
+        dropped = [r for r in rows if r not in certain]
+        if name == "mc-dropout":
+            weights = [1.0 - u[r] / LN2 for r in rows]
+        else:
+            weights = [1.0 if r in certain else 0.0 for r in rows]
+        expected = {
+            "vanilla": (rows, [-1] * 5, [1.0] * 5),
+            "clean": (rows, [1, 1, 0, 1, 0], [1.0] * 5),
+            "proxy-knn": (rows, [1, 0, 1, 0, 1], [1.0] * 5),
+            "proxy-dnn": (rows, [1, 0, 0, 1, 0], [1.0] * 5),
+            "certain": (kept, [a_hat[r] for r in kept], [1.0] * len(kept)),
+            "weighted": (rows, [1, 0, 0, 1, 0], weights),
+            "uncertain": (dropped, [-1] * len(dropped), [1.0] * len(dropped)),
+        }
+        assert set(expected) == set(harness.VARIANTS)
+        for variant, (want_idx, want_a, want_w) in expected.items():
+            idx, a, w = harness.select(arts, variant, rows, 0.3, source)
+            assert idx.tolist() == list(want_idx), (name, variant)
+            assert a.tolist() == want_a, (name, variant)
+            np.testing.assert_array_equal(w, want_w, err_msg=f"{name} {variant}")
 
 
 def test_knn_impute_rules():
@@ -336,16 +380,3 @@ def test_knn_impute_rules():
                              sensitive=np.array([1, 0]))
     probe = tabular.Dataset(np.array([[0.1, 0.0]]), np.array([0]))
     np.testing.assert_array_equal(red.knn_impute(probe, d2_tie, k=2), [1])
-
-
-def test_mixture_file_roundtrip():
-    x, y = separable_instance(30, seed=2)
-    a = (np.random.default_rng(3).random(30) < 0.5).astype(int)
-    model, _ = red.exp_grad_train(make_rows(x, y, a),
-                                  red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.1))
-    buf = io.StringIO()
-    red.write_mixture(buf, model)
-    buf.seek(0)
-    back = red.read_mixture(buf)
-    np.testing.assert_array_equal(model.expected_predictions(x),
-                                  back.expected_predictions(x))

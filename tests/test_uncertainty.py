@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -60,19 +59,6 @@ def test_conformal_set_hand_cases():
     assert unc.conformal_set(cal_tight, 0.5, 3).members == frozenset()
 
 
-def test_partition_by_certainty():
-    sets = [unc.PredictionSet(1, frozenset({1})),
-            unc.PredictionSet(2, frozenset({0, 1})),
-            unc.PredictionSet(3, frozenset())]
-    certain, uncertain = unc.partition_by_certainty(sets)
-    assert certain == [1]
-    assert uncertain == [2, 3]
-    all_single = [unc.PredictionSet(i, frozenset({0})) for i in range(4)]
-    certain, uncertain = unc.partition_by_certainty(all_single)
-    assert uncertain == []
-    assert sorted(certain) == [0, 1, 2, 3]
-
-
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
        st.integers(min_value=1, max_value=30))
 def test_set_size_monotone_in_epsilon(probs, ncal):
@@ -89,42 +75,18 @@ def test_set_size_monotone_in_epsilon(probs, ncal):
 
 def test_confidence_band_filter_endpoints():
     probs = [0.1, 0.45, 0.5, 0.6, 0.95]
-    ids = [0, 1, 2, 3, 4]
-    low, high = unc.confidence_band_filter(probs, ids, tau=0.5)
-    assert high == [] and low == ids
-    low, high = unc.confidence_band_filter([0.95, 0.6], [7, 8], tau=0.9)
-    assert low == [7] and high == [8]
+    assert unc.confidence_band_filter(probs, tau=0.5).tolist() == [True] * 5
+    assert unc.confidence_band_filter([0.95, 0.6], tau=0.9).tolist() == [True, False]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
        st.floats(min_value=0.5, max_value=1.0), st.floats(min_value=0.5, max_value=1.0))
 def test_band_nesting(probs, tau1, tau2):
     lo_tau, hi_tau = sorted([tau1, tau2])
-    ids = list(range(len(probs)))
-    low_loose, _ = unc.confidence_band_filter(probs, ids, lo_tau)
-    low_strict, _ = unc.confidence_band_filter(probs, ids, hi_tau)
-    # raising tau only moves ids from low to high
-    assert set(low_strict) <= set(low_loose)
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30))
-def test_partition_totality(probs):
-    cal = unc.ConformalCalibrator(0.1, 0.6, 50)
-    sets = unc.conformal_sets(cal, probs, range(len(probs)))
-    certain, uncertain = unc.partition_by_certainty(sets)
-    assert sorted(certain + uncertain) == list(range(len(probs)))
-    assert set(certain).isdisjoint(uncertain)
-
-
-def test_prediction_set_file_roundtrip():
-    sets = [unc.PredictionSet(0, frozenset()),
-            unc.PredictionSet(1, frozenset({0})),
-            unc.PredictionSet(2, frozenset({1})),
-            unc.PredictionSet(3, frozenset({0, 1}))]
-    buf = io.StringIO()
-    unc.write_prediction_sets(buf, sets)
-    buf.seek(0)
-    assert unc.read_prediction_sets(buf) == sets
+    low_loose = unc.confidence_band_filter(probs, lo_tau)
+    low_strict = unc.confidence_band_filter(probs, hi_tau)
+    # raising tau only moves rows from low to high
+    assert not (low_strict & ~low_loose).any()
 
 
 def test_marginal_coverage_on_synthetic_gaussians():
