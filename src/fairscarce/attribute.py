@@ -9,7 +9,7 @@ and the uncertainty cutoff ramp up over early epochs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -19,8 +19,8 @@ from .errors import DivergedTraining
 from .tabular import Dataset, ScarceSplit
 from .uncertainty import LN2, binary_entropy
 
-_CKPT_MAGIC = "fairscarce-attr"
-_CKPT_VERSION = 1
+# d1 rows scored per MC-dropout call in predict_proxy
+_PROXY_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,10 @@ class RampSchedule:
     def value(self, epoch: int) -> float:
         if epoch < 0:
             raise ValueError("epoch must be nonnegative")
-        return gaussian_rampup(epoch, self)
-
-
-def gaussian_rampup(epoch: int, sched: RampSchedule) -> float:
-    if sched.ramp_length <= 0 or epoch >= sched.ramp_length:
-        return sched.max_value
-    frac = 1.0 - epoch / sched.ramp_length
-    return sched.max_value * math.exp(-5.0 * frac * frac)
+        if self.ramp_length <= 0 or epoch >= self.ramp_length:
+            return self.max_value
+        frac = 1.0 - epoch / self.ramp_length
+        return self.max_value * math.exp(-5.0 * frac * frac)
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,6 @@ class StudentTeacherState:
     teacher: nn.MlpParams
     adam: nn.AdamState
     ema_decay: float
-    epoch: int
     lambda_schedule: RampSchedule
     r_schedule: RampSchedule
 
@@ -246,7 +241,7 @@ def train_attribute_classifier(split: ScarceSplit,
     student = nn.init_mlp(dims, config.dropout_rate, seed=config.seed)
     teacher = student  # EMA starts as an exact copy
     adam = nn.init_adam(student, lr=config.lr)
-    state = StudentTeacherState(student, teacher, adam, config.ema_decay, 0,
+    state = StudentTeacherState(student, teacher, adam, config.ema_decay,
                                 RampSchedule(config.lambda_max, config.ramp_epochs),
                                 RampSchedule(config.r_max, config.ramp_epochs))
 
@@ -301,7 +296,6 @@ def train_attribute_classifier(split: ScarceSplit,
             n_batches += 1
             sup_sum += ce_loss
 
-        state = replace(state, epoch=epoch + 1)
         val_logits, _ = nn.forward(state.teacher, x_val, nn.DropoutPlan(nn.EVAL))
         val_acc = float(((val_logits >= 0.0).astype(int) == a_val).mean()) if len(a_val) else 0.0
         log.append(EpochLog(epoch, sup_sum / max(n_batches, 1), cons_sum / max(n_batches, 1),
@@ -321,15 +315,14 @@ def train_attribute_classifier(split: ScarceSplit,
 
 
 def predict_proxy(state: StudentTeacherState, d1: Dataset, passes: int,
-                  seed: int, config_proxy_source: str = "teacher",
-                  chunk: int = 4096) -> list[ProxyRecord]:
+                  seed: int, config_proxy_source: str = "teacher") -> list[ProxyRecord]:
     """One ProxyRecord per d1 row, sorted by sample id. Uncertainty always
     comes from teacher MC passes; a_hat comes from the thresholded mean
     probability (or from student eval logits when so configured)."""
     records: list[ProxyRecord] = []
     order = np.argsort(d1.sample_ids)
-    for start in range(0, len(order), chunk):
-        rows = order[start:start + chunk]
+    for start in range(0, len(order), _PROXY_CHUNK):
+        rows = order[start:start + _PROXY_CHUNK]
         x = d1.features[rows]
         p, u = mc_dropout_predict(state.teacher, x, passes, seed, counter=start)
         if config_proxy_source == "student":
@@ -386,36 +379,16 @@ def load_proxies(path) -> list[ProxyRecord]:
 
 # --- checkpoint ---------------------------------------------------------------
 
-def write_checkpoint(fh: IO[str], state: StudentTeacherState) -> None:
-    fh.write(f"{_CKPT_MAGIC} {_CKPT_VERSION}\n")
-    fh.write(f"ema_decay {repr(state.ema_decay)}\n")
-    fh.write(f"epoch {state.epoch}\n")
-    fh.write(f"lambda_schedule {repr(state.lambda_schedule.max_value)} {state.lambda_schedule.ramp_length}\n")
-    fh.write(f"r_schedule {repr(state.r_schedule.max_value)} {state.r_schedule.ramp_length}\n")
-    nn.write_mlp(fh, state.student)
-    nn.write_mlp(fh, state.teacher)
-
-
-def read_checkpoint(fh: IO[str]) -> StudentTeacherState:
-    magic = fh.readline().split()
-    if magic[:1] != [_CKPT_MAGIC] or int(magic[1]) != _CKPT_VERSION:
-        raise ValueError("not a fairscarce attribute checkpoint")
-    ema_decay = float(fh.readline().split()[1])
-    epoch = int(fh.readline().split()[1])
-    lam_parts = fh.readline().split()
-    r_parts = fh.readline().split()
-    student = nn.read_mlp(fh)
-    teacher = nn.read_mlp(fh)
-    return StudentTeacherState(student, teacher, nn.init_adam(student), ema_decay, epoch,
-                               RampSchedule(float(lam_parts[1]), int(lam_parts[2])),
-                               RampSchedule(float(r_parts[1]), int(r_parts[2])))
-
-
 def save_checkpoint(path, state: StudentTeacherState) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_checkpoint(fh, state)
-
-
-def load_checkpoint(path) -> StudentTeacherState:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_checkpoint(fh)
+    """Write the trained networks as one uncompressed npz archive at exactly
+    ``path``: ``student_w{k}``, ``student_b{k}``, ``teacher_w{k}`` and
+    ``teacher_b{k}`` per layer k, plus the scalar ``dropout_rate``. The
+    arrays round-trip bit-exactly through ``np.load``. Nothing in the package
+    reads the file back: phase 2 works off the proxies and conformal inputs."""
+    arrays = {"dropout_rate": np.float64(state.student.dropout_rate)}
+    for role, params in (("student", state.student), ("teacher", state.teacher)):
+        for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+            arrays[f"{role}_w{k}"] = w
+            arrays[f"{role}_b{k}"] = b
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)

@@ -152,12 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors already
-        raise exc
+    # argparse exits with 2 on usage errors already
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -2,15 +2,27 @@
 cells across (variant, slack, seed), median aggregation, Pareto fronts, and
 the CSV artifacts every table and figure is built from.
 
-A run directory produced by the attribute phase caches the encoded split,
-the trained checkpoint, the proxy records, and the conformal inputs; every
-later command (train-fair, sweep, fig2, table) works off that directory.
+A run directory produced by the attribute phase holds, one file each:
+
+  d1.ds, d2.ds, test.ds   the encoded split, npz (CSR features + vectors)
+  attr_checkpoint.npz     student and teacher weights, npz; never read back
+  proxies.csv             sample_id, a_hat, p_group, u of every d1 row
+  calibration.csv         teacher eval probability and true attribute of the
+                          conformal calibration slice of d2
+  d1_eval_probs.csv       teacher eval probability of every d1 row
+  attr_log.csv            per-epoch training log
+  attr_summary.json       the phase-1 configuration and summary numbers
+
+Every later command (train-fair, sweep, fig2, table) works off that
+directory; ``load_run`` reads all of it except the checkpoint and the log.
+Run directories from earlier versions must be rebuilt with train-attr.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -30,6 +42,7 @@ PARETO_HEADER = ("variant,metric,eps_fair,accuracy_median,unfairness_median,"
                  "accuracy_min,accuracy_max")
 FIG2_HEADER = "H,seed,n_rows,accuracy,dp,eop,eod"
 WORKERS_ENV = "FAIRSCARCE_WORKERS"
+_TRAIN_FRACTION = 0.7  # share of d1 each seed trains on; the rest evaluates
 
 
 # --- run directory -----------------------------------------------------------
@@ -39,7 +52,6 @@ class RunArtifacts:
     """Everything the fair phase needs, loaded from a run directory."""
 
     split: tabular.ScarceSplit
-    state: attr.StudentTeacherState
     proxies: list[attr.ProxyRecord]
     calib_probs: np.ndarray
     calib_truth: np.ndarray
@@ -52,13 +64,19 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
                         train_config: attr.AttrTrainConfig | None = None,
                         lenient: bool = False) -> RunArtifacts:
     """Phase 1 end to end: split, train, emit proxies plus conformal inputs,
-    and cache everything under ``out_dir``."""
+    and cache everything under ``out_dir``. Bad settings raise ConfigError
+    before ``out_dir`` is created."""
+    if not (0.0 < ratio < 1.0 and 0.0 < test_fraction < 1.0):
+        raise ConfigError(f"ratio and test fraction must lie in (0, 1), "
+                          f"got {ratio} and {test_fraction}")
+    cfg = train_config if train_config is not None else attr.AttrTrainConfig(seed=seed)
+    if cfg.epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     schema = tabular.Schema.from_file(schema_path)
     split, _ = tabular.prepare_split(csv_path, schema, ratio, test_fraction, seed,
                                      strict=not lenient)
-    cfg = train_config if train_config is not None else attr.AttrTrainConfig(seed=seed)
     result = attr.train_attribute_classifier(split, cfg)
     state = result.state
 
@@ -77,7 +95,7 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
     tabular.save_dataset(out / "d1.ds", split.d1)
     tabular.save_dataset(out / "d2.ds", split.d2)
     tabular.save_dataset(out / "test.ds", split.test)
-    attr.save_checkpoint(out / "attr_checkpoint.txt", state)
+    attr.save_checkpoint(out / "attr_checkpoint.npz", state)
     attr.save_proxies(out / "proxies.csv", proxies)
     with open(out / "attr_log.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch,loss_supervised,loss_consistency,lambda,r,mean_batch_u,val_accuracy\n")
@@ -115,7 +133,7 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
     with open(out / "attr_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return RunArtifacts(split, state, proxies, calib_probs, calib_truth.copy(),
+    return RunArtifacts(split, proxies, calib_probs, calib_truth.copy(),
                         d1_eval_probs, summary)
 
 
@@ -127,7 +145,6 @@ def load_run(run_dir) -> RunArtifacts:
         tabular.load_dataset(run / "test.ds"),
         group_labeled_ratio=float(json.loads((run / "attr_summary.json").read_text())["ratio"]),
     )
-    state = attr.load_checkpoint(run / "attr_checkpoint.txt")
     proxies = attr.load_proxies(run / "proxies.csv")
     calib_ids, calib_probs, calib_truth = [], [], []
     for line in (run / "calibration.csv").read_text().splitlines()[1:]:
@@ -138,7 +155,7 @@ def load_run(run_dir) -> RunArtifacts:
         _, p = line.split(",")
         d1_probs.append(float(p))
     config = json.loads((run / "attr_summary.json").read_text())
-    return RunArtifacts(split, state, proxies, np.array(calib_probs),
+    return RunArtifacts(split, proxies, np.array(calib_probs),
                         np.array(calib_truth), np.array(d1_probs), config)
 
 
@@ -264,23 +281,21 @@ def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: f
 
 # --- one sweep cell ------------------------------------------------------------
 
-def _d1_train_eval(artifacts: RunArtifacts, seed: int,
-                   train_fraction: float = 0.7) -> tuple[np.ndarray, np.ndarray]:
+def _d1_train_eval(artifacts: RunArtifacts, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-seed resample of d1 into training and evaluation row indices."""
     n = len(artifacts.split.d1)
     order = np.random.default_rng((seed, 97)).permutation(n)
-    cut = int(round(train_fraction * n))
+    cut = int(round(_TRAIN_FRACTION * n))
     return np.sort(order[:cut]), np.sort(order[cut:])
 
 
 def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
              eps_fair: float, seed: int, threshold: float,
              source: UncertaintySource = UncertaintySource(),
-             exp_grad_kw: dict | None = None,
-             train_fraction: float = 0.7) -> metrics.FairnessReport:
+             exp_grad_kw: dict | None = None) -> metrics.FairnessReport:
     """Train one variant on a per-seed 70 percent slice of d1 and score it on
     the held-out 30 percent against the true (masked) sensitive attributes."""
-    train_rows, eval_rows = _d1_train_eval(artifacts, seed, train_fraction)
+    train_rows, eval_rows = _d1_train_eval(artifacts, seed)
     idx, a, w = select(artifacts, variant, train_rows, threshold, source)
     d1 = artifacts.split.d1
     kw = dict(exp_grad_kw or {})
@@ -305,23 +320,34 @@ class TuneResult:
     table: list[tuple[float, float, float, float]]  # H, accuracy, dp, objective
 
 
+# threshold tuning: share of the training rows held out to score candidates,
+# spacing of the H grid, and the slack every candidate is trained at
+_TUNE_VALIDATION_FRACTION = 0.1
+_TUNE_GRID_STEP = 0.05
+_TUNE_EPS_FAIR = 0.01
+# why a candidate could not be trained, most telling first: the error raised
+# when every candidate failed is the first of these that occurred
+_TUNE_FAILURES = ((DegenerateGroup, "kept one proxy group only"),
+                  (DegenerateCell, "left a (group, label) cell empty"),
+                  (EmptySelection, "kept no rows"))
+
+
 def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0.1, LN2),
-                   validation_fraction: float = 0.1, grid_step: float = 0.05,
-                   constraint_kind: str = reduction.DEMOGRAPHIC_PARITY,
-                   eps_fair: float = 0.01, seed: int = 0,
+                   constraint_kind: str = reduction.DEMOGRAPHIC_PARITY, seed: int = 0,
                    budget: dict | None = None) -> TuneResult:
     """Pick the uncertainty cutoff for the certain variant: train candidates
     on d1's training portion minus a validation slice, score
     (accuracy - dp_diff) on that slice, return the argmax (ties to the
     smallest H). The tuning loop runs on a reduced budget: fewer reduction
-    iterations and a row cap, both overridable."""
+    iterations and a row cap, both overridable. When no candidate can be
+    trained, the error names how many failed for each reason."""
     budget = dict(budget or {})
     iters = budget.get("iters", 10)
     max_rows = budget.get("max_rows", 8000)
     oracle_max_iter = budget.get("oracle_max_iter", 600)
 
     train_rows, _ = _d1_train_eval(artifacts, seed)
-    k_val = max(1, int(round(validation_fraction * len(train_rows))))
+    k_val = max(1, int(round(_TUNE_VALIDATION_FRACTION * len(train_rows))))
     order = np.random.default_rng((seed, 131)).permutation(len(train_rows))
     val_rows = np.sort(train_rows[order[:k_val]])
     fit_rows = np.sort(train_rows[order[k_val:]])
@@ -333,9 +359,10 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
     val_truth = tabular.oracle_sensitive(d1_val)
 
     lo, hi = tune_range
-    n_steps = int(round((hi - lo) / grid_step))
-    grid = [round(lo + i * grid_step, 10) for i in range(n_steps + 1)]
+    n_steps = int(round((hi - lo) / _TUNE_GRID_STEP))
+    grid = [round(lo + i * _TUNE_GRID_STEP, 10) for i in range(n_steps + 1)]
     table = []
+    failures: Counter = Counter()
     best_h, best_obj = None, -math.inf
     for h_cand in grid:
         try:
@@ -343,11 +370,12 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
                                UncertaintySource("mc-dropout"))
             model, _ = reduction.exp_grad_train(
                 d1.features[idx], d1.labels[idx], a, w,
-                reduction.MomentConstraint(constraint_kind, eps_fair),
+                reduction.MomentConstraint(constraint_kind, _TUNE_EPS_FAIR),
                 iters=iters, oracle_max_iter=oracle_max_iter)
-        except (EmptySelection, DegenerateGroup, DegenerateCell):
+        except (EmptySelection, DegenerateGroup, DegenerateCell) as exc:
             # a candidate that keeps no rows, or rows from one group only,
             # simply cannot win the tuning
+            failures[type(exc)] += 1
             table.append((h_cand, math.nan, math.nan, -math.inf))
             continue
         preds = model.expected_predictions(d1_val.features)
@@ -357,7 +385,9 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
         if objective > best_obj + 1e-12:
             best_obj, best_h = objective, h_cand
     if best_h is None:
-        raise EmptySelection("no tuning candidate kept any rows")
+        reasons = [(kind, what) for kind, what in _TUNE_FAILURES if failures[kind]]
+        counts = ", ".join(f"{failures[kind]} {what}" for kind, what in reasons)
+        raise reasons[0][0](f"no tuning candidate could be trained: of {len(grid)}, {counts}")
     return TuneResult(best_h, table)
 
 

@@ -80,14 +80,6 @@ class FairnessReport:
     group0: GroupCounts
     group1: GroupCounts
 
-    def recompute_diffs(self) -> tuple[float, float, float]:
-        """Re-derive (dp, eop, eod) from the stored counts."""
-        g0, g1 = self.group0, self.group1
-        dp = abs(g0.positives / g0.n - g1.positives / g1.n)
-        a1 = abs(g0.tp / (g0.tp + g0.fn) - g1.tp / (g1.tp + g1.fn))
-        a0 = abs(g0.fp / (g0.fp + g0.tn) - g1.fp / (g1.fp + g1.tn))
-        return dp, a1, a0 + a1
-
 
 def _group_counts(p, y, a, grp) -> GroupCounts:
     mask = a == grp

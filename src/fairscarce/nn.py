@@ -9,7 +9,7 @@ exactly by reusing the same plan.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,10 +17,6 @@ from .errors import NonFiniteGradient, ShapeMismatch
 
 TRAIN = "train"
 EVAL = "eval"
-MC = "mc"
-
-_CHECKPOINT_MAGIC = "fairscarce-mlp"
-_CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,7 @@ class MlpParams:
 class DropoutPlan:
     """Which masks a forward pass uses.
 
-    ``train`` and ``mc`` draw Bernoulli keep-masks as a pure function of
+    ``train`` draws Bernoulli keep-masks as a pure function of
     (seed, counter); ``eval`` applies none. The caller advances the counter
     between steps, so replaying a pass is just reusing the same plan.
     """
@@ -69,15 +65,12 @@ class DropoutPlan:
     counter: int = 0
 
     def __post_init__(self):
-        if self.mode not in (TRAIN, EVAL, MC):
+        if self.mode not in (TRAIN, EVAL):
             raise ValueError(f"unknown dropout mode {self.mode!r}")
-
-    def advanced(self, steps: int = 1) -> "DropoutPlan":
-        return replace(self, counter=self.counter + steps)
 
     @property
     def stochastic(self) -> bool:
-        return self.mode in (TRAIN, MC)
+        return self.mode == TRAIN
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,7 @@ class LossSpec:
     ``cross_entropy`` averages the stable binary cross-entropy over the rows
     selected by ``labeled_mask`` (all rows when None). ``consistency`` sums
     squared logit differences to ``teacher_logits`` over ``consistency_mask``
-    rows and divides by ``universe_size`` (batch size when None). ``combined``
-    is cross_entropy + lam * consistency.
+    rows and divides by ``universe_size`` (batch size when None).
     """
 
     kind: str
@@ -115,14 +107,13 @@ class LossSpec:
     teacher_logits: np.ndarray | None = None
     consistency_mask: np.ndarray | None = None
     universe_size: int | None = None
-    lam: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("cross_entropy", "consistency", "combined"):
+        if self.kind not in ("cross_entropy", "consistency"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind in ("cross_entropy", "combined") and self.targets is None:
+        if self.kind == "cross_entropy" and self.targets is None:
             raise ValueError("cross-entropy loss needs targets")
-        if self.kind in ("consistency", "combined") and self.teacher_logits is None:
+        if self.kind == "consistency" and self.teacher_logits is None:
             raise ValueError("consistency loss needs teacher logits")
 
 
@@ -207,31 +198,26 @@ def _loss_and_logit_grad(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.
     n = len(logits)
     loss = 0.0
     dz = np.zeros(n)
-    if spec.kind in ("cross_entropy", "combined"):
+    if spec.kind == "cross_entropy":
         rows = np.ones(n, dtype=bool) if spec.labeled_mask is None else np.asarray(spec.labeled_mask, dtype=bool)
         m = int(rows.sum())
         if m > 0:
             t = np.asarray(spec.targets, dtype=float)
             if t.shape != logits.shape:
                 raise ShapeMismatch("targets must match batch length")
-            loss += binary_cross_entropy(logits[rows], t[rows])
+            loss = binary_cross_entropy(logits[rows], t[rows])
             dz[rows] += (sigmoid(logits[rows]) - t[rows]) / m
-    if spec.kind in ("consistency", "combined"):
+    else:
         rows = np.ones(n, dtype=bool) if spec.consistency_mask is None else np.asarray(spec.consistency_mask, dtype=bool)
         universe = n if spec.universe_size is None else int(spec.universe_size)
-        weight = spec.lam if spec.kind == "combined" else 1.0
         if universe > 0 and rows.any():
             h = np.asarray(spec.teacher_logits, dtype=float)
             if h.shape != logits.shape:
                 raise ShapeMismatch("teacher logits must match batch length")
             diff = logits[rows] - h[rows]
-            loss += weight * float(np.square(diff).sum() / universe)
-            dz[rows] += weight * 2.0 * diff / universe
+            loss = float(np.square(diff).sum() / universe)
+            dz[rows] += 2.0 * diff / universe
     return loss, dz
-
-
-def loss_value(logits: np.ndarray, spec: LossSpec) -> float:
-    return _loss_and_logit_grad(np.asarray(logits, dtype=float), spec)[0]
 
 
 def _backward(params: MlpParams, cache: ForwardCache, dz_out: np.ndarray) -> Gradients:
@@ -256,10 +242,6 @@ def value_and_grad(
     logits, cache = forward(params, x, plan)
     loss, dz = _loss_and_logit_grad(logits, spec)
     return loss, _backward(params, cache, dz)
-
-
-def grad(params: MlpParams, x: np.ndarray, spec: LossSpec, plan: DropoutPlan) -> Gradients:
-    return value_and_grad(params, x, spec, plan)[1]
 
 
 @dataclass(frozen=True)
@@ -319,39 +301,3 @@ def adam_step(state: AdamState, params: MlpParams, g: Gradients) -> tuple[AdamSt
                         v_weights=tuple(new_vw), v_biases=tuple(new_vb), t=t)
     new_params = MlpParams(tuple(new_w), tuple(new_b), params.dropout_rate)
     return new_state, new_params
-
-
-# --- checkpoint io ----------------------------------------------------------
-# Plain-text, versioned, bit-exact: floats are written with repr(), which
-# round-trips IEEE doubles exactly.
-
-def _write_floats(fh: IO[str], values: Iterable[float]) -> None:
-    fh.write(" ".join(repr(float(v)) for v in values))
-    fh.write("\n")
-
-
-def write_mlp(fh: IO[str], params: MlpParams) -> None:
-    fh.write(f"{_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION}\n")
-    fh.write(f"dropout_rate {repr(float(params.dropout_rate))}\n")
-    fh.write(f"layers {params.n_layers}\n")
-    for w, b in zip(params.weights, params.biases):
-        fh.write(f"layer {w.shape[0]} {w.shape[1]}\n")
-        for row in w:
-            _write_floats(fh, row)
-        _write_floats(fh, b)
-
-
-def read_mlp(fh: IO[str]) -> MlpParams:
-    magic = fh.readline().split()
-    if magic[:1] != [_CHECKPOINT_MAGIC] or int(magic[1]) != _CHECKPOINT_VERSION:
-        raise ValueError("not a fairscarce MLP checkpoint")
-    dropout = float(fh.readline().split()[1])
-    n_layers = int(fh.readline().split()[1])
-    weights, biases = [], []
-    for _ in range(n_layers):
-        _, fan_in, fan_out = fh.readline().split()
-        fan_in, fan_out = int(fan_in), int(fan_out)
-        rows = [np.array([float(v) for v in fh.readline().split()]) for _ in range(fan_in)]
-        weights.append(np.vstack(rows).reshape(fan_in, fan_out))
-        biases.append(np.array([float(v) for v in fh.readline().split()]))
-    return MlpParams(tuple(weights), tuple(biases), dropout)

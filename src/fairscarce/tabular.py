@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .configio import parse_kv, read_kv_file
 from .errors import (
@@ -214,10 +215,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices)
         pick = lambda v: None if v is None else v[idx]
@@ -354,17 +351,22 @@ def split_scarce(ds: Dataset, ratio: float, seed: int, test_fraction: float) -> 
 
 
 # --- dataset cache io --------------------------------------------------------
-# One uncompressed npz archive per Dataset: ``features``, ``sample_ids`` and
-# whichever label / sensitive / masked vectors are present (absent ones are
-# left out). Arrays round-trip bit-exactly, and loading never unpickles.
+# One uncompressed npz archive per Dataset. The feature matrix, mostly one-hot
+# zeros, is stored as its CSR parts ``data``, ``indices``, ``indptr`` and
+# ``shape``; ``sample_ids`` and whichever label / sensitive / masked vectors
+# are present follow under their own names (absent ones are left out).
+# Loading densifies back to the same float64 values (a -0.0 entry comes back
+# as 0.0) and never unpickles.
 
-_DATASET_FIELDS = ("features", "sample_ids", "labels", "sensitive",
-                   "masked_labels", "masked_sensitive")
+_VECTOR_FIELDS = ("sample_ids", "labels", "sensitive", "masked_labels", "masked_sensitive")
 
 
 def save_dataset(path, ds: Dataset) -> None:
-    arrays = {name: getattr(ds, name) for name in _DATASET_FIELDS
-              if getattr(ds, name) is not None}
+    csr = sparse.csr_array(ds.features)
+    arrays = {"data": csr.data, "indices": csr.indices, "indptr": csr.indptr,
+              "shape": np.array(csr.shape)}
+    arrays.update((name, getattr(ds, name)) for name in _VECTOR_FIELDS
+                  if getattr(ds, name) is not None)
     # through a handle, so the archive lands at exactly ``path`` (a path
     # argument would get ".npz" appended)
     with open(path, "wb") as fh:
@@ -375,9 +377,12 @@ def load_dataset(path) -> Dataset:
     try:
         with np.load(path) as archive:
             arrays = {name: archive[name] for name in archive.files}
-        return Dataset(**arrays)
-    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
-        raise ConfigError(f"{path} is not an npz dataset cache; "
+        csr = sparse.csr_array((arrays.pop("data"), arrays.pop("indices"), arrays.pop("indptr")),
+                               shape=tuple(arrays.pop("shape")))
+        return Dataset(csr.toarray(), **arrays)
+    except (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        # KeyError: a dense-features archive from an earlier version
+        raise ConfigError(f"{path} is not a CSR npz dataset cache; "
                           "rerun train-attr to rebuild the run directory") from exc
 
 

@@ -30,7 +30,7 @@ def make_state(alpha, t_val, s_val):
     student = nn.MlpParams((np.full((2, 1), s_val),), (np.array([s_val]),))
     teacher = nn.MlpParams((np.full((2, 1), t_val),), (np.array([t_val]),))
     return attr.StudentTeacherState(student, teacher, nn.init_adam(student),
-                                    alpha, 0, attr.RampSchedule(1, 1), attr.RampSchedule(1, 1))
+                                    alpha, attr.RampSchedule(1, 1), attr.RampSchedule(1, 1))
 
 
 def test_ema_update_arithmetic():
@@ -46,7 +46,7 @@ def test_ema_update_convex_combination():
     rng = np.random.default_rng(0)
     student = nn.init_mlp([3, 4], seed=1)
     teacher = nn.init_mlp([3, 4], seed=2)
-    state = attr.StudentTeacherState(student, teacher, nn.init_adam(student), 0.9, 0,
+    state = attr.StudentTeacherState(student, teacher, nn.init_adam(student), 0.9,
                                      attr.RampSchedule(1, 1), attr.RampSchedule(1, 1))
     new = attr.ema_update(state)
     for t_new, t_old, s in zip(new.teacher.weights, teacher.weights, student.weights):
@@ -213,7 +213,7 @@ def test_predict_proxy_contracts():
 
 def test_predict_proxy_identical_rows():
     params = nn.init_mlp([3, 8], dropout_rate=0.3, seed=7)
-    state = attr.StudentTeacherState(params, params, nn.init_adam(params), 0.99, 0,
+    state = attr.StudentTeacherState(params, params, nn.init_adam(params), 0.99,
                                      attr.RampSchedule(1, 1), attr.RampSchedule(1, 1))
     x = np.tile(np.array([[0.5, -0.2, 1.0]]), (6, 1))
     ds = tabular.Dataset(x, np.arange(6))
@@ -232,17 +232,27 @@ def test_consistency_mask_monotone_in_r():
     assert np.all(large[small])
 
 
-def test_checkpoint_roundtrip():
+def test_checkpoint_roundtrip(tmp_path):
     split = two_cluster_split(150, seed=8)
     result = attr.train_attribute_classifier(split, quick_config(epochs=2))
-    buf = io.StringIO()
-    attr.write_checkpoint(buf, result.state)
-    buf.seek(0)
-    back = attr.read_checkpoint(buf)
-    for a, b in zip(result.state.teacher.weights, back.teacher.weights):
-        np.testing.assert_array_equal(a, b)
-    assert back.ema_decay == result.state.ema_decay
-    assert back.lambda_schedule == result.state.lambda_schedule
+    path = tmp_path / "attr_checkpoint.npz"
+    attr.save_checkpoint(path, result.state)
+    # the archive sits at exactly the given path and loads without pickles
+    assert [p.name for p in tmp_path.iterdir()] == ["attr_checkpoint.npz"]
+    with np.load(path) as archive:
+        back = {name: archive[name] for name in archive.files}
+    expected = {"dropout_rate": np.float64(result.state.student.dropout_rate)}
+    for role in ("student", "teacher"):
+        params = getattr(result.state, role)
+        for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+            expected[f"{role}_w{k}"] = w
+            expected[f"{role}_b{k}"] = b
+    assert sorted(back) == sorted(expected)
+    assert back["dropout_rate"] == result.state.student.dropout_rate > 0.0
+    for name, value in expected.items():
+        assert back[name].dtype == np.float64 and back[name].shape == np.shape(value), name
+        # bit-exact, signed zeros included
+        assert back[name].tobytes() == np.asarray(value).tobytes(), name
 
 
 def test_proxy_csv_roundtrip():

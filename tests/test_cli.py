@@ -1,10 +1,13 @@
+import io
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fairscarce import cli
+from fairscarce import cli, harness, tabular
+from fairscarce.errors import DegenerateGroup
 
 
 @pytest.fixture(scope="module")
@@ -126,9 +129,6 @@ def test_config_error_exit_code(tmp_path, capsys, line):
 def test_stale_text_dataset_cache_exit_code(demo_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(demo_run / "run", run)
-    # the line-oriented text cache written by earlier versions
-    (run / "d1.ds").write_text("fairscarce-dataset 1\nn 1 d 1\nhas 1 0 0 1\n0 1 0 0.5\n",
-                               encoding="utf-8")
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"run_dir = {run}\nout_dir = {tmp_path / 'out'}\n"
                    "variants = vanilla\neps_grid = 0.1\nseeds = 1\nH = 0.5\n",
@@ -136,7 +136,51 @@ def test_stale_text_dataset_cache_exit_code(demo_run, tmp_path, capsys):
     commands = (["train-fair", "--variant", "vanilla", "--run", str(run)],
                 ["sweep", "--config", str(cfg)],
                 ["fig2", "--run", str(run), "--grid", "0.0", "--seeds", "1"])
-    for argv in commands:
-        assert cli.main(argv) == 2, argv[0]
-        err = capsys.readouterr().err
-        assert "d1.ds" in err and "rerun train-attr" in err, argv[0]
+    d1 = tabular.load_dataset(run / "d1.ds")
+    dense = io.BytesIO()
+    np.savez(dense, features=d1.features, sample_ids=d1.sample_ids, labels=d1.labels,
+             masked_sensitive=d1.masked_sensitive)
+    stale_caches = {
+        # the caches earlier versions wrote: line-oriented text, then an npz
+        # archive holding the dense feature matrix
+        "text": b"fairscarce-dataset 1\nn 1 d 1\nhas 1 0 0 1\n0 1 0 0.5\n",
+        "dense npz": dense.getvalue(),
+    }
+    for kind, content in stale_caches.items():
+        (run / "d1.ds").write_bytes(content)
+        for argv in commands:
+            assert cli.main(argv) == 2, (kind, argv[0])
+            err = capsys.readouterr().err
+            assert "d1.ds" in err and "rerun train-attr" in err, (kind, argv[0])
+
+
+@pytest.mark.parametrize("flag,value", [("--ratio", "1.5"), ("--ratio", "0"),
+                                        ("--test-fraction", "0"), ("--test-fraction", "1"),
+                                        ("--epochs", "0")])
+def test_train_attr_bad_setting_exit_code(demo_run, tmp_path, capsys, flag, value):
+    out = tmp_path / "new" / "run"
+    rc = cli.main(["train-attr", "--data", str(demo_run / "data" / "census.csv"),
+                   "--schema", str(demo_run / "data" / "census.schema"),
+                   flag, value, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "new").exists()
+
+
+def test_tuned_sweep_names_one_group_candidates(tmp_path, capsys):
+    # a weak attribute model: every certain training slice holds one proxy
+    # group only, so no tuning candidate can be trained under dp
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["make-demo", "--rows", "2000", "--seed", "7", "--out", str(data)]) == 0
+    assert cli.main(["train-attr", "--data", str(data / "census.csv"),
+                     "--schema", str(data / "census.schema"), "--seed", "7",
+                     "--epochs", "12", "--out", str(run)]) == 0
+    with pytest.raises(DegenerateGroup, match="one proxy group"):
+        harness.tune_threshold(harness.load_run(run))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"run_dir = {run}\nout_dir = {tmp_path / 'out'}\n"
+                   "variants = certain\neps_grid = 0.1\nseeds = 1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "no tuning candidate could be trained" in err and "one proxy group" in err, err

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -28,18 +29,25 @@ def small_run(tmp_path_factory):
 
 def test_run_dir_artifacts_exist(small_run):
     run_dir, _ = small_run
-    for name in ("d1.ds", "d2.ds", "test.ds", "attr_checkpoint.txt", "proxies.csv",
+    for name in ("d1.ds", "d2.ds", "test.ds", "attr_checkpoint.npz", "proxies.csv",
                  "attr_log.csv", "calibration.csv", "d1_eval_probs.csv",
                  "attr_summary.json"):
         assert (run_dir / name).exists(), name
 
 
-def test_load_run_round_trips(small_run):
+def test_load_run_round_trips(small_run, tmp_path):
     run_dir, artifacts = small_run
-    loaded = harness.load_run(run_dir)
+    # the checkpoint is kept for the record only: load_run never reads it
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    (copy / "attr_checkpoint.npz").unlink()
+    loaded = harness.load_run(copy)
     assert loaded.proxies == artifacts.proxies
-    np.testing.assert_array_equal(loaded.split.d1.features, artifacts.split.d1.features)
+    for name in ("d1", "d2", "test"):
+        np.testing.assert_array_equal(getattr(loaded.split, name).features,
+                                      getattr(artifacts.split, name).features)
     np.testing.assert_array_equal(loaded.calib_probs, artifacts.calib_probs)
+    np.testing.assert_array_equal(loaded.calib_truth, artifacts.calib_truth)
     np.testing.assert_array_equal(loaded.d1_eval_probs, artifacts.d1_eval_probs)
 
 

@@ -121,7 +121,11 @@ def test_report_recompute_from_counts():
     rng = np.random.default_rng(8)
     preds, labels, sens = random_instance(rng, 12)
     report = metrics.evaluate_report(preds, labels, sens)
-    dp, eop, eod = report.recompute_diffs()
+    # the gaps re-derived from the per-group counts the report carries
+    g0, g1 = report.group0, report.group1
+    dp = abs(g0.positives / g0.n - g1.positives / g1.n)
+    eop = abs(g0.tp / (g0.tp + g0.fn) - g1.tp / (g1.tp + g1.fn))
+    eod = abs(g0.fp / (g0.fp + g0.tn) - g1.fp / (g1.fp + g1.tn)) + eop
     assert dp == pytest.approx(report.dp_diff)
     assert eop == pytest.approx(report.eop_diff)
     assert eod == pytest.approx(report.eod_diff)

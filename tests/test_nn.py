@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,14 +7,29 @@ from fairscarce import nn
 from fairscarce.errors import NonFiniteGradient, ShapeMismatch
 
 
-def finite_difference_grad(params, x, spec, plan, h=1e-5):
+def weighted_value_and_grad(params, x, terms, plan):
+    """Sum of ``weight * loss`` over (LossSpec, weight) terms and its
+    gradient, added up term by term the way the trainer combines its
+    cross-entropy and consistency gradients."""
+    total = 0.0
+    dw = [np.zeros_like(w) for w in params.weights]
+    db = [np.zeros_like(b) for b in params.biases]
+    for spec, weight in terms:
+        loss, g = nn.value_and_grad(params, x, spec, plan)
+        total += weight * loss
+        for k in range(params.n_layers):
+            dw[k] += weight * g.weights[k]
+            db[k] += weight * g.biases[k]
+    return total, nn.Gradients(tuple(dw), tuple(db))
+
+
+def finite_difference_grad(params, x, terms, plan, h=1e-5):
     """Central-difference gradient oracle, independent of backprop. Uses the
     same dropout plan for every evaluation so the perturbed losses see
     identical masks."""
 
     def loss_at(p):
-        logits, _ = nn.forward(p, x, plan)
-        return nn.loss_value(logits, spec)
+        return weighted_value_and_grad(p, x, terms, plan)[0]
 
     def perturb(arrays, layer, idx, delta):
         out = [a.copy() for a in arrays]
@@ -63,21 +77,23 @@ def random_net_and_batch(rng, with_dropout=False):
     return params, x, n
 
 
-def random_spec(rng, n, kind):
+def random_terms(rng, n, kind):
+    """(LossSpec, weight) terms; ``combined`` is cross-entropy plus a random
+    multiple of the consistency loss."""
     targets = rng.integers(0, 2, size=n).astype(float)
     teacher = rng.normal(size=n)
     labeled = rng.random(n) < 0.6
     cons = rng.random(n) < 0.6
     if not labeled.any():
         labeled[0] = True
+    ce = nn.LossSpec("cross_entropy", targets=targets, labeled_mask=labeled)
+    consistency = nn.LossSpec("consistency", teacher_logits=teacher, consistency_mask=cons,
+                              universe_size=n)
     if kind == "cross_entropy":
-        return nn.LossSpec("cross_entropy", targets=targets, labeled_mask=labeled)
+        return [(ce, 1.0)]
     if kind == "consistency":
-        return nn.LossSpec("consistency", teacher_logits=teacher, consistency_mask=cons,
-                           universe_size=n)
-    return nn.LossSpec("combined", targets=targets, labeled_mask=labeled,
-                       teacher_logits=teacher, consistency_mask=cons,
-                       universe_size=n, lam=float(rng.uniform(0.1, 2.0)))
+        return [(consistency, 1.0)]
+    return [(ce, 1.0), (consistency, float(rng.uniform(0.1, 2.0)))]
 
 
 @pytest.mark.parametrize("kind", ["cross_entropy", "consistency", "combined"])
@@ -85,10 +101,10 @@ def test_grad_matches_finite_differences(kind):
     rng = np.random.default_rng(7)
     for trial in range(12):
         params, x, n = random_net_and_batch(rng, with_dropout=(trial % 3 == 0))
-        plan = nn.DropoutPlan(nn.MC if params.dropout_rate else nn.EVAL, seed=trial, counter=5)
-        spec = random_spec(rng, n, kind)
-        analytic = nn.grad(params, x, spec, plan)
-        numeric = finite_difference_grad(params, x, spec, plan)
+        plan = nn.DropoutPlan(nn.TRAIN if params.dropout_rate else nn.EVAL, seed=trial, counter=5)
+        terms = random_terms(rng, n, kind)
+        _, analytic = weighted_value_and_grad(params, x, terms, plan)
+        numeric = finite_difference_grad(params, x, terms, plan)
         assert max_relative_error(analytic, numeric) < 1e-4
 
 
@@ -107,22 +123,22 @@ def test_forward_single_linear_layer_hand_value():
     assert logits[0] == pytest.approx(7.0)
 
 
-def test_mc_mode_with_zero_dropout_equals_eval():
+def test_train_mode_with_zero_dropout_equals_eval():
     params = nn.init_mlp([4, 8, 8], dropout_rate=0.0, seed=1)
     x = np.random.default_rng(2).normal(size=(6, 4))
-    lg_mc, _ = nn.forward(params, x, nn.DropoutPlan(nn.MC, seed=3))
+    lg_train, _ = nn.forward(params, x, nn.DropoutPlan(nn.TRAIN, seed=3))
     lg_ev, _ = nn.forward(params, x, nn.DropoutPlan(nn.EVAL))
-    np.testing.assert_array_equal(lg_mc, lg_ev)
+    np.testing.assert_array_equal(lg_train, lg_ev)
 
 
 def test_mask_sequence_is_pure_function_of_seed_and_counter():
     params = nn.init_mlp([4, 8], dropout_rate=0.4, seed=1)
     x = np.random.default_rng(2).normal(size=(6, 4))
-    plan = nn.DropoutPlan(nn.MC, seed=9, counter=3)
+    plan = nn.DropoutPlan(nn.TRAIN, seed=9, counter=3)
     a, _ = nn.forward(params, x, plan)
     b, _ = nn.forward(params, x, plan)
     np.testing.assert_array_equal(a, b)
-    c, _ = nn.forward(params, x, plan.advanced())
+    c, _ = nn.forward(params, x, nn.DropoutPlan(nn.TRAIN, seed=9, counter=4))
     assert not np.array_equal(a, c)
 
 
@@ -140,7 +156,7 @@ def test_dropout_expectation_matches_eval_on_linear_regime():
     total = np.zeros(4)
     draws = 10_000
     for i in range(draws):
-        lg, _ = nn.forward(params, x, nn.DropoutPlan(nn.MC, seed=11, counter=i))
+        lg, _ = nn.forward(params, x, nn.DropoutPlan(nn.TRAIN, seed=11, counter=i))
         total += lg
     assert np.max(np.abs(total / draws - eval_logits) / np.abs(eval_logits)) < 0.02
 
@@ -154,9 +170,13 @@ def test_binary_cross_entropy_values():
 
 
 def consistency(student, teacher, mask, universe_size=None):
+    """Consistency loss of the logits ``student``, through a one-weight
+    identity network whose logits are its inputs."""
+    identity = nn.MlpParams((np.array([[1.0]]),), (np.array([0.0]),))
     spec = nn.LossSpec("consistency", teacher_logits=teacher, consistency_mask=mask,
                        universe_size=universe_size)
-    return nn.loss_value(student, spec)
+    x = np.asarray(student, dtype=float)[:, None]
+    return nn.value_and_grad(identity, x, spec, nn.DropoutPlan(nn.EVAL))[0]
 
 
 def test_consistency_loss_values():
@@ -184,7 +204,7 @@ def test_grad_zero_at_stationary_points():
     # consistency against identical teacher logits, all rows masked
     spec = nn.LossSpec("consistency", teacher_logits=logits,
                        consistency_mask=np.ones(4, dtype=bool))
-    g = nn.grad(params, x, spec, plan)
+    _, g = nn.value_and_grad(params, x, spec, plan)
     for arr in (*g.weights, *g.biases):
         np.testing.assert_allclose(arr, 0.0, atol=1e-12)
 
@@ -195,7 +215,7 @@ def test_cross_entropy_grad_zero_when_predictions_saturate_to_targets():
     params = nn.MlpParams((np.array([[40.0]]),), (np.array([0.0]),))
     x = np.array([[1.0], [-1.0]])
     spec = nn.LossSpec("cross_entropy", targets=np.array([1.0, 0.0]))
-    g = nn.grad(params, x, spec, nn.DropoutPlan(nn.EVAL))
+    _, g = nn.value_and_grad(params, x, spec, nn.DropoutPlan(nn.EVAL))
     for arr in (*g.weights, *g.biases):
         np.testing.assert_allclose(arr, 0.0, atol=1e-12)
 
@@ -245,13 +265,3 @@ def test_forward_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         nn.forward(params, np.zeros((2, 5)), nn.DropoutPlan(nn.EVAL))
 
-
-def test_checkpoint_roundtrip_is_bit_exact():
-    params = nn.init_mlp([7, 16, 8], dropout_rate=0.3, seed=123)
-    buf = io.StringIO()
-    nn.write_mlp(buf, params)
-    buf.seek(0)
-    back = nn.read_mlp(buf)
-    assert back.dropout_rate == params.dropout_rate
-    for a, b in zip((*params.weights, *params.biases), (*back.weights, *back.biases)):
-        np.testing.assert_array_equal(a, b)

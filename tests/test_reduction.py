@@ -266,7 +266,7 @@ def tiny_artifacts(records, d1=None, d2=None, d1_eval_probs=(), calib=((), ())):
                              labels=rng.integers(0, 2, size=len(records)))
     split = tabular.ScarceSplit(d1, d2, d1, 0.2)
     proxies = [ProxyRecord(i, a_hat, 0.5, u) for i, a_hat, u in records]
-    return harness.RunArtifacts(split, None, proxies, np.array(calib[0]), np.array(calib[1]),
+    return harness.RunArtifacts(split, proxies, np.array(calib[0]), np.array(calib[1]),
                                 np.array(d1_eval_probs), {})
 
 

@@ -118,7 +118,7 @@ def test_encode_dimensions_and_mappings(schema):
     enc = tabular.fit_encoder(table, [0, 1, 2], schema)
     ds = tabular.encode(table, enc, schema)
     # 1 numeric + 2 one-hot dims; target and sensitive excluded
-    assert ds.n_features == 3
+    assert ds.features.shape == (3, 3)
     np.testing.assert_array_equal(ds.labels, [1, 0, 0])
     np.testing.assert_array_equal(ds.sensitive, [1, 0, 1])
 
@@ -221,11 +221,20 @@ def test_split_scarce_empty_cell_raises():
 
 def test_dataset_cache_roundtrip(tmp_path):
     ds = balanced_dataset(38, seed=12)
+    # a one-hot block next to the dense column, so the CSR parts skip zeros
+    ds = tabular.Dataset(np.column_stack([ds.features, np.eye(38)[:, :4]]), ds.sample_ids,
+                         ds.labels, ds.sensitive)
     split = tabular.split_scarce(ds, 0.25, 3, 0.2)
     for name, part in (("d1.ds", split.d1), ("d2.ds", split.d2), ("test.ds", split.test)):
         tabular.save_dataset(tmp_path / name, part)
+        with np.load(tmp_path / name) as archive:
+            # features are stored as CSR parts only, never as a dense array
+            assert "features" not in archive.files
+            assert {"data", "indices", "indptr", "shape"} <= set(archive.files)
+            assert len(archive["data"]) == np.count_nonzero(part.features)
         back = tabular.load_dataset(tmp_path / name)
-        np.testing.assert_array_equal(part.features, back.features)
+        assert back.features.dtype == np.float64
+        assert back.features.tobytes() == part.features.tobytes()
         np.testing.assert_array_equal(part.sample_ids, back.sample_ids)
         for name in ("labels", "sensitive", "masked_labels", "masked_sensitive"):
             a, b = getattr(part, name), getattr(back, name)
