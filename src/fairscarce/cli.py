@@ -20,7 +20,15 @@ from . import __version__, attribute, harness, metrics, reduction, synthdata
 from .errors import ConfigError, FairscarceError
 
 
+def _require_at_least(flag: str, value, low) -> None:
+    """Numbers from the command line are checked before any work starts."""
+    if value < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {value}")
+
+
 def _cmd_make_demo(args) -> int:
+    _require_at_least("--rows", args.rows, 1)
+    _require_at_least("--seed", args.seed, 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     synthdata.write_corpus(out / "census.csv", args.rows, args.seed)
@@ -45,6 +53,8 @@ def _cmd_train_attr(args) -> int:
 
 
 def _cmd_train_fair(args) -> int:
+    _require_at_least("--eps", args.eps, 0.0)
+    _require_at_least("--seed", args.seed, 0)
     artifacts = harness.load_run(args.run)
     if args.proxies:
         artifacts.proxies = attribute.load_proxies(args.proxies)
@@ -77,6 +87,8 @@ def _cmd_fig2(args) -> int:
         grid = [float(v) for v in args.grid.split(",")] if args.grid else None
     except ValueError:
         raise ConfigError(f"--grid must be comma-separated numbers, got {args.grid!r}") from None
+    _require_at_least("--seeds", args.seeds, 1)
+    _require_at_least("--seed", args.seed, 0)
     artifacts = harness.load_run(args.run)
     out = Path(args.run) / "fig2.csv" if args.out is None else Path(args.out)
     kwargs = {"seeds": args.seeds, "base_seed": args.seed}

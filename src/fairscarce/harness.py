@@ -64,19 +64,21 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
                         train_config: attr.AttrTrainConfig | None = None,
                         lenient: bool = False) -> RunArtifacts:
     """Phase 1 end to end: split, train, emit proxies plus conformal inputs,
-    and cache everything under ``out_dir``. Bad settings raise ConfigError
-    before ``out_dir`` is created."""
+    and cache everything under ``out_dir``. Bad settings raise ConfigError,
+    and an unreadable corpus its own error, before ``out_dir`` is created."""
     if not (0.0 < ratio < 1.0 and 0.0 < test_fraction < 1.0):
         raise ConfigError(f"ratio and test fraction must lie in (0, 1), "
                           f"got {ratio} and {test_fraction}")
     cfg = train_config if train_config is not None else attr.AttrTrainConfig(seed=seed)
     if cfg.epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     schema = tabular.Schema.from_file(schema_path)
     split, _ = tabular.prepare_split(csv_path, schema, ratio, test_fraction, seed,
                                      strict=not lenient)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     result = attr.train_attribute_classifier(split, cfg)
     state = result.state
 
@@ -224,10 +226,11 @@ def proxy_columns(artifacts: RunArtifacts) -> tuple[np.ndarray, np.ndarray]:
             np.array([r.u for r in records], dtype=float))
 
 
-def certain_mask(artifacts: RunArtifacts, source: UncertaintySource, threshold: float,
-                 u: np.ndarray) -> np.ndarray:
+def certain_mask(artifacts: RunArtifacts, source: UncertaintySource,
+                 threshold: float | None, u: np.ndarray) -> np.ndarray:
     """Which d1 rows (in row order) count as reliably labeled under the given
-    uncertainty machinery; ``u`` is the d1 proxy uncertainty column."""
+    uncertainty machinery; ``u`` is the d1 proxy uncertainty column. Only
+    mc-dropout reads ``threshold``; the other sources take None."""
     if source.kind == "mc-dropout":
         return u <= threshold
     # d1_eval_probs lists d1 in sample-id order, not row order
@@ -247,7 +250,7 @@ def certain_mask(artifacts: RunArtifacts, source: UncertaintySource, threshold: 
     return mask
 
 
-def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: float,
+def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: float | None,
            source: UncertaintySource) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The training rows of one variant out of the d1 row indices ``rows``:
     their indices, the attribute each fairness constraint reads (-1 for the
@@ -290,7 +293,7 @@ def _d1_train_eval(artifacts: RunArtifacts, seed: int) -> tuple[np.ndarray, np.n
 
 
 def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
-             eps_fair: float, seed: int, threshold: float,
+             eps_fair: float, seed: int, threshold: float | None,
              source: UncertaintySource = UncertaintySource(),
              exp_grad_kw: dict | None = None) -> metrics.FairnessReport:
     """Train one variant on a per-seed 70 percent slice of d1 and score it on
@@ -317,7 +320,7 @@ def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
 @dataclass
 class TuneResult:
     threshold: float
-    table: list[tuple[float, float, float, float]]  # H, accuracy, dp, objective
+    table: list[tuple[float, float, float, float]]  # H, accuracy, gap, objective
 
 
 # threshold tuning: share of the training rows held out to score candidates,
@@ -330,16 +333,21 @@ _TUNE_EPS_FAIR = 0.01
 _TUNE_FAILURES = ((DegenerateGroup, "kept one proxy group only"),
                   (DegenerateCell, "left a (group, label) cell empty"),
                   (EmptySelection, "kept no rows"))
+# the gap each constraint bounds, as a FairnessReport field
+_CONSTRAINT_GAP = {reduction.DEMOGRAPHIC_PARITY: "dp_diff",
+                   reduction.EQUALIZED_ODDS: "eod_diff",
+                   reduction.EQUAL_OPPORTUNITY: "eop_diff"}
 
 
 def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0.1, LN2),
                    constraint_kind: str = reduction.DEMOGRAPHIC_PARITY, seed: int = 0,
                    budget: dict | None = None) -> TuneResult:
     """Pick the uncertainty cutoff for the certain variant: train candidates
-    on d1's training portion minus a validation slice, score
-    (accuracy - dp_diff) on that slice, return the argmax (ties to the
-    smallest H). The tuning loop runs on a reduced budget: fewer reduction
-    iterations and a row cap, both overridable. When no candidate can be
+    under ``constraint_kind`` on d1's training portion minus a validation
+    slice, score (accuracy - the gap that constraint bounds) on that slice,
+    return the argmax (ties to the smallest H). The tuning loop runs on a
+    reduced budget: fewer reduction iterations and a row cap, both
+    overridable. When no candidate can be
     trained, the error names how many failed for each reason."""
     budget = dict(budget or {})
     iters = budget.get("iters", 10)
@@ -380,8 +388,9 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
             continue
         preds = model.expected_predictions(d1_val.features)
         report = metrics.evaluate_report(preds, d1_val.labels, val_truth)
-        objective = report.accuracy - report.dp_diff
-        table.append((h_cand, report.accuracy, report.dp_diff, objective))
+        gap = getattr(report, _CONSTRAINT_GAP[constraint_kind])
+        objective = report.accuracy - gap
+        table.append((h_cand, report.accuracy, gap, objective))
         if objective > best_obj + 1e-12:
             best_obj, best_h = objective, h_cand
     if best_h is None:
@@ -434,7 +443,7 @@ class SweepConfig:
     eps_grid: tuple[float, ...] = field(default_factory=tuple)
     seeds: int = 7
     base_seed: int = 0
-    threshold: float | None = None  # fixed H; None means tune
+    threshold: float | None = None  # fixed H; None means tune (mc-dropout only)
     tune_lo: float = 0.1
     tune_hi: float = LN2
     source: UncertaintySource = UncertaintySource()
@@ -446,6 +455,18 @@ class SweepConfig:
     def __post_init__(self):
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        # no oracle iterations would record untrained models as good cells,
+        # and no exp-grad iterations leave no mixture to return
+        if self.exp_grad_iters < 1:
+            raise ConfigError(f"exp_grad_iters must be >= 1, got {self.exp_grad_iters}")
+        if self.oracle_max_iter < 1:
+            raise ConfigError(f"oracle_max_iter must be >= 1, got {self.oracle_max_iter}")
+        if self.constraint not in _CONSTRAINT_GAP:
+            raise ConfigError(f"unknown constraint {self.constraint!r}")
+        if any(eps < 0 for eps in self.eps_grid):
+            raise ConfigError(f"eps_grid values must be >= 0, got {self.eps_grid}")
         if not self.eps_grid:
             self.eps_grid = tuple(round(float(v), 12) for v in
                                   np.geomspace(0.001, 0.3, 12))
@@ -526,17 +547,18 @@ def run_sweep(config: SweepConfig, artifacts: RunArtifacts | None = None,
             raise ConfigError("sweep needs either run_dir with artifacts or data+schema")
     out.mkdir(parents=True, exist_ok=True)
 
-    if config.threshold is not None:
-        threshold = config.threshold
-        tune_table = []
-    else:
+    # only mc-dropout reads H; under conformal sets or a confidence band the
+    # certain rows are the same for every H, so there is nothing to tune
+    tuned = config.threshold is None and config.source.kind == "mc-dropout"
+    threshold = config.threshold
+    if tuned:
         say("tuning uncertainty threshold")
-        tuned = tune_threshold(artifacts, (config.tune_lo, config.tune_hi),
-                               seed=config.base_seed)
-        threshold = tuned.threshold
-        tune_table = tuned.table
-        _write_csv(out / "tuning.csv", "H,accuracy,dp,objective",
-                   [f"{h},{repr(a)},{repr(d)},{repr(o)}" for h, a, d, o in tune_table])
+        tuning = tune_threshold(artifacts, (config.tune_lo, config.tune_hi),
+                                config.constraint, seed=config.base_seed)
+        threshold = tuning.threshold
+        _write_csv(out / "tuning.csv", f"H,accuracy,{config.constraint},objective",
+                   [f"{h},{repr(a)},{repr(g)},{repr(o)}" for h, a, g, o in tuning.table])
+    h_text = "" if threshold is None else repr(threshold)
 
     cells = [(variant, eps, config.base_seed + j)
              for variant in config.variants
@@ -568,7 +590,7 @@ def run_sweep(config: SweepConfig, artifacts: RunArtifacts | None = None,
     for (variant, eps, seed), report, error in outcomes:
         if error is None:
             result_rows.append(
-                f"{variant},{config.constraint},{repr(eps)},{seed},{repr(threshold)},"
+                f"{variant},{config.constraint},{repr(eps)},{seed},{h_text},"
                 f"{config.source.describe()},{repr(report.accuracy)},{repr(report.dp_diff)},"
                 f"{repr(report.eop_diff)},{repr(report.eod_diff)}")
             grouped.setdefault((variant, eps), []).append(report)
@@ -607,7 +629,7 @@ def run_sweep(config: SweepConfig, artifacts: RunArtifacts | None = None,
             "out_dir": str(config.out_dir), "variants": list(config.variants),
             "constraint": config.constraint, "eps_grid": list(config.eps_grid),
             "seeds": config.seeds, "base_seed": config.base_seed,
-            "H": threshold, "tuned": config.threshold is None,
+            "H": threshold, "tuned": tuned,
             "uncertainty_source": config.source.describe(),
             "ratio": config.ratio, "test_fraction": config.test_fraction,
             "exp_grad_iters": config.exp_grad_iters,

@@ -40,12 +40,22 @@ class LinearModel:
         return (self.decision(x) >= 0.0).astype(float)
 
 
-def fit_cost_sensitive(features: np.ndarray, signed_costs: np.ndarray,
-                       max_iter: int = 5000, tol: float = 1e-6,
+def oracle_design(x: np.ndarray) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """The oracle's design for rows ``x``: the features plus an intercept
+    column as a CSR matrix, and a CSR copy of its transpose. Built once per
+    training call and shared by every oracle call on the same rows."""
+    x = np.asarray(x, dtype=float)
+    design = sparse.csr_array(np.column_stack([x, np.ones(len(x))]))
+    return design, design.T.tocsr()
+
+
+def fit_cost_sensitive(design: tuple[sparse.csr_array, sparse.csr_array],
+                       signed_costs: np.ndarray, max_iter: int = 5000, tol: float = 1e-6,
                        ridge: float = 1e-3) -> LinearModel:
     """Best-response oracle: minimize sum_i c_i * h(x_i) over linear
     classifiers, trained as weighted logistic regression with targets
-    1{c_i < 0} and weights |c_i|.
+    1{c_i < 0} and weights |c_i|. ``design`` is the ``oracle_design`` of the
+    rows, built once per training call.
 
     A small L2 penalty applies to the coefficients but not the intercept,
     so constant-within-subset one-hot blocks settle into the intercept
@@ -56,43 +66,61 @@ def fit_cost_sensitive(features: np.ndarray, signed_costs: np.ndarray,
     gradient 2-norm drops below ``tol`` or after ``max_iter`` iterations.
     Deterministic: the start point is always zero.
 
-    The design (features plus the intercept column) is held as a CSR matrix
-    with a CSR copy of its transpose, so the two products of each loss
-    evaluation cost one pass over the nonzeros; the one-hot encoded corpora
-    are mostly zeros. Each evaluation takes one ``exp(-|z|)`` and derives
-    both the softplus term and the sigmoid from it. The iterates equal
-    those of the same loop on a dense design up to floating-point rounding
-    of the products.
+    The CSR design and its CSR transpose make the two products of an
+    iteration one pass over the nonzeros each; the one-hot encoded corpora
+    are mostly zeros. A loss evaluation takes one ``exp(-|z|)`` for the
+    softplus term and keeps it with ``z``; the gradient is computed only for
+    an accepted step, from that step's ``z`` and ``exp(-|z|)``, so a
+    rejected line-search candidate costs one product, not two. The kernel
+    writes into two preallocated row buffers, in the same operation order
+    as the plain expressions, so the iterates are bit-identical to those of
+    a loop that allocates every temporary and computes every gradient.
     """
-    x = np.asarray(features, dtype=float)
+    matrix, matrix_t = design
     c = np.asarray(signed_costs, dtype=float)
     if not np.isfinite(c).all():
         raise NonFiniteCost("signed costs contain NaN or infinity")
-    n, d = x.shape
+    n, cols = matrix.shape
     targets = (c < 0).astype(float)
     weights = np.abs(c)
     total = weights.sum()
     if total == 0.0:
-        return LinearModel(np.zeros(d), 0.0)
+        return LinearModel(np.zeros(cols - 1), 0.0)
     weights = weights * (n / total)  # mean-one weights keep gradients scale-free
 
-    design = sparse.csr_array(np.column_stack([x, np.ones(n)]))
-    design_t = design.T.tocsr()
-    theta = np.zeros(d + 1)
-    penalty_mask = np.ones(d + 1)
+    theta = np.zeros(cols)
+    penalty_mask = np.ones(cols)
     penalty_mask[-1] = 0.0  # free intercept
+    ridge_mask = ridge * penalty_mask
+    row = np.empty(n)
+    tmp = np.empty(n)
 
-    def loss_and_grad(th):
-        z = design @ th
-        e = np.exp(-np.abs(z))
-        per_row = np.maximum(z, 0.0) - z * targets + np.log1p(e)
-        value = float((weights * per_row).mean())
+    def loss(th):
+        z = matrix @ th
+        e = np.abs(z)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        # per row: max(z, 0) - z * t + log1p(e), then weighted
+        np.maximum(z, 0.0, out=row)
+        np.subtract(row, np.multiply(z, targets, out=tmp), out=row)
+        np.add(row, np.log1p(e, out=tmp), out=row)
+        value = float(np.multiply(weights, row, out=row).mean())
         value += 0.5 * ridge * float((penalty_mask * th * th).sum())
-        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        g = design_t @ (weights * (sig - targets)) / n + ridge * penalty_mask * th
-        return value, g
+        return value, z, e
 
-    value, g = loss_and_grad(theta)
+    def grad(th, z, e):
+        # sigmoid(z) = 1 / (1 + e) for z >= 0 and e / (1 + e) below
+        np.copyto(row, e)
+        row[z >= 0] = 1.0
+        np.divide(row, np.add(1.0, e, out=tmp), out=row)
+        np.subtract(row, targets, out=row)
+        g = matrix_t @ np.multiply(weights, row, out=row)
+        g /= n
+        g += ridge_mask * th
+        return g
+
+    value, z, e = loss(theta)
+    g = grad(theta, z, e)
     step = 1.0
     for _ in range(max_iter):
         gnorm2 = float(g @ g)
@@ -101,12 +129,13 @@ def fit_cost_sensitive(features: np.ndarray, signed_costs: np.ndarray,
         accepted_first_try = True
         while True:
             candidate = theta - step * g
-            cand_value, cand_grad = loss_and_grad(candidate)
+            cand_value, z, e = loss(candidate)
             if cand_value <= value - 1e-4 * step * gnorm2 or step < 1e-16:
                 break
             step *= 0.5
             accepted_first_try = False
-        theta, value, g = candidate, cand_value, cand_grad
+        theta, value = candidate, cand_value
+        g = grad(theta, z, e)
         if accepted_first_try:
             step = min(step * 2.0, 1e6)
     return LinearModel(theta[:-1], float(theta[-1]))
@@ -227,12 +256,13 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
     n = len(x)
     base_cost = (1.0 - 2.0 * y) / n  # derivative of expected error wrt h_i
 
+    design = oracle_design(x)
     members: list[LinearModel] = []
     member_err: list[float] = []
     member_viol: list[np.ndarray] = []
 
     def fit_and_register(costs) -> int:
-        model = fit_cost_sensitive(x, costs, max_iter=oracle_max_iter)
+        model = fit_cost_sensitive(design, costs, max_iter=oracle_max_iter)
         preds = model.predict(x)
         members.append(model)
         member_err.append(float(np.abs(preds - y).mean()))
@@ -335,7 +365,8 @@ def unconstrained_train(x: np.ndarray, y: np.ndarray,
                         oracle_max_iter: int = 5000) -> RandomizedClassifier:
     """Plain accuracy-only logistic fit wrapped as a single-member mixture."""
     y = np.asarray(y, dtype=float)
-    model = fit_cost_sensitive(x, (1.0 - 2.0 * y) / len(y), max_iter=oracle_max_iter)
+    model = fit_cost_sensitive(oracle_design(x), (1.0 - 2.0 * y) / len(y),
+                               max_iter=oracle_max_iter)
     return RandomizedClassifier((model,), np.array([1.0]))
 
 

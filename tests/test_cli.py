@@ -114,8 +114,14 @@ def test_fig2_bad_grid_exit_code(demo_run, capsys):
     "H = high",
     "uncertainty_source = confidence(5)",
     "uncertainty_source = conformal(1.5)",
+    "exp_grad_iters = 0",
+    "oracle_max_iter = 0",
+    "base_seed = -1",
+    "constraint = parity",
+    "eps_grid = 0.1, -0.05",
 ], ids=["variants", "seeds", "source-suffix", "source-param", "eps_grid", "H",
-        "confidence-range", "conformal-range"])
+        "confidence-range", "conformal-range", "exp_grad_iters", "oracle_max_iter",
+        "base_seed", "constraint", "eps_grid-range"])
 def test_config_error_exit_code(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"{line}\nrun_dir = nowhere\n", encoding="utf-8")
@@ -124,6 +130,25 @@ def test_config_error_exit_code(tmp_path, capsys, line):
     assert err.startswith("config error: ")
     # the bad line fails at parse time, before the placeholder run_dir is read
     assert "run_dir" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-fair", "--variant", "vanilla", "--eps", "-1"],
+    ["train-fair", "--variant", "vanilla", "--seed", "-3"],
+    ["make-demo", "--rows", "-5"],
+    ["make-demo", "--rows", "0"],
+    ["make-demo", "--seed", "-1"],
+    ["fig2", "--seeds", "0"],
+    ["fig2", "--seed", "-2"],
+], ids=["train-fair-eps", "train-fair-seed", "make-demo-rows-negative", "make-demo-rows-0",
+        "make-demo-seed", "fig2-seeds", "fig2-seed"])
+def test_cli_number_out_of_range_exit_code(tmp_path, capsys, argv):
+    # the run directory does not exist: reading it first would exit 1
+    place = ["--out", str(tmp_path / "new")] if argv[0] == "make-demo" else \
+        ["--run", str(tmp_path / "ghost")]
+    assert cli.main(argv + place) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "new").exists()
 
 
 def test_stale_text_dataset_cache_exit_code(demo_run, tmp_path, capsys):
@@ -156,7 +181,7 @@ def test_stale_text_dataset_cache_exit_code(demo_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [("--ratio", "1.5"), ("--ratio", "0"),
                                         ("--test-fraction", "0"), ("--test-fraction", "1"),
-                                        ("--epochs", "0")])
+                                        ("--epochs", "0"), ("--seed", "-1")])
 def test_train_attr_bad_setting_exit_code(demo_run, tmp_path, capsys, flag, value):
     out = tmp_path / "new" / "run"
     rc = cli.main(["train-attr", "--data", str(demo_run / "data" / "census.csv"),
@@ -164,6 +189,15 @@ def test_train_attr_bad_setting_exit_code(demo_run, tmp_path, capsys, flag, valu
                    flag, value, "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "new").exists()
+
+
+def test_train_attr_missing_corpus_creates_no_directory(demo_run, tmp_path, capsys):
+    rc = cli.main(["train-attr", "--data", str(tmp_path / "absent.csv"),
+                   "--schema", str(demo_run / "data" / "census.schema"),
+                   "--out", str(tmp_path / "new" / "run")])
+    assert rc == 1
+    assert "absent.csv" in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
 
 

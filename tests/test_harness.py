@@ -149,6 +149,47 @@ def test_sweep_writes_artifacts_and_manifest(small_run, tmp_path):
     assert (out / "pareto.csv").read_text().splitlines()[0] == harness.PARETO_HEADER
 
 
+def test_untuned_source_sweep_skips_tuning(small_run, tmp_path, monkeypatch):
+    # conformal sets ignore H, so a sweep without H has nothing to tune
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tune_threshold called under a conformal source")
+
+    monkeypatch.setattr(harness, "tune_threshold", no_tuning)
+    run_dir, _ = small_run
+    out = tmp_path / "sweep"
+    config = harness.SweepConfig(run_dir=str(run_dir), out_dir=str(out),
+                                 variants=("vanilla", "certain"), eps_grid=(0.1,), seeds=1,
+                                 source=harness.UncertaintySource("conformal", epsilon=0.1),
+                                 exp_grad_iters=3, oracle_max_iter=150)
+    assert harness.run_sweep(config).n_failed == 0
+    assert not (out / "tuning.csv").exists()
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2 and all(row[4] == "" for row in rows)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["H"] is None and manifest["config"]["tuned"] is False
+
+
+def test_tuned_sweep_tunes_for_its_constraint(small_run, tmp_path, monkeypatch):
+    kinds = []
+    exp_grad_train = harness.reduction.exp_grad_train
+
+    def recording(x, y, a, w, constraint, **kw):
+        kinds.append(constraint.kind)
+        return exp_grad_train(x, y, a, w, constraint, **kw)
+
+    monkeypatch.setattr(harness.reduction, "exp_grad_train", recording)
+    run_dir, _ = small_run
+    out = tmp_path / "sweep"
+    config = harness.SweepConfig(run_dir=str(run_dir), out_dir=str(out), variants=("certain",),
+                                 constraint="eod", eps_grid=(0.1,), seeds=1, tune_lo=0.55,
+                                 exp_grad_iters=3, oracle_max_iter=150)
+    harness.run_sweep(config)
+    tuning = (out / "tuning.csv").read_text().splitlines()
+    assert tuning[0] == "H,accuracy,eod,objective"
+    # every candidate and the one cell
+    assert kinds == ["eod"] * len(tuning)
+
+
 def test_sweep_reproducible_byte_for_byte(small_run, tmp_path):
     run_dir, _ = small_run
     texts = []

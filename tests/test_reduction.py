@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from fairscarce import harness, synthdata, tabular
@@ -23,34 +24,83 @@ def separable_instance(n=60, seed=0):
 
 def test_logreg_separable_accuracy():
     x, y = separable_instance()
-    model = red.fit_cost_sensitive(x, (1.0 - 2.0 * y) / len(y))
+    model = red.fit_cost_sensitive(red.oracle_design(x), (1.0 - 2.0 * y) / len(y))
     assert (model.predict(x) == y).mean() >= 0.99
 
 
 def test_logreg_zero_features_predicts_cost_weighted_majority():
     x = np.zeros((10, 3))
     y = np.array([1] * 7 + [0] * 3, dtype=float)
-    model = red.fit_cost_sensitive(x, (1.0 - 2.0 * y) / len(y))
+    design = red.oracle_design(x)
+    model = red.fit_cost_sensitive(design, (1.0 - 2.0 * y) / len(y))
     assert np.all(model.predict(x) == 1.0)
     y2 = np.array([1] * 3 + [0] * 7, dtype=float)
-    model2 = red.fit_cost_sensitive(x, (1.0 - 2.0 * y2) / len(y2))
+    model2 = red.fit_cost_sensitive(design, (1.0 - 2.0 * y2) / len(y2))
     assert np.all(model2.predict(x) == 0.0)
 
 
 def test_logreg_weight_mass_invariance():
     x, y = separable_instance(40, seed=3)
     costs = (1.0 - 2.0 * y) / len(y)
-    model_a = red.fit_cost_sensitive(x, costs)
+    model_a = red.fit_cost_sensitive(red.oracle_design(x), costs)
     x_dup = np.vstack([x, x])
     costs_dup = np.concatenate([costs, costs]) / 2.0
-    model_b = red.fit_cost_sensitive(x_dup, costs_dup)
+    model_b = red.fit_cost_sensitive(red.oracle_design(x_dup), costs_dup)
     np.testing.assert_allclose(model_a.coef, model_b.coef, atol=1e-4)
     assert model_a.intercept == pytest.approx(model_b.intercept, abs=1e-4)
 
 
 def test_logreg_rejects_non_finite_costs():
     with pytest.raises(NonFiniteCost):
-        red.fit_cost_sensitive(np.zeros((2, 1)), np.array([np.nan, 1.0]))
+        red.fit_cost_sensitive(red.oracle_design(np.zeros((2, 1))), np.array([np.nan, 1.0]))
+
+
+def reference_fit(features, signed_costs, max_iter=5000, tol=1e-6, ridge=1e-3):
+    """The oracle's gradient-descent loop as it was before the in-place
+    kernel: its own CSR design per call, a gradient for every line-search
+    candidate and freshly allocated temporaries. Kept as the bit-exact
+    reference for ``fit_cost_sensitive``. Returns theta with the intercept
+    last."""
+    x = np.asarray(features, dtype=float)
+    c = np.asarray(signed_costs, dtype=float)
+    n, d = x.shape
+    targets = (c < 0).astype(float)
+    weights = np.abs(c)
+    weights = weights * (n / weights.sum())
+    design = sparse.csr_array(np.column_stack([x, np.ones(n)]))
+    design_t = design.T.tocsr()
+    theta = np.zeros(d + 1)
+    penalty_mask = np.ones(d + 1)
+    penalty_mask[-1] = 0.0
+
+    def loss_and_grad(th):
+        z = design @ th
+        e = np.exp(-np.abs(z))
+        per_row = np.maximum(z, 0.0) - z * targets + np.log1p(e)
+        value = float((weights * per_row).mean())
+        value += 0.5 * ridge * float((penalty_mask * th * th).sum())
+        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        g = design_t @ (weights * (sig - targets)) / n + ridge * penalty_mask * th
+        return value, g
+
+    value, g = loss_and_grad(theta)
+    step = 1.0
+    for _ in range(max_iter):
+        gnorm2 = float(g @ g)
+        if math.sqrt(gnorm2) < tol:
+            break
+        accepted_first_try = True
+        while True:
+            candidate = theta - step * g
+            cand_value, cand_grad = loss_and_grad(candidate)
+            if cand_value <= value - 1e-4 * step * gnorm2 or step < 1e-16:
+                break
+            step *= 0.5
+            accepted_first_try = False
+        theta, value, g = candidate, cand_value, cand_grad
+        if accepted_first_try:
+            step = min(step * 2.0, 1e6)
+    return theta
 
 
 def dense_reference_fit(features, signed_costs, max_iter=5000, tol=1e-6, ridge=1e-3):
@@ -125,11 +175,58 @@ def test_sparse_oracle_matches_dense_reference(demo_d1):
     assert 0 < flipped.sum() < n  # the multiplier moves some targets, not all
     for costs in (base_cost, signed):
         reference = dense_reference_fit(x, costs)
-        model = red.fit_cost_sensitive(x, costs)
+        model = red.fit_cost_sensitive(red.oracle_design(x), costs)
         theta = np.append(model.coef, model.intercept)
         assert np.abs(theta - reference).max() <= 1e-10
         reference_preds = (x @ reference[:-1] + reference[-1] >= 0.0).astype(float)
         np.testing.assert_array_equal(model.predict(x), reference_preds)
+
+
+def demo_costs(d1):
+    """The base costs of ``d1`` and a dp-shifted copy whose multiplier moves
+    some targets."""
+    y = d1.labels.astype(float)
+    n = len(y)
+    base_cost = (1.0 - 2.0 * y) / n
+    cons = red._ConstraintSet(red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.02),
+                              y, tabular.oracle_sensitive(d1), np.ones(n))
+    return base_cost, base_cost + cons.cost_contribution(np.array([0.6, 0.0]))
+
+
+@pytest.mark.parametrize("max_iter", [5000, 50])
+def test_oracle_matches_reference_fit_bit_for_bit(demo_d1, max_iter):
+    x = demo_d1.features
+    design = red.oracle_design(x)
+    for costs in demo_costs(demo_d1):
+        model = red.fit_cost_sensitive(design, costs, max_iter=max_iter)
+        theta = np.append(model.coef, model.intercept)
+        np.testing.assert_array_equal(theta, reference_fit(x, costs, max_iter=max_iter))
+
+
+def test_exp_grad_members_equal_fresh_oracle_calls(demo_d1, monkeypatch):
+    # exp-grad builds one design and shares it across its oracle calls; each
+    # member must equal an oracle call on a design of its own
+    x = demo_d1.features
+    y = demo_d1.labels
+    a = tabular.oracle_sensitive(demo_d1)
+    oracle = red.fit_cost_sensitive
+    fitted = []
+
+    def recording(design, costs, **kw):
+        model = oracle(design, costs, **kw)
+        fitted.append((model, np.array(costs), kw))
+        return model
+
+    monkeypatch.setattr(red, "fit_cost_sensitive", recording)
+    mixture, log = red.exp_grad_train(x, y, a, np.ones(len(y)),
+                                      red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.01),
+                                      iters=4, oracle_max_iter=300)
+    assert len(fitted) == log.oracle_calls >= 3
+    for member in mixture.members:
+        (costs, kw), = [(c, kw) for m, c, kw in fitted if m is member]
+        fresh = oracle(red.oracle_design(x), costs, **kw)
+        np.testing.assert_array_equal(member.coef, fresh.coef)
+        assert member.intercept == fresh.intercept
 
 
 # --- brute-force oracle for the reduction --------------------------------------
