@@ -169,8 +169,6 @@ class AttrTrainConfig:
     patience: int = 10
     min_epochs: int = 35  # no early stop before the ramp has settled
     min_delta: float = 1e-4
-    consistency_norm: str = "batch"  # or "global": divide by |d1| + |d2|
-    proxy_source: str = "teacher"  # or "student": which logits pick a_hat
     seed: int = 0
 
 
@@ -235,7 +233,6 @@ def train_attribute_classifier(split: ScarceSplit,
     labeled = np.zeros(len(x_all), dtype=bool)
     labeled[:len(x_lab)] = True
     targets_all = np.concatenate([a_lab, np.zeros(len(d1))])
-    universe = len(d1) + len(d2)
 
     dims = [x_all.shape[1], *config.hidden]
     student = nn.init_mlp(dims, config.dropout_rate, seed=config.seed)
@@ -276,10 +273,8 @@ def train_attribute_classifier(split: ScarceSplit,
                                                     seed=(config.seed + 7919), counter=step)
                     cons_mask = u_batch <= r_cut
                     unc_sum += float(u_batch.mean())
-                spec_universe = universe if config.consistency_norm == "global" else len(rows)
                 spec_cons = nn.LossSpec("consistency", teacher_logits=teacher_logits,
-                                        consistency_mask=cons_mask,
-                                        universe_size=spec_universe)
+                                        consistency_mask=cons_mask)
                 cons_loss, cons_grads = nn.value_and_grad(state.student, xb, spec_cons,
                                                           nn.DropoutPlan(nn.EVAL))
                 loss += lam * cons_loss
@@ -315,21 +310,17 @@ def train_attribute_classifier(split: ScarceSplit,
 
 
 def predict_proxy(state: StudentTeacherState, d1: Dataset, passes: int,
-                  seed: int, config_proxy_source: str = "teacher") -> list[ProxyRecord]:
-    """One ProxyRecord per d1 row, sorted by sample id. Uncertainty always
-    comes from teacher MC passes; a_hat comes from the thresholded mean
-    probability (or from student eval logits when so configured)."""
+                  seed: int) -> list[ProxyRecord]:
+    """One ProxyRecord per d1 row, sorted by sample id: teacher MC-dropout
+    passes give the mean probability and its entropy, and a_hat is that
+    probability thresholded at 0.5."""
     records: list[ProxyRecord] = []
     order = np.argsort(d1.sample_ids)
     for start in range(0, len(order), _PROXY_CHUNK):
         rows = order[start:start + _PROXY_CHUNK]
         x = d1.features[rows]
         p, u = mc_dropout_predict(state.teacher, x, passes, seed, counter=start)
-        if config_proxy_source == "student":
-            logits, _ = nn.forward(state.student, x, nn.DropoutPlan(nn.EVAL))
-            a_hat = (logits >= 0.0).astype(int)
-        else:
-            a_hat = (p >= 0.5).astype(int)
+        a_hat = (p >= 0.5).astype(int)
         for i, row in enumerate(rows):
             records.append(ProxyRecord(int(d1.sample_ids[row]), int(a_hat[i]),
                                        float(p[i]), float(u[i])))

@@ -24,11 +24,8 @@ class EmptyFile(FairscarceError):
 
 
 class EmptyFit(FairscarceError):
-    """An encoder was fit on an empty id set."""
-
-
-class UnknownCategory(FairscarceError):
-    """A categorical token absent from the encoder vocabulary (defensive)."""
+    """Encoding was asked to fit its numeric statistics on no rows, or on
+    rows outside the table."""
 
 
 class InsufficientRows(FairscarceError):

@@ -75,15 +75,14 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     schema = tabular.Schema.from_file(schema_path)
-    split, _ = tabular.prepare_split(csv_path, schema, ratio, test_fraction, seed,
-                                     strict=not lenient)
+    split = tabular.prepare_split(csv_path, schema, ratio, test_fraction, seed,
+                                  strict=not lenient)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = attr.train_attribute_classifier(split, cfg)
     state = result.state
 
-    proxies = attr.predict_proxy(state, split.d1, cfg.mc_passes, seed=seed + 4099,
-                                 config_proxy_source=cfg.proxy_source)
+    proxies = attr.predict_proxy(state, split.d1, cfg.mc_passes, seed=seed + 4099)
 
     # conformal inputs: eval-mode teacher probabilities on the reserved
     # calibration slice of d2 and on d1
@@ -547,9 +546,12 @@ def run_sweep(config: SweepConfig, artifacts: RunArtifacts | None = None,
             raise ConfigError("sweep needs either run_dir with artifacts or data+schema")
     out.mkdir(parents=True, exist_ok=True)
 
-    # only mc-dropout reads H; under conformal sets or a confidence band the
-    # certain rows are the same for every H, so there is nothing to tune
-    tuned = config.threshold is None and config.source.kind == "mc-dropout"
+    # only the certain and uncertain variants under mc-dropout read H (the
+    # mc-dropout weights of weighted do not); under conformal sets or a
+    # confidence band the certain rows are the same for every H, so there is
+    # nothing to tune
+    tuned = (config.threshold is None and config.source.kind == "mc-dropout"
+             and any(v in ("certain", "uncertain") for v in config.variants))
     threshold = config.threshold
     if tuned:
         say("tuning uncertainty threshold")

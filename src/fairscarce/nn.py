@@ -98,7 +98,7 @@ class LossSpec:
     ``cross_entropy`` averages the stable binary cross-entropy over the rows
     selected by ``labeled_mask`` (all rows when None). ``consistency`` sums
     squared logit differences to ``teacher_logits`` over ``consistency_mask``
-    rows and divides by ``universe_size`` (batch size when None).
+    rows (all rows when None) and divides by the batch size.
     """
 
     kind: str
@@ -106,7 +106,6 @@ class LossSpec:
     labeled_mask: np.ndarray | None = None
     teacher_logits: np.ndarray | None = None
     consistency_mask: np.ndarray | None = None
-    universe_size: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("cross_entropy", "consistency"):
@@ -209,14 +208,13 @@ def _loss_and_logit_grad(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.
             dz[rows] += (sigmoid(logits[rows]) - t[rows]) / m
     else:
         rows = np.ones(n, dtype=bool) if spec.consistency_mask is None else np.asarray(spec.consistency_mask, dtype=bool)
-        universe = n if spec.universe_size is None else int(spec.universe_size)
-        if universe > 0 and rows.any():
+        if rows.any():
             h = np.asarray(spec.teacher_logits, dtype=float)
             if h.shape != logits.shape:
                 raise ShapeMismatch("teacher logits must match batch length")
             diff = logits[rows] - h[rows]
-            loss = float(np.square(diff).sum() / universe)
-            dz[rows] += 2.0 * diff / universe
+            loss = float(np.square(diff).sum() / n)
+            dz[rows] += 2.0 * diff / n
     return loss, dz
 
 

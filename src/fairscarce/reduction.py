@@ -25,6 +25,16 @@ DEMOGRAPHIC_PARITY = "dp"
 EQUALIZED_ODDS = "eod"
 EQUAL_OPPORTUNITY = "eop"
 
+# oracle: gradient-norm stopping tolerance and the L2 penalty on coefficients
+ORACLE_TOL = 1e-6
+RIDGE = 1e-3
+# exp-grad: multiplier learning rate, the bound on the multipliers' 1-norm
+# (also the price of a violation in the duality gap) and the gap that counts
+# as converged
+ETA = 2.0
+BOUND = 100.0
+GAP_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -50,20 +60,19 @@ def oracle_design(x: np.ndarray) -> tuple[sparse.csr_array, sparse.csr_array]:
 
 
 def fit_cost_sensitive(design: tuple[sparse.csr_array, sparse.csr_array],
-                       signed_costs: np.ndarray, max_iter: int = 5000, tol: float = 1e-6,
-                       ridge: float = 1e-3) -> LinearModel:
+                       signed_costs: np.ndarray, max_iter: int = 5000) -> LinearModel:
     """Best-response oracle: minimize sum_i c_i * h(x_i) over linear
     classifiers, trained as weighted logistic regression with targets
     1{c_i < 0} and weights |c_i|. ``design`` is the ``oracle_design`` of the
     rows, built once per training call.
 
-    A small L2 penalty applies to the coefficients but not the intercept,
-    so constant-within-subset one-hot blocks settle into the intercept
-    instead of acting as phantom offsets on out-of-subset rows, and rare
-    one-hot levels cannot be memorized with huge weights.
+    A small L2 penalty, ``RIDGE``, applies to the coefficients but not the
+    intercept, so constant-within-subset one-hot blocks settle into the
+    intercept instead of acting as phantom offsets on out-of-subset rows, and
+    rare one-hot levels cannot be memorized with huge weights.
 
     Full-batch gradient descent with line-halving, stopping when the
-    gradient 2-norm drops below ``tol`` or after ``max_iter`` iterations.
+    gradient 2-norm drops below ``ORACLE_TOL`` or after ``max_iter`` iterations.
     Deterministic: the start point is always zero.
 
     The CSR design and its CSR transpose make the two products of an
@@ -91,7 +100,7 @@ def fit_cost_sensitive(design: tuple[sparse.csr_array, sparse.csr_array],
     theta = np.zeros(cols)
     penalty_mask = np.ones(cols)
     penalty_mask[-1] = 0.0  # free intercept
-    ridge_mask = ridge * penalty_mask
+    ridge_mask = RIDGE * penalty_mask
     row = np.empty(n)
     tmp = np.empty(n)
 
@@ -105,7 +114,7 @@ def fit_cost_sensitive(design: tuple[sparse.csr_array, sparse.csr_array],
         np.subtract(row, np.multiply(z, targets, out=tmp), out=row)
         np.add(row, np.log1p(e, out=tmp), out=row)
         value = float(np.multiply(weights, row, out=row).mean())
-        value += 0.5 * ridge * float((penalty_mask * th * th).sum())
+        value += 0.5 * RIDGE * float((penalty_mask * th * th).sum())
         return value, z, e
 
     def grad(th, z, e):
@@ -124,7 +133,7 @@ def fit_cost_sensitive(design: tuple[sparse.csr_array, sparse.csr_array],
     step = 1.0
     for _ in range(max_iter):
         gnorm2 = float(g @ g)
-        if math.sqrt(gnorm2) < tol:
+        if math.sqrt(gnorm2) < ORACLE_TOL:
             break
         accepted_first_try = True
         while True:
@@ -229,8 +238,7 @@ class ExpGradLog:
 
 
 def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
-                   constraint: MomentConstraint, iters: int = 50, eta: float = 2.0,
-                   bound: float = 100.0, gap_tol: float = 1e-3,
+                   constraint: MomentConstraint, iters: int = 50,
                    oracle_max_iter: int = 5000) -> tuple[RandomizedClassifier, ExpGradLog]:
     """Train a randomized fair classifier by exponentiated gradient on rows
     ``x`` with labels ``y``, attributes ``a`` (0 or 1) and constraint weights
@@ -238,12 +246,12 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
 
     Per iteration: form signed costs from the current multipliers, fit the
     best response, measure its constraint violations, and update the
-    multipliers multiplicatively (log-weights shifted by (eta / bound) *
+    multipliers multiplicatively (log-weights shifted by (ETA / BOUND) *
     (violation - slack); the exponentiated-weights normalization keeps their
-    1-norm below ``bound``). Candidate solutions are the uniform mixture over
-    iterates and, while the gap stays above ``gap_tol``, the small LP re-mix
+    1-norm below ``BOUND``). Candidate solutions are the uniform mixture over
+    iterates and, while the gap stays above ``GAP_TOL``, the small LP re-mix
     over all generated classifiers; the candidate with the smallest duality
-    gap is returned and ``converged`` says whether that gap beat ``gap_tol``.
+    gap is returned and ``converged`` says whether that gap beat ``GAP_TOL``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -271,7 +279,7 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
 
     theta = np.zeros(cons.count)
     lambda_sum = np.zeros(cons.count)
-    eta_step = eta / bound
+    eta_step = ETA / BOUND
     chosen: list[int] = []
     log = ExpGradLog(False, math.inf, 0, 0, np.zeros(cons.count), 0.0, 0.0)
     best_mix: np.ndarray | None = None
@@ -289,17 +297,17 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         mix_viol = mix @ viols
         l_mid = mix_err + float(lam_vec @ (mix_viol - cons.slack))
         l_low = float(np.min(errors + viols @ lam_vec)) - cons.slack * float(lam_vec.sum())
-        l_high = mix_err + bound * max(0.0, float((mix_viol - cons.slack).max()))
+        l_high = mix_err + BOUND * max(0.0, float((mix_viol - cons.slack).max()))
         return max(l_mid - l_low, l_high - l_mid), mix_err, mix_viol
 
     def hull_lp() -> tuple[np.ndarray, np.ndarray] | None:
         """Cheapest mixture of collected members (max violation beyond the
-        slack priced at ``bound``) and the dual multipliers of its
+        slack priced at ``BOUND``) and the dual multipliers of its
         constraints, which form the lambda of the candidate pair."""
         errors = np.array(member_err)
         viols = np.vstack(member_viol)
         m = len(errors)
-        res = linprog(c=np.concatenate([errors, [bound]]),
+        res = linprog(c=np.concatenate([errors, [BOUND]]),
                       A_ub=np.column_stack([viols.T, -np.ones(cons.count)]),
                       b_ub=np.full(cons.count, cons.slack),
                       A_eq=np.concatenate([np.ones(m), [0.0]])[None, :],
@@ -313,7 +321,7 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         """Track the candidate; on a would-converge gap, certify the lower
         bound with one fresh best response against the candidate's lambda."""
         gap, mix_err, mix_viol = gap_of(mix, lam_vec)
-        if verify and gap < gap_tol:
+        if verify and gap < GAP_TOL:
             fit_and_register(base_cost + cons.cost_contribution(lam_vec))
             log.oracle_calls += 1
             gap, mix_err, mix_viol = gap_of(np.pad(mix, (0, 1)), lam_vec)
@@ -329,7 +337,7 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
 
     for t in range(iters):
         expt = np.exp(theta - theta.max())
-        lam = bound * expt / (math.exp(-theta.max()) + expt.sum())
+        lam = BOUND * expt / (math.exp(-theta.max()) + expt.sum())
         lambda_sum += lam
 
         idx = fit_and_register(base_cost + cons.cost_contribution(lam))
@@ -340,13 +348,13 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         for i in chosen:
             uniform[i] += 1.0 / len(chosen)
         consider(uniform, lambda_sum / (t + 1), verify=True)
-        if log.best_gap >= gap_tol:
+        if log.best_gap >= GAP_TOL:
             lp_pair = hull_lp()
             if lp_pair is not None:
                 consider(np.pad(lp_pair[0], (0, len(members) - len(lp_pair[0]))),
                          lp_pair[1], verify=True)
         log.iterations = t + 1
-        if log.best_gap < gap_tol:
+        if log.best_gap < GAP_TOL:
             log.converged = True
             break
 

@@ -129,14 +129,10 @@ def generate_rows(n_rows: int, seed: int = 0) -> RawTable:
          + 1.3 * (gain > 0).astype(float))
     income = rng.random(n_rows) < 1.0 / (1.0 + np.exp(-z))
 
-    rows = []
-    for i in range(n_rows):
-        rows.append((str(age[i]), workclass[i], str(final_weight[i]), education[i],
-                     str(edu_num[i]), marital[i], occupation[i], relationship[i],
-                     race[i], "Male" if male[i] else "Female",
-                     str(gain[i]), str(loss[i]), str(hours[i]), region[i],
-                     ">50K" if income[i] else "<=50K"))
-    return RawTable(COLUMNS, tuple(rows))
+    columns = (age, workclass, final_weight, education, edu_num, marital, occupation,
+               relationship, race, np.where(male, "Male", "Female"), gain, loss, hours,
+               region, np.where(income, ">50K", "<=50K"))
+    return RawTable(COLUMNS, tuple(tuple(map(str, col.tolist())) for col in columns))
 
 
 def write_corpus(path, n_rows: int, seed: int = 0) -> None:
@@ -144,7 +140,7 @@ def write_corpus(path, n_rows: int, seed: int = 0) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.column_names)
-        writer.writerows(table.rows)
+        writer.writerows(zip(*table.columns))
 
 
 def write_schema(path) -> None:

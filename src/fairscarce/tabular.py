@@ -1,5 +1,10 @@
 """Tabular loading, encoding, and the demographic-scarce split.
 
+A corpus is read column by column: ``load_csv`` validates the CSV row by row
+and keeps one token tuple per column, and ``encode`` turns those columns into
+the feature matrix in one pass each (numeric columns standardized by the
+fitting rows, categorical ones one-hot over the whole column's vocabulary).
+
 The split produces three disjoint parts: ``d1`` keeps task labels but has its
 sensitive column masked, ``d2`` keeps the sensitive column but has labels
 masked, and ``test`` keeps both. Masked columns stay attached to the Dataset
@@ -24,7 +29,6 @@ from .errors import (
     InsufficientRows,
     MalformedRow,
     MissingColumn,
-    UnknownCategory,
 )
 
 NUMERIC = "numeric"
@@ -69,19 +73,19 @@ class Schema:
 
 @dataclass(frozen=True)
 class RawTable:
-    """Parsed CSV: header plus rows of string tokens."""
+    """Parsed CSV, column-major: the header and one tuple of string tokens
+    per column, all of the same length."""
 
     column_names: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    columns: tuple[tuple[str, ...], ...]
     n_dropped: int = 0
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0])
 
-    def column(self, name: str) -> list[str]:
-        idx = self.column_names.index(name)
-        return [row[idx] for row in self.rows]
+    def column(self, name: str) -> tuple[str, ...]:
+        return self.columns[self.column_names.index(name)]
 
 
 def _parses_as_float(token: str) -> bool:
@@ -93,9 +97,10 @@ def _parses_as_float(token: str) -> bool:
 
 
 def load_csv(path, schema: Schema, strict: bool = True) -> RawTable:
-    """Read a UTF-8 CSV with a header row. Columns the schema declares
-    ``numeric`` are validated cell by cell; a bad cell raises MalformedRow in
-    strict mode or drops the row (counted) otherwise."""
+    """Read a UTF-8 CSV with a header row into a column-major RawTable.
+    Columns the schema declares ``numeric`` are validated cell by cell; a bad
+    cell raises MalformedRow (with its line number) in strict mode or drops
+    the row (counted) otherwise."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -113,7 +118,7 @@ def load_csv(path, schema: Schema, strict: bool = True) -> RawTable:
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
                 continue
-            cells = [c.strip() for c in cells]
+            cells = tuple(map(str.strip, cells))
             bad = None
             if len(cells) != len(header):
                 bad = f"{len(cells)} cells for {len(header)} columns"
@@ -127,60 +132,10 @@ def load_csv(path, schema: Schema, strict: bool = True) -> RawTable:
                     raise MalformedRow(f"{path}:{lineno}: {bad}")
                 dropped += 1
                 continue
-            rows.append(tuple(cells))
+            rows.append(cells)
     if not rows:
         raise EmptyFile(f"{path}: no data rows")
-    return RawTable(header, tuple(rows), n_dropped=dropped)
-
-
-@dataclass(frozen=True)
-class Encoder:
-    """Per-column encoding state.
-
-    Numeric columns carry (mean, divisor) from the fitting rows only, with a
-    zero std mapped to divisor 1. Categorical columns carry a lexicographic
-    vocabulary built from the full table, so every token seen anywhere in the
-    corpus encodes.
-    """
-
-    kinds: dict[str, str]
-    means: dict[str, float]
-    divisors: dict[str, float]
-    vocabularies: dict[str, tuple[str, ...]]
-
-
-def infer_kind(tokens: Sequence[str], declared: str | None) -> str:
-    if declared is not None:
-        return declared
-    return NUMERIC if all(_parses_as_float(t) for t in tokens) else CATEGORICAL
-
-
-def fit_encoder(table: RawTable, fitting_ids: Sequence[int], schema: Schema | None = None) -> Encoder:
-    """Fit encoding statistics. ``fitting_ids`` index ``table.rows``; only
-    those rows contribute numeric means and (population) standard deviations."""
-    ids = sorted(set(int(i) for i in fitting_ids))
-    if not ids:
-        raise EmptyFit("no fitting rows")
-    if ids[0] < 0 or ids[-1] >= table.n_rows:
-        raise EmptyFit(f"fitting ids outside [0, {table.n_rows})")
-    kinds: dict[str, str] = {}
-    means: dict[str, float] = {}
-    divisors: dict[str, float] = {}
-    vocabularies: dict[str, tuple[str, ...]] = {}
-    declared = schema.kinds if schema is not None else {}
-    for name in table.column_names:
-        tokens = table.column(name)
-        kind = infer_kind(tokens, declared.get(name))
-        kinds[name] = kind
-        if kind == NUMERIC:
-            values = np.array([float(tokens[i]) for i in ids])
-            mean = float(values.mean())
-            std = float(values.std())
-            means[name] = mean
-            divisors[name] = std if std > 0.0 else 1.0
-        else:
-            vocabularies[name] = tuple(sorted(set(tokens)))
-    return Encoder(kinds, means, divisors, vocabularies)
+    return RawTable(header, tuple(zip(*rows)), n_dropped=dropped)
 
 
 @dataclass(frozen=True)
@@ -189,7 +144,8 @@ class Dataset:
 
     ``masked_labels`` / ``masked_sensitive`` hold values hidden by the scarce
     split; they exist only so evaluation can score against ground truth and
-    must never feed training. Use :func:`oracle_labels` / :func:`oracle_sensitive`.
+    must never feed training. Evaluation reads the attribute through
+    :func:`oracle_sensitive`.
     """
 
     features: np.ndarray
@@ -223,15 +179,6 @@ class Dataset:
                        pick(self.masked_sensitive))
 
 
-def oracle_labels(ds: Dataset) -> np.ndarray:
-    """Ground-truth labels for evaluation, visible or masked."""
-    if ds.labels is not None:
-        return ds.labels
-    if ds.masked_labels is not None:
-        return ds.masked_labels
-    raise ValueError("dataset carries no labels at all")
-
-
 def oracle_sensitive(ds: Dataset) -> np.ndarray:
     """Ground-truth sensitive attribute for evaluation, visible or masked."""
     if ds.sensitive is not None:
@@ -241,33 +188,69 @@ def oracle_sensitive(ds: Dataset) -> np.ndarray:
     raise ValueError("dataset carries no sensitive attribute at all")
 
 
-def encode(table: RawTable, enc: Encoder, schema: Schema) -> Dataset:
-    """Standardize numerics, one-hot categoricals, and map the target /
-    sensitive columns to {0,1}. Neither appears in the feature matrix."""
+def _indicator(tokens: Sequence[str], token: str) -> np.ndarray:
+    """1 where a token equals ``token``, else 0: the {0,1} target and
+    sensitive columns."""
+    return np.array([t == token for t in tokens], dtype=int)
+
+
+def _numeric_values(tokens: Sequence[str], kind: str | None) -> np.ndarray | None:
+    """The column as floats when it is numeric: declared so, or undeclared
+    with every token parsing as a float; None for a categorical column."""
+    if kind == CATEGORICAL:
+        return None
+    try:
+        return np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        if kind == NUMERIC:
+            raise
+        return None
+
+
+def encode(table: RawTable, fitting_rows: Sequence[int], schema: Schema) -> Dataset:
+    """Encode every column except the target and the sensitive one, in header
+    order, and map those two to {0,1} labels and attributes.
+
+    A numeric column becomes one feature, standardized by the mean and
+    population std of the sorted unique ``fitting_rows`` (a zero std becomes
+    divisor 1). A categorical column becomes a one-hot block over the
+    lexicographic vocabulary of the whole column, so every token in the table
+    encodes. A column the schema does not declare is numeric when every token
+    parses as a float. Empty or out-of-range ``fitting_rows`` raise EmptyFit."""
     n = table.n_rows
-    feature_cols: list[np.ndarray] = []
-    for name in table.column_names:
+    fit = np.unique(np.asarray(fitting_rows, dtype=np.intp))
+    if len(fit) == 0:
+        raise EmptyFit("no fitting rows")
+    if fit[0] < 0 or fit[-1] >= n:
+        raise EmptyFit(f"fitting rows outside [0, {n})")
+    # (first feature column, standardized values or None, one-hot codes or None)
+    blocks = []
+    width = 0
+    for name, tokens in zip(table.column_names, table.columns):
         if name in (schema.target, schema.sensitive):
             continue
-        tokens = table.column(name)
-        if enc.kinds[name] == NUMERIC:
-            values = np.array([float(t) for t in tokens])
-            feature_cols.append((values - enc.means[name]) / enc.divisors[name])
+        values = _numeric_values(tokens, schema.kinds.get(name))
+        if values is not None:
+            fitted = values[fit]
+            std = float(fitted.std())
+            blocks.append((width, (values - float(fitted.mean())) / (std if std > 0.0 else 1.0),
+                           None))
+            width += 1
         else:
-            vocab = enc.vocabularies[name]
+            vocab = sorted(set(tokens))
             index = {tok: j for j, tok in enumerate(vocab)}
-            block = np.zeros((n, len(vocab)))
-            for i, tok in enumerate(tokens):
-                if tok not in index:
-                    raise UnknownCategory(f"column {name!r}: token {tok!r} not in vocabulary")
-                block[i, index[tok]] = 1.0
-            feature_cols.append(block)
-    features = np.column_stack([c if c.ndim == 2 else c[:, None] for c in feature_cols])
-    labels = np.array([1 if t == schema.positive_token else 0
-                       for t in table.column(schema.target)], dtype=int)
-    sensitive = np.array([1 if t == schema.privileged_token else 0
-                          for t in table.column(schema.sensitive)], dtype=int)
-    return Dataset(features, np.arange(n), labels, sensitive)
+            blocks.append((width, None, np.fromiter(map(index.__getitem__, tokens),
+                                                    dtype=np.intp, count=n)))
+            width += len(vocab)
+    features = np.zeros((n, width))
+    rows = np.arange(n)
+    for start, values, codes in blocks:
+        if codes is None:
+            features[:, start] = values
+        else:
+            features[rows, start + codes] = 1.0
+    return Dataset(features, rows, _indicator(table.column(schema.target), schema.positive_token),
+                   _indicator(table.column(schema.sensitive), schema.privileged_token))
 
 
 # --- demographic-scarce split ------------------------------------------------
@@ -387,15 +370,16 @@ def load_dataset(path) -> Dataset:
 
 
 def prepare_split(csv_path, schema: Schema, ratio: float, test_fraction: float,
-                  seed: int, strict: bool = True) -> tuple[ScarceSplit, Encoder]:
-    """Full pipeline: load, pick the test rows, fit the encoder on everything
-    except them (no leakage into test standardization), encode, split."""
+                  seed: int, strict: bool = True) -> ScarceSplit:
+    """Full pipeline: load, pick the test rows, encode with the numeric
+    statistics fitted on everything except them (no leakage into test
+    standardization), split."""
     table = load_csv(csv_path, schema, strict=strict)
-    y = np.array([1 if t == schema.positive_token else 0 for t in table.column(schema.target)])
-    a = np.array([1 if t == schema.privileged_token else 0 for t in table.column(schema.sensitive)])
+    y = _indicator(table.column(schema.target), schema.positive_token)
+    a = _indicator(table.column(schema.sensitive), schema.privileged_token)
     test_rows = stratified_holdout(y, a, test_fraction, seed)
     mask = np.ones(table.n_rows, dtype=bool)
     mask[test_rows] = False
-    enc = fit_encoder(table, np.flatnonzero(mask), schema)
-    ds = encode(table, enc, schema)
-    return split_scarce(ds, ratio, seed, test_fraction), enc
+    ds = encode(table, np.flatnonzero(mask), schema)
+    del table  # free the tokens before the split copies the feature rows
+    return split_scarce(ds, ratio, seed, test_fraction)

@@ -150,23 +150,28 @@ def test_sweep_writes_artifacts_and_manifest(small_run, tmp_path):
 
 
 def test_untuned_source_sweep_skips_tuning(small_run, tmp_path, monkeypatch):
-    # conformal sets ignore H, so a sweep without H has nothing to tune
+    # conformal sets ignore H, and under mc-dropout only the certain and
+    # uncertain variants read it, so neither sweep without H has anything to
+    # tune
     def no_tuning(*args, **kwargs):
-        raise AssertionError("tune_threshold called under a conformal source")
+        raise AssertionError("tune_threshold called for a sweep that reads no H")
 
     monkeypatch.setattr(harness, "tune_threshold", no_tuning)
     run_dir, _ = small_run
-    out = tmp_path / "sweep"
-    config = harness.SweepConfig(run_dir=str(run_dir), out_dir=str(out),
-                                 variants=("vanilla", "certain"), eps_grid=(0.1,), seeds=1,
-                                 source=harness.UncertaintySource("conformal", epsilon=0.1),
-                                 exp_grad_iters=3, oracle_max_iter=150)
-    assert harness.run_sweep(config).n_failed == 0
-    assert not (out / "tuning.csv").exists()
-    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
-    assert len(rows) == 2 and all(row[4] == "" for row in rows)
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["H"] is None and manifest["config"]["tuned"] is False
+    cases = {"conformal": (("vanilla", "certain"),
+                           harness.UncertaintySource("conformal", epsilon=0.1)),
+             "mc-dropout": (("vanilla", "weighted"), harness.UncertaintySource("mc-dropout"))}
+    for name, (variants, source) in cases.items():
+        out = tmp_path / name
+        config = harness.SweepConfig(run_dir=str(run_dir), out_dir=str(out), variants=variants,
+                                     eps_grid=(0.1,), seeds=1, source=source,
+                                     exp_grad_iters=3, oracle_max_iter=150)
+        assert harness.run_sweep(config).n_failed == 0, name
+        assert not (out / "tuning.csv").exists(), name
+        rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2 and all(row[4] == "" for row in rows), name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["H"] is None and manifest["config"]["tuned"] is False, name
 
 
 def test_tuned_sweep_tunes_for_its_constraint(small_run, tmp_path, monkeypatch):

@@ -87,8 +87,7 @@ def random_terms(rng, n, kind):
     if not labeled.any():
         labeled[0] = True
     ce = nn.LossSpec("cross_entropy", targets=targets, labeled_mask=labeled)
-    consistency = nn.LossSpec("consistency", teacher_logits=teacher, consistency_mask=cons,
-                              universe_size=n)
+    consistency = nn.LossSpec("consistency", teacher_logits=teacher, consistency_mask=cons)
     if kind == "cross_entropy":
         return [(ce, 1.0)]
     if kind == "consistency":
@@ -169,12 +168,11 @@ def test_binary_cross_entropy_values():
     assert math.isfinite(nn.binary_cross_entropy(np.array([800.0, -800.0]), np.array([0.0, 1.0])))
 
 
-def consistency(student, teacher, mask, universe_size=None):
+def consistency(student, teacher, mask):
     """Consistency loss of the logits ``student``, through a one-weight
     identity network whose logits are its inputs."""
     identity = nn.MlpParams((np.array([[1.0]]),), (np.array([0.0]),))
-    spec = nn.LossSpec("consistency", teacher_logits=teacher, consistency_mask=mask,
-                       universe_size=universe_size)
+    spec = nn.LossSpec("consistency", teacher_logits=teacher, consistency_mask=mask)
     x = np.asarray(student, dtype=float)[:, None]
     return nn.value_and_grad(identity, x, spec, nn.DropoutPlan(nn.EVAL))[0]
 
@@ -183,7 +181,7 @@ def test_consistency_loss_values():
     z = np.array([1.0, 3.0])
     assert consistency(z, z, np.array([True, True])) == 0.0
     assert consistency(z, np.zeros(2), np.array([False, False])) == 0.0
-    got = consistency(z, np.zeros(2), np.array([True, False]), universe_size=2)
+    got = consistency(z, np.zeros(2), np.array([True, False]))
     assert got == pytest.approx(0.5)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fairscarce import tabular
+from fairscarce import synthdata, tabular
 from fairscarce.errors import (
     EmptyFile,
     EmptyFit,
@@ -71,52 +71,111 @@ def test_load_csv_strict_vs_lenient(tmp_path, schema):
 
 
 def make_table(*rows, columns=("age", "sex", "income")):
-    return tabular.RawTable(tuple(columns), tuple(tuple(r) for r in rows))
+    return tabular.RawTable(tuple(columns), tuple(zip(*rows)))
 
+
+def parses_as_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def reference_encode(table, fitting_rows, schema):
+    """Row-wise encoding: infer each column's kind, fit the numeric
+    statistics on the sorted unique fitting rows, then standardize and
+    one-hot token by token. Kept as the bit-exact reference for the columnar
+    ``tabular.encode``."""
+    ids = sorted(set(int(i) for i in fitting_rows))
+    n = table.n_rows
+    blocks = []
+    for name in table.column_names:
+        if name in (schema.target, schema.sensitive):
+            continue
+        tokens = list(table.column(name))
+        kind = schema.kinds.get(name)
+        if kind is None:
+            kind = tabular.NUMERIC if all(map(parses_as_float, tokens)) else tabular.CATEGORICAL
+        if kind == tabular.NUMERIC:
+            fitted = np.array([float(tokens[i]) for i in ids])
+            std = float(fitted.std())
+            values = np.array([float(t) for t in tokens])
+            blocks.append(((values - float(fitted.mean())) / (std if std > 0.0 else 1.0))[:, None])
+        else:
+            index = {tok: j for j, tok in enumerate(sorted(set(tokens)))}
+            block = np.zeros((n, len(index)))
+            for i, tok in enumerate(tokens):
+                block[i, index[tok]] = 1.0
+            blocks.append(block)
+    labels = np.array([1 if t == schema.positive_token else 0
+                       for t in table.column(schema.target)], dtype=int)
+    sensitive = np.array([1 if t == schema.privileged_token else 0
+                          for t in table.column(schema.sensitive)], dtype=int)
+    return tabular.Dataset(np.column_stack(blocks), np.arange(n), labels, sensitive)
+
+
+def reference_prepare_split(path, schema, ratio, test_fraction, seed):
+    table = tabular.load_csv(path, schema)
+    y = np.array([t == schema.positive_token for t in table.column(schema.target)], dtype=int)
+    a = np.array([t == schema.privileged_token for t in table.column(schema.sensitive)],
+                 dtype=int)
+    mask = np.ones(table.n_rows, dtype=bool)
+    mask[tabular.stratified_holdout(y, a, test_fraction, seed)] = False
+    ds = reference_encode(table, np.flatnonzero(mask), schema)
+    return tabular.split_scarce(ds, ratio, seed, test_fraction)
+
+
+def age_feature(table, fitting_rows, schema):
+    """The encoded age column, the first feature of every table below."""
+    return tabular.encode(table, fitting_rows, schema).features[:, 0]
+
+
+# the fitted encoding, read off the features: numeric statistics from the
+# fitting rows, vocabularies from the whole column
 
 def test_fit_encoder_numeric_population_std(schema):
     table = make_table(["1", "Male", ">50K"], ["2", "Female", "<=50K"], ["3", "Male", ">50K"])
-    enc = tabular.fit_encoder(table, [0, 1, 2], schema)
-    assert enc.means["age"] == pytest.approx(2.0)
-    assert enc.divisors["age"] == pytest.approx(math.sqrt(2.0 / 3.0))  # 0.8165
+    # mean 2, population std sqrt(2/3) = 0.8165 (the sample std would be 1)
+    np.testing.assert_allclose(age_feature(table, [0, 1, 2], schema),
+                               np.array([-1.0, 0.0, 1.0]) / math.sqrt(2.0 / 3.0))
 
 
 def test_fit_encoder_constant_column(schema):
-    table = make_table(["5", "Male", ">50K"], ["5", "Female", "<=50K"], ["5", "Male", "<=50K"])
-    enc = tabular.fit_encoder(table, [0, 1, 2], schema)
-    assert enc.means["age"] == 5.0
-    assert enc.divisors["age"] == 1.0
+    table = make_table(["5", "Male", ">50K"], ["5", "Female", "<=50K"], ["5", "Male", "<=50K"],
+                       ["7", "Female", "<=50K"])
+    # zero std on the fitting rows: centred on 5, divided by 1
+    np.testing.assert_array_equal(age_feature(table, [0, 1, 2], schema), [0.0, 0.0, 0.0, 2.0])
 
 
 def test_fit_encoder_vocabulary_lexicographic(schema):
-    table = tabular.RawTable(("age", "tok", "sex", "income"),
-                             (("1", "b", "Male", ">50K"),
-                              ("2", "a", "Female", "<=50K"),
-                              ("3", "b", "Male", ">50K")))
-    enc = tabular.fit_encoder(table, [0, 1, 2], schema)
-    assert enc.vocabularies["tok"] == ("a", "b")
+    table = make_table(["1", "b", "Male", ">50K"], ["2", "a", "Female", "<=50K"],
+                       ["3", "b", "Male", ">50K"], columns=("age", "tok", "sex", "income"))
+    ds = tabular.encode(table, [0, 1, 2], schema)
+    # the one-hot block after age lists "a" before "b"
+    np.testing.assert_array_equal(ds.features[:, 1:], [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def test_fit_encoder_stats_from_fitting_rows_only(schema):
     table = make_table(["1", "Male", ">50K"], ["2", "Female", "<=50K"],
                        ["3", "Male", ">50K"], ["100", "Female", "<=50K"])
-    enc = tabular.fit_encoder(table, [0, 1, 2], schema)
-    assert enc.means["age"] == pytest.approx(2.0)
+    # row 3 is encoded with the mean and std of rows 0-2 alone
+    np.testing.assert_allclose(age_feature(table, [0, 1, 2], schema),
+                               np.array([-1.0, 0.0, 1.0, 98.0]) / math.sqrt(2.0 / 3.0))
 
 
 def test_fit_encoder_empty(schema):
     table = make_table(["1", "Male", ">50K"])
     with pytest.raises(EmptyFit):
-        tabular.fit_encoder(table, [], schema)
+        tabular.encode(table, [], schema)
+    with pytest.raises(EmptyFit):
+        tabular.encode(table, [1], schema)
 
 
 def test_encode_dimensions_and_mappings(schema):
-    table = tabular.RawTable(("age", "color", "sex", "income"),
-                             (("1", "red", "Male", ">50K"),
-                              ("2", "blue", "Female", "<=50K"),
-                              ("3", "red", "Male", "<=50K")))
-    enc = tabular.fit_encoder(table, [0, 1, 2], schema)
-    ds = tabular.encode(table, enc, schema)
+    table = make_table(["1", "red", "Male", ">50K"], ["2", "blue", "Female", "<=50K"],
+                       ["3", "red", "Male", "<=50K"], columns=("age", "color", "sex", "income"))
+    ds = tabular.encode(table, [0, 1, 2], schema)
     # 1 numeric + 2 one-hot dims; target and sensitive excluded
     assert ds.features.shape == (3, 3)
     np.testing.assert_array_equal(ds.labels, [1, 0, 0])
@@ -124,19 +183,54 @@ def test_encode_dimensions_and_mappings(schema):
 
 
 def test_encode_roundtrip_through_csv(tmp_path, schema):
-    table = tabular.RawTable(("age", "color", "sex", "income"),
-                             (("1.5", "red", "Male", ">50K"),
-                              ("2.25", "blue", "Female", "<=50K"),
-                              ("3.0", "red", "Male", "<=50K")))
+    table = make_table(["1.5", "red", "Male", ">50K"], ["2.25", "blue", "Female", "<=50K"],
+                       ["3.0", "red", "Male", "<=50K"], columns=("age", "color", "sex", "income"))
     path = tmp_path / "round.csv"
-    path.write_text("".join(",".join(row) + "\n" for row in (table.column_names, *table.rows)),
+    path.write_text("".join(",".join(row) + "\n"
+                            for row in (table.column_names, *zip(*table.columns))),
                     encoding="utf-8")
     back = tabular.load_csv(path, schema)
-    enc = tabular.fit_encoder(table, [0, 1, 2], schema)
-    a = tabular.encode(table, enc, schema)
-    b = tabular.encode(back, enc, schema)
+    assert back.columns == table.columns
+    a = tabular.encode(table, [0, 1, 2], schema)
+    b = tabular.encode(back, [0, 1, 2], schema)
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def assert_splits_identical(got, want):
+    for part in ("d1", "d2", "test"):
+        g, w = getattr(got, part), getattr(want, part)
+        for name in ("features", "sample_ids", "labels", "sensitive", "masked_labels",
+                     "masked_sensitive"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a is None) == (b is None), f"{part}.{name}"
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape, f"{part}.{name}"
+                assert a.tobytes() == b.tobytes(), f"{part}.{name}"
+
+
+def test_prepare_split_matches_rowwise_reference_on_demo_corpus(tmp_path):
+    synthdata.write_corpus(tmp_path / "census.csv", 3000, seed=4)
+    synthdata.write_schema(tmp_path / "census.schema")
+    schema = tabular.Schema.from_file(tmp_path / "census.schema")
+    got = tabular.prepare_split(tmp_path / "census.csv", schema, 0.2, 0.3, seed=4)
+    want = reference_prepare_split(tmp_path / "census.csv", schema, 0.2, 0.3, seed=4)
+    assert_splits_identical(got, want)
+
+
+def test_prepare_split_matches_rowwise_reference_on_undeclared_numeric(tmp_path, schema):
+    # "score" is not declared, but every token parses, so it encodes as one
+    # standardized feature; "color" is undeclared and categorical
+    rng = np.random.default_rng(8)
+    lines = ["age,score,color,sex,income"]
+    for _ in range(240):
+        lines.append(f"{rng.integers(20, 60)},{rng.normal(3.0, 2.0):.4f},"
+                     f"{rng.choice(['red', 'blue', 'green'])},{rng.choice(['Male', 'Female'])},"
+                     f"{rng.choice(['>50K', '<=50K'])}")
+    path = write_lines(tmp_path, "corpus.csv", lines)
+    got = tabular.prepare_split(path, schema, 0.25, 0.3, seed=2)
+    assert got.d1.features.shape[1] == 1 + 1 + 3
+    assert_splits_identical(got, reference_prepare_split(path, schema, 0.25, 0.3, seed=2))
 
 
 def balanced_dataset(n=100, seed=0):
@@ -186,8 +280,7 @@ def test_split_scarce_masking():
     # masked truth is still reachable for evaluation
     np.testing.assert_array_equal(tabular.oracle_sensitive(split.d1),
                                   ds.sensitive[split.d1.sample_ids])
-    np.testing.assert_array_equal(tabular.oracle_labels(split.d2),
-                                  ds.labels[split.d2.sample_ids])
+    np.testing.assert_array_equal(split.d2.masked_labels, ds.labels[split.d2.sample_ids])
 
 
 def test_split_scarce_stratification_frequencies():
@@ -200,7 +293,7 @@ def test_split_scarce_stratification_frequencies():
     sensitive[:4] = [0, 1, 0, 1]
     ds = tabular.Dataset(rng.normal(size=(n, 2)), np.arange(n), labels, sensitive)
     split = tabular.split_scarce(ds, 0.2, 5, 0.3)
-    test_y = tabular.oracle_labels(split.test)
+    test_y = split.test.labels
     test_a = tabular.oracle_sensitive(split.test)
     for a in (0, 1):
         for y in (0, 1):
@@ -255,9 +348,13 @@ def test_prepare_split_pipeline(tmp_path, schema):
         income = rng.choice([">50K", "<=50K"])
         lines.append(f"{age},{color},{sex},{income}")
     path = write_lines(tmp_path, "corpus.csv", lines)
-    split, enc = tabular.prepare_split(path, schema, ratio=0.2, test_fraction=0.3, seed=5)
+    split = tabular.prepare_split(path, schema, ratio=0.2, test_fraction=0.3, seed=5)
     total = len(split.d1) + len(split.d2) + len(split.test)
     assert total == 200
     assert abs(len(split.d2) - 0.2 * (len(split.d1) + len(split.d2))) <= 1.0
-    # encoder fit on non-test rows only: re-fitting on all rows shifts the mean
-    assert "age" in enc.means
+    # age is standardized on d1 and d2 only: centred there, and the test rows
+    # (which did not feed the mean) move the mean over all rows off zero
+    fitted = np.concatenate([split.d1.features[:, 0], split.d2.features[:, 0]])
+    assert abs(fitted.mean()) < 1e-12
+    everything = np.concatenate([fitted, split.test.features[:, 0]])
+    assert abs(everything.mean()) > 1e-3
