@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 partial failure inside a sweep, 2 bad config/usage.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,12 @@ def _require_at_least(flag: str, value, low) -> None:
     """Numbers from the command line are checked before any work starts."""
     if value < low:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
+
+
+def _require_finite(flag: str, value: float) -> None:
+    # argparse's float() accepts "nan" and "inf"
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be a finite number, got {value}")
 
 
 def _cmd_make_demo(args) -> int:
@@ -53,6 +60,8 @@ def _cmd_train_attr(args) -> int:
 
 
 def _cmd_train_fair(args) -> int:
+    _require_finite("--eps", args.eps)
+    _require_finite("--H", args.H)
     _require_at_least("--eps", args.eps, 0.0)
     _require_at_least("--seed", args.seed, 0)
     artifacts = harness.load_run(args.run)
@@ -87,6 +96,8 @@ def _cmd_fig2(args) -> int:
         grid = [float(v) for v in args.grid.split(",")] if args.grid else None
     except ValueError:
         raise ConfigError(f"--grid must be comma-separated numbers, got {args.grid!r}") from None
+    for h_cut in grid or ():
+        _require_finite("--grid", h_cut)
     _require_at_least("--seeds", args.seeds, 1)
     _require_at_least("--seed", args.seed, 0)
     artifacts = harness.load_run(args.run)

@@ -16,14 +16,20 @@ A run directory produced by the attribute phase holds, one file each:
 Every later command (train-fair, sweep, fig2, table) works off that
 directory; ``load_run`` reads all of it except the checkpoint and the log.
 Run directories from earlier versions must be rebuilt with train-attr.
+
+A sweep shares unconstrained fits between its cells (``SharedFits``): each
+distinct set of training rows is fitted once per sweep, and that fit serves
+as the whole model of the vanilla and uncertain cells and as the seed member
+of every exp-grad cell on the same rows.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -291,23 +297,69 @@ def _d1_train_eval(artifacts: RunArtifacts, seed: int) -> tuple[np.ndarray, np.n
     return np.sort(order[:cut]), np.sort(order[cut:])
 
 
+class SharedFits:
+    """The unconstrained fits of one sweep, one per distinct set of training
+    rows. Every variant but certain and uncertain trains on a seed's full
+    training slice, and an exp-grad cell's seed member is the unconstrained
+    fit on its rows, so without sharing each cell (and each slack) would
+    redo the same fit. The first cell that asks for a fit computes it; cells
+    that ask meanwhile, on other threads, wait for its result. Every sweep
+    cell uses the same ``oracle_max_iter``, so the rows alone are the key."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._fits: dict[bytes, Future] = {}
+
+    def get(self, rows: np.ndarray,
+            fit: Callable[[], reduction.RandomizedClassifier]) -> reduction.RandomizedClassifier:
+        key = rows.tobytes()
+        with self._lock:
+            future = self._fits.get(key)
+            owner = future is None
+            if owner:
+                future = self._fits[key] = Future()
+        if owner:
+            try:
+                future.set_result(fit())
+            except Exception as exc:  # every cell on these rows fails alike
+                future.set_exception(exc)
+        return future.result()
+
+
 def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
              eps_fair: float, seed: int, threshold: float | None,
              source: UncertaintySource = UncertaintySource(),
-             exp_grad_kw: dict | None = None) -> metrics.FairnessReport:
+             exp_grad_kw: dict | None = None,
+             shared_fits: SharedFits | None = None) -> metrics.FairnessReport:
     """Train one variant on a per-seed 70 percent slice of d1 and score it on
-    the held-out 30 percent against the true (masked) sensitive attributes."""
+    the held-out 30 percent against the true (masked) sensitive attributes.
+    With ``shared_fits``, the unconstrained fit on the selected rows (the
+    whole model of vanilla and uncertain, the seed member of the exp-grad
+    variants) comes from there; the outputs are the same either way."""
     train_rows, eval_rows = _d1_train_eval(artifacts, seed)
     idx, a, w = select(artifacts, variant, train_rows, threshold, source)
     d1 = artifacts.split.d1
-    kw = dict(exp_grad_kw or {})
+    max_iter = (exp_grad_kw or {}).get("oracle_max_iter", 5000)
+    # vanilla and uncertain copy their training rows for the fit alone; an
+    # exp-grad cell builds one copy and one design for both of its fits
+    # (other layouts measured up to 2.7 MB more peak RSS on the benchmark
+    # sweeps)
     if variant in ("vanilla", "uncertain"):
-        model = reduction.unconstrained_train(d1.features[idx], d1.labels[idx],
-                                              oracle_max_iter=kw.get("oracle_max_iter", 5000))
+        def fit() -> reduction.RandomizedClassifier:
+            return reduction.unconstrained_train(d1.features[idx], d1.labels[idx],
+                                                 oracle_max_iter=max_iter)
+
+        model = fit() if shared_fits is None else shared_fits.get(idx, fit)
     else:
+        x, y = d1.features[idx], d1.labels[idx]
+        design = reduction.oracle_design(x)
+        start = None
+        if shared_fits is not None:
+            start = shared_fits.get(idx, lambda: reduction.unconstrained_train(
+                x, y, oracle_max_iter=max_iter, design=design)).members[0]
         constraint = reduction.MomentConstraint(constraint_kind, eps_fair)
-        model, _ = reduction.exp_grad_train(d1.features[idx], d1.labels[idx], a, w,
-                                            constraint, **kw)
+        model, _ = reduction.exp_grad_train(x, y, a, w, constraint, start=start,
+                                            design=design, **(exp_grad_kw or {}))
     d1_eval = d1.take(eval_rows)
     preds = model.expected_predictions(d1_eval.features)
     return metrics.evaluate_report(preds, d1_eval.labels,
@@ -464,8 +516,10 @@ class SweepConfig:
             raise ConfigError(f"oracle_max_iter must be >= 1, got {self.oracle_max_iter}")
         if self.constraint not in _CONSTRAINT_GAP:
             raise ConfigError(f"unknown constraint {self.constraint!r}")
-        if any(eps < 0 for eps in self.eps_grid):
-            raise ConfigError(f"eps_grid values must be >= 0, got {self.eps_grid}")
+        if not all(math.isfinite(eps) and eps >= 0 for eps in self.eps_grid):
+            raise ConfigError(f"eps_grid values must be finite and >= 0, got {self.eps_grid}")
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise ConfigError(f"H must be a finite number, got {self.threshold}")
         if not self.eps_grid:
             self.eps_grid = tuple(round(float(v), 12) for v in
                                   np.geomspace(0.001, 0.3, 12))
@@ -528,7 +582,10 @@ def _worker_count() -> int:
 def run_sweep(config: SweepConfig, artifacts: RunArtifacts | None = None,
               progress: Callable[[str], None] | None = None) -> SweepOutcome:
     """Execute every (variant, eps, seed) cell, write results.csv, pareto.csv
-    and a manifest sufficient to reproduce both byte for byte."""
+    and a manifest sufficient to reproduce both byte for byte. The cells
+    share one ``SharedFits``, so each distinct unconstrained fit runs once
+    per sweep, serial or parallel, and the outputs equal those of cells run
+    one by one."""
     out = Path(config.out_dir)
     say = progress or (lambda _msg: None)
 
@@ -568,12 +625,13 @@ def run_sweep(config: SweepConfig, artifacts: RunArtifacts | None = None,
              for j in range(config.seeds)]
     exp_grad_kw = {"iters": config.exp_grad_iters,
                    "oracle_max_iter": config.oracle_max_iter}
+    shared_fits = SharedFits()
 
     def execute(cell):
         variant, eps, seed = cell
         try:
             report = run_cell(artifacts, variant, config.constraint, eps, seed,
-                              threshold, config.source, exp_grad_kw)
+                              threshold, config.source, exp_grad_kw, shared_fits)
             return cell, report, None
         except Exception as exc:  # recorded, never fabricated
             return cell, None, f"{type(exc).__name__}: {exc}"
@@ -681,27 +739,34 @@ def fig2_study(artifacts: RunArtifacts, out_path,
 
 # --- table summaries -------------------------------------------------------------
 
+_SUMMARY_METRICS = ("accuracy", "dp", "eop", "eod")
+
+
 def table_summary(results_csv) -> list[str]:
     """Mean and std per (variant, eps) group from a results.csv, one line per
-    group in the file's first-seen order."""
+    group in the file's first-seen order. Columns are found by their header
+    names, so their order and any further columns do not matter."""
     lines = Path(results_csv).read_text().splitlines()
-    if not lines or lines[0] != RESULTS_HEADER:
+    header = lines[0].split(",") if lines else []
+    if not {"variant", "eps_fair", *_SUMMARY_METRICS} <= set(header):
         raise ConfigError(f"{results_csv} is not a results file")
+    variant_at, eps_at = header.index("variant"), header.index("eps_fair")
+    metric_at = [header.index(name) for name in _SUMMARY_METRICS]
     groups: dict[tuple[str, str], list[list[float]]] = {}
     order: list[tuple[str, str]] = []
     for line in lines[1:]:
         parts = line.split(",")
-        key = (parts[0], parts[2])
+        key = (parts[variant_at], parts[eps_at])
         if key not in groups:
             groups[key] = []
             order.append(key)
-        groups[key].append([float(parts[6]), float(parts[7]), float(parts[8]), float(parts[9])])
+        groups[key].append([float(parts[i]) for i in metric_at])
     out = ["variant,eps_fair,n_runs,accuracy_mean,accuracy_std,dp_mean,dp_std,"
            "eop_mean,eop_std,eod_mean,eod_std"]
     for key in order:
         arr = np.array(groups[key])
         cells = [key[0], key[1], str(len(arr))]
-        for col in range(4):
+        for col in range(len(_SUMMARY_METRICS)):
             cells.append(repr(float(arr[:, col].mean())))
             cells.append(repr(float(arr[:, col].std())))
         out.append(",".join(cells))

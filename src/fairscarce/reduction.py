@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import DegenerateCell, DegenerateGroup, NonFiniteCost
 from .tabular import Dataset
@@ -36,6 +37,10 @@ BOUND = 100.0
 GAP_TOL = 1e-3
 
 
+# the oracle's CSR design of a set of rows and a CSR copy of its transpose
+OracleDesign = tuple[sparse.csr_array, sparse.csr_array]
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Thresholded linear scorer: predicts 1 iff x @ coef + intercept >= 0."""
@@ -50,7 +55,7 @@ class LinearModel:
         return (self.decision(x) >= 0.0).astype(float)
 
 
-def oracle_design(x: np.ndarray) -> tuple[sparse.csr_array, sparse.csr_array]:
+def oracle_design(x: np.ndarray) -> OracleDesign:
     """The oracle's design for rows ``x``: the features plus an intercept
     column as a CSR matrix, and a CSR copy of its transpose. Built once per
     training call and shared by every oracle call on the same rows."""
@@ -59,12 +64,12 @@ def oracle_design(x: np.ndarray) -> tuple[sparse.csr_array, sparse.csr_array]:
     return design, design.T.tocsr()
 
 
-def fit_cost_sensitive(design: tuple[sparse.csr_array, sparse.csr_array],
+def fit_cost_sensitive(design: OracleDesign,
                        signed_costs: np.ndarray, max_iter: int = 5000) -> LinearModel:
     """Best-response oracle: minimize sum_i c_i * h(x_i) over linear
     classifiers, trained as weighted logistic regression with targets
     1{c_i < 0} and weights |c_i|. ``design`` is the ``oracle_design`` of the
-    rows, built once per training call.
+    rows, built once per sweep cell.
 
     A small L2 penalty, ``RIDGE``, applies to the coefficients but not the
     intercept, so constant-within-subset one-hot blocks settle into the
@@ -77,13 +82,26 @@ def fit_cost_sensitive(design: tuple[sparse.csr_array, sparse.csr_array],
 
     The CSR design and its CSR transpose make the two products of an
     iteration one pass over the nonzeros each; the one-hot encoded corpora
-    are mostly zeros. A loss evaluation takes one ``exp(-|z|)`` for the
-    softplus term and keeps it with ``z``; the gradient is computed only for
-    an accepted step, from that step's ``z`` and ``exp(-|z|)``, so a
-    rejected line-search candidate costs one product, not two. The kernel
-    writes into two preallocated row buffers, in the same operation order
-    as the plain expressions, so the iterates are bit-identical to those of
-    a loop that allocates every temporary and computes every gradient.
+    are mostly zeros. Both products call scipy's ``csr_matvec`` kernel
+    directly, into a preallocated buffer zeroed first: that is all
+    ``csr_array @ vector`` does once its operator dispatch, shape checks and
+    fresh output array are done, so the result is the same to the bit, and
+    an oracle call makes thousands of products. scipy exposes the kernel
+    only in the private ``scipy.sparse._sparsetools`` module, so a test
+    pins it against ``csr_array @ vector`` bit for bit.
+
+    A loss evaluation keeps ``z`` and ``exp(-|z|)`` in one preallocated
+    pair; the gradient is computed only for an accepted step, and always
+    right after that step's loss, so one pair is enough and a rejected
+    line-search candidate costs one product, not two. The per-row loss
+    ``max(z, 0) - z * t + log1p(e)`` is computed as ``max(s * z, 0) +
+    log1p(e)`` with ``s = 1 - 2t``: for t in {0, 1} the two agree exactly
+    up to the sign of a zero, which adding ``log1p(e) >= 0`` removes. The
+    mean is ``np.add.reduce(row) / n``, the same pairwise sum and division
+    as ``ndarray.mean``. Every other step writes into preallocated buffers
+    in the order of the plain expressions, so the iterates are
+    bit-identical to those of a loop that allocates every temporary and
+    computes every gradient.
     """
     matrix, matrix_t = design
     c = np.asarray(signed_costs, dtype=float)
@@ -101,35 +119,49 @@ def fit_cost_sensitive(design: tuple[sparse.csr_array, sparse.csr_array],
     penalty_mask = np.ones(cols)
     penalty_mask[-1] = 0.0  # free intercept
     ridge_mask = RIDGE * penalty_mask
+    signs = 1.0 - 2.0 * targets
+    z = np.empty(n)
+    e = np.empty(n)
     row = np.empty(n)
     tmp = np.empty(n)
+    nonneg = np.empty(n, dtype=bool)
+    g = np.empty(cols)
+    small = np.empty(cols)
+    fwd = (n, cols, matrix.indptr, matrix.indices, matrix.data)
+    back = (cols, n, matrix_t.indptr, matrix_t.indices, matrix_t.data)
 
-    def loss(th):
-        z = matrix @ th
-        e = np.abs(z)
+    def loss(th) -> float:
+        z.fill(0.0)
+        csr_matvec(*fwd, th, z)
+        np.abs(z, out=e)
         np.negative(e, out=e)
         np.exp(e, out=e)
-        # per row: max(z, 0) - z * t + log1p(e), then weighted
-        np.maximum(z, 0.0, out=row)
-        np.subtract(row, np.multiply(z, targets, out=tmp), out=row)
+        # per row: max(s * z, 0) + log1p(e), then weighted
+        np.multiply(signs, z, out=row)
+        np.maximum(row, 0.0, out=row)
         np.add(row, np.log1p(e, out=tmp), out=row)
-        value = float(np.multiply(weights, row, out=row).mean())
-        value += 0.5 * RIDGE * float((penalty_mask * th * th).sum())
-        return value, z, e
+        np.multiply(weights, row, out=row)
+        value = float(np.add.reduce(row) / n)
+        np.multiply(penalty_mask, th, out=small)
+        np.multiply(small, th, out=small)
+        value += 0.5 * RIDGE * float(np.add.reduce(small))
+        return value
 
-    def grad(th, z, e):
-        # sigmoid(z) = 1 / (1 + e) for z >= 0 and e / (1 + e) below
+    def grad(th) -> None:
+        # into g, from the z and e of the last loss call; sigmoid(z) = 1 / (1 + e)
+        # for z >= 0 and e / (1 + e) below
         np.copyto(row, e)
-        row[z >= 0] = 1.0
+        np.putmask(row, np.greater_equal(z, 0.0, out=nonneg), 1.0)
         np.divide(row, np.add(1.0, e, out=tmp), out=row)
         np.subtract(row, targets, out=row)
-        g = matrix_t @ np.multiply(weights, row, out=row)
-        g /= n
-        g += ridge_mask * th
-        return g
+        np.multiply(weights, row, out=row)
+        g.fill(0.0)
+        csr_matvec(*back, row, g)
+        np.divide(g, n, out=g)
+        np.add(g, np.multiply(ridge_mask, th, out=small), out=g)
 
-    value, z, e = loss(theta)
-    g = grad(theta, z, e)
+    value = loss(theta)
+    grad(theta)
     step = 1.0
     for _ in range(max_iter):
         gnorm2 = float(g @ g)
@@ -138,13 +170,13 @@ def fit_cost_sensitive(design: tuple[sparse.csr_array, sparse.csr_array],
         accepted_first_try = True
         while True:
             candidate = theta - step * g
-            cand_value, z, e = loss(candidate)
+            cand_value = loss(candidate)
             if cand_value <= value - 1e-4 * step * gnorm2 or step < 1e-16:
                 break
             step *= 0.5
             accepted_first_try = False
         theta, value = candidate, cand_value
-        g = grad(theta, z, e)
+        grad(theta)
         if accepted_first_try:
             step = min(step * 2.0, 1e6)
     return LinearModel(theta[:-1], float(theta[-1]))
@@ -239,7 +271,8 @@ class ExpGradLog:
 
 def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
                    constraint: MomentConstraint, iters: int = 50,
-                   oracle_max_iter: int = 5000) -> tuple[RandomizedClassifier, ExpGradLog]:
+                   oracle_max_iter: int = 5000, start: LinearModel | None = None,
+                   design: OracleDesign | None = None) -> tuple[RandomizedClassifier, ExpGradLog]:
     """Train a randomized fair classifier by exponentiated gradient on rows
     ``x`` with labels ``y``, attributes ``a`` (0 or 1) and constraint weights
     ``w``.
@@ -252,6 +285,13 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
     iterates and, while the gap stays above ``GAP_TOL``, the small LP re-mix
     over all generated classifiers; the candidate with the smallest duality
     gap is returned and ``converged`` says whether that gap beat ``GAP_TOL``.
+
+    The first member is the unconstrained fit on the rows, the seed of the
+    gap bound. A caller that already holds that fit, the single member of
+    ``unconstrained_train(x, y, oracle_max_iter)``, passes it as ``start``;
+    it then stands in for the seed oracle call, which ``log.oracle_calls``
+    does not count. ``design``, when given, is ``oracle_design(x)`` built by
+    that caller, so the cell builds it once.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -264,18 +304,22 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
     n = len(x)
     base_cost = (1.0 - 2.0 * y) / n  # derivative of expected error wrt h_i
 
-    design = oracle_design(x)
+    if design is None:
+        design = oracle_design(x)
     members: list[LinearModel] = []
     member_err: list[float] = []
     member_viol: list[np.ndarray] = []
 
-    def fit_and_register(costs) -> int:
-        model = fit_cost_sensitive(design, costs, max_iter=oracle_max_iter)
+    def register(model: LinearModel) -> int:
         preds = model.predict(x)
         members.append(model)
         member_err.append(float(np.abs(preds - y).mean()))
         member_viol.append(cons.violations(preds))
         return len(members) - 1
+
+    def fit_and_register(costs) -> int:
+        log.oracle_calls += 1
+        return register(fit_cost_sensitive(design, costs, max_iter=oracle_max_iter))
 
     theta = np.zeros(cons.count)
     lambda_sum = np.zeros(cons.count)
@@ -285,8 +329,10 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
     best_mix: np.ndarray | None = None
     best_lam: np.ndarray | None = None
 
-    fit_and_register(base_cost)  # unconstrained seed, used by the gap bound
-    log.oracle_calls += 1
+    if start is None:
+        fit_and_register(base_cost)  # unconstrained seed, used by the gap bound
+    else:
+        register(start)
 
     def gap_of(mix, lam_vec) -> tuple[float, float, np.ndarray]:
         """Duality gap of the pair (mix, lam_vec) with the lower bound taken
@@ -323,7 +369,6 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         gap, mix_err, mix_viol = gap_of(mix, lam_vec)
         if verify and gap < GAP_TOL:
             fit_and_register(base_cost + cons.cost_contribution(lam_vec))
-            log.oracle_calls += 1
             gap, mix_err, mix_viol = gap_of(np.pad(mix, (0, 1)), lam_vec)
             mix = np.pad(mix, (0, 1))
         if gap < log.best_gap:
@@ -341,7 +386,6 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         lambda_sum += lam
 
         idx = fit_and_register(base_cost + cons.cost_contribution(lam))
-        log.oracle_calls += 1
         chosen.append(idx)
 
         uniform = np.zeros(len(members))
@@ -369,12 +413,14 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
     return RandomizedClassifier(kept_members, kept_weights), log
 
 
-def unconstrained_train(x: np.ndarray, y: np.ndarray,
-                        oracle_max_iter: int = 5000) -> RandomizedClassifier:
-    """Plain accuracy-only logistic fit wrapped as a single-member mixture."""
+def unconstrained_train(x: np.ndarray, y: np.ndarray, oracle_max_iter: int = 5000,
+                        design: OracleDesign | None = None) -> RandomizedClassifier:
+    """Plain accuracy-only logistic fit wrapped as a single-member mixture;
+    ``design``, when given, is the caller's ``oracle_design(x)``."""
     y = np.asarray(y, dtype=float)
-    model = fit_cost_sensitive(oracle_design(x), (1.0 - 2.0 * y) / len(y),
-                               max_iter=oracle_max_iter)
+    if design is None:
+        design = oracle_design(x)
+    model = fit_cost_sensitive(design, (1.0 - 2.0 * y) / len(y), max_iter=oracle_max_iter)
     return RandomizedClassifier((model,), np.array([1.0]))
 
 

@@ -317,14 +317,14 @@ def split_scarce(ds: Dataset, ratio: float, seed: int, test_fraction: float) -> 
     mask = np.ones(len(ds), dtype=bool)
     mask[test_rows] = False
     rest_rows = np.flatnonzero(mask)
-    rest = ds.take(rest_rows)
-    # second stratified draw, derived seed, picks d2 inside the remainder
-    d2_local = stratified_holdout(rest.labels, rest.sensitive, ratio, seed + 1)
-    d2_mask = np.zeros(len(rest), dtype=bool)
+    # second stratified draw, derived seed, picks d2 inside the remainder;
+    # d1 and d2 are taken straight from ds, with no copy of the remainder
+    d2_local = stratified_holdout(ds.labels[rest_rows], ds.sensitive[rest_rows], ratio, seed + 1)
+    d2_mask = np.zeros(len(rest_rows), dtype=bool)
     d2_mask[d2_local] = True
 
-    d2_of = rest.take(np.flatnonzero(d2_mask))
-    d1_of = rest.take(np.flatnonzero(~d2_mask))
+    d2_of = ds.take(rest_rows[d2_mask])
+    d1_of = ds.take(rest_rows[~d2_mask])
     d1 = Dataset(d1_of.features, d1_of.sample_ids, labels=d1_of.labels,
                  sensitive=None, masked_sensitive=d1_of.sensitive)
     d2 = Dataset(d2_of.features, d2_of.sample_ids, labels=None,

@@ -119,9 +119,14 @@ def test_fig2_bad_grid_exit_code(demo_run, capsys):
     "base_seed = -1",
     "constraint = parity",
     "eps_grid = 0.1, -0.05",
+    "eps_grid = 0.1, nan",
+    "eps_grid = inf",
+    "H = nan",
+    "H = inf",
 ], ids=["variants", "seeds", "source-suffix", "source-param", "eps_grid", "H",
         "confidence-range", "conformal-range", "exp_grad_iters", "oracle_max_iter",
-        "base_seed", "constraint", "eps_grid-range"])
+        "base_seed", "constraint", "eps_grid-range", "eps_grid-nan", "eps_grid-inf",
+        "H-nan", "H-inf"])
 def test_config_error_exit_code(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"{line}\nrun_dir = nowhere\n", encoding="utf-8")
@@ -140,8 +145,14 @@ def test_config_error_exit_code(tmp_path, capsys, line):
     ["make-demo", "--seed", "-1"],
     ["fig2", "--seeds", "0"],
     ["fig2", "--seed", "-2"],
+    ["train-fair", "--variant", "vanilla", "--eps", "nan"],
+    ["train-fair", "--variant", "vanilla", "--eps", "inf"],
+    ["train-fair", "--variant", "certain", "--H", "nan"],
+    ["fig2", "--grid", "0.1,nan"],
+    ["fig2", "--grid", "inf"],
 ], ids=["train-fair-eps", "train-fair-seed", "make-demo-rows-negative", "make-demo-rows-0",
-        "make-demo-seed", "fig2-seeds", "fig2-seed"])
+        "make-demo-seed", "fig2-seeds", "fig2-seed", "train-fair-eps-nan", "train-fair-eps-inf",
+        "train-fair-H-nan", "fig2-grid-nan", "fig2-grid-inf"])
 def test_cli_number_out_of_range_exit_code(tmp_path, capsys, argv):
     # the run directory does not exist: reading it first would exit 1
     place = ["--out", str(tmp_path / "new")] if argv[0] == "make-demo" else \

@@ -217,7 +217,8 @@ def test_sweep_parallel_equals_serial(small_run, tmp_path):
         os.environ[harness.WORKERS_ENV] = workers
         try:
             config = harness.SweepConfig(run_dir=str(run_dir), out_dir=str(out),
-                                         variants=("vanilla", "uncertain", "certain"),
+                                         variants=("vanilla", "uncertain", "certain",
+                                                   "weighted", "proxy-dnn"),
                                          eps_grid=(0.05,), seeds=2, threshold=median_u(small_run[1]),
                                          exp_grad_iters=4, oracle_max_iter=150)
             harness.run_sweep(config)
@@ -225,6 +226,42 @@ def test_sweep_parallel_equals_serial(small_run, tmp_path):
             os.environ.pop(harness.WORKERS_ENV, None)
         texts.append((out / "results.csv").read_text())
     assert texts[0] == texts[1]
+
+
+def test_sweep_shares_one_unconstrained_fit_per_row_set(small_run, tmp_path, monkeypatch):
+    run_dir, _ = small_run
+    run_cell = harness.run_cell
+    fits = []
+
+    def recording_fit(x, y, **kw):
+        fits.append(np.ascontiguousarray(x).tobytes())
+        return unconstrained_train(x, y, **kw)
+
+    def unshared_cell(*args):
+        return run_cell(*args[:8])  # everything but the shared fits
+
+    unconstrained_train = harness.reduction.unconstrained_train
+    texts = []
+    for name, cell in (("shared", run_cell), ("one-by-one", unshared_cell)):
+        fits.clear()
+        monkeypatch.setattr(harness.reduction, "unconstrained_train", recording_fit)
+        monkeypatch.setattr(harness, "run_cell", cell)
+        out = tmp_path / name
+        config = harness.SweepConfig(run_dir=str(run_dir), out_dir=str(out),
+                                     variants=("vanilla", "weighted", "proxy-dnn", "certain"),
+                                     eps_grid=(0.02, 0.1), seeds=2,
+                                     threshold=median_u(small_run[1]),
+                                     exp_grad_iters=3, oracle_max_iter=150)
+        assert harness.run_sweep(config).n_failed == 0
+        texts.append((out / "results.csv").read_text())
+        if name == "shared":
+            # per seed: the full training slice (vanilla, weighted, proxy-dnn)
+            # and the certain rows, each fitted once
+            assert len(fits) == len(set(fits)) == 2 * 2
+        else:
+            assert len(fits) == 2 * 2  # the two vanilla slacks of each seed
+    assert texts[0] == texts[1]
+    assert len(texts[0].splitlines()) == 1 + 4 * 2 * 2
 
 
 def test_median_aggregation_ignores_seed_order(small_run, tmp_path):
@@ -257,6 +294,16 @@ def test_table_summary(small_run, tmp_path):
     assert rows[0].startswith("variant,eps_fair,n_runs")
     assert len(rows) == 2
     assert rows[1].split(",")[2] == "3"
+    # columns are read by name: reversed, and with one more, the rows stay
+    lines = [line.split(",")[::-1] + ["x"]
+             for line in (out / "results.csv").read_text().splitlines()]
+    lines[0][-1] = "converged"
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
+    assert harness.table_summary(shuffled) == rows
+    shuffled.write_text("variant,eps_fair,accuracy\n", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        harness.table_summary(shuffled)
 
 
 def test_sweep_config_parsing(tmp_path):

@@ -203,6 +203,36 @@ def test_oracle_matches_reference_fit_bit_for_bit(demo_d1, max_iter):
         np.testing.assert_array_equal(theta, reference_fit(x, costs, max_iter=max_iter))
 
 
+def test_oracle_matches_reference_fit_on_saturated_rows(demo_d1):
+    # a feature that separates the labels at scale 1e4 sends the first
+    # line-search candidate (theta = -gradient at 0) past |z| = 745, where
+    # exp(-|z|) underflows to 0 and the per-row loss is max(s * z, 0) alone
+    y = demo_d1.labels.astype(float)
+    x = np.column_stack([demo_d1.features, 1e4 * (2.0 * y - 1.0)])
+    design = np.column_stack([x, np.ones(len(y))])
+    for costs in demo_costs(demo_d1):
+        targets = (costs < 0).astype(float)
+        weights = np.abs(costs) * (len(y) / np.abs(costs).sum())
+        first = design @ -(design.T @ (weights * (0.5 - targets)) / len(y))
+        assert (np.exp(-np.abs(first)) == 0.0).mean() > 0.5
+        model = red.fit_cost_sensitive(red.oracle_design(x), costs, max_iter=200)
+        theta = np.append(model.coef, model.intercept)
+        np.testing.assert_array_equal(theta, reference_fit(x, costs, max_iter=200))
+
+
+def test_csr_kernel_equals_matmul_bit_for_bit():
+    # the oracle calls scipy's private CSR kernel directly; a scipy release
+    # that changes it must fail here, not deep inside a sweep
+    rng = np.random.default_rng(5)
+    dense = rng.normal(size=(300, 40)) * (rng.random((300, 40)) < 0.15)
+    dense[7] = 0.0  # a row with no nonzeros
+    for matrix in red.oracle_design(dense):
+        v = rng.normal(size=matrix.shape[1])
+        out = np.zeros(matrix.shape[0])
+        red.csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, v, out)
+        assert out.tobytes() == (matrix @ v).tobytes()
+
+
 def test_exp_grad_members_equal_fresh_oracle_calls(demo_d1, monkeypatch):
     # exp-grad builds one design and shares it across its oracle calls; each
     # member must equal an oracle call on a design of its own
@@ -227,6 +257,20 @@ def test_exp_grad_members_equal_fresh_oracle_calls(demo_d1, monkeypatch):
         fresh = oracle(red.oracle_design(x), costs, **kw)
         np.testing.assert_array_equal(member.coef, fresh.coef)
         assert member.intercept == fresh.intercept
+
+    # the unconstrained fit on the same rows stands in for the seed call,
+    # and one design serves both
+    design = red.oracle_design(x)
+    start = red.unconstrained_train(x, y, oracle_max_iter=300, design=design).members[0]
+    fitted.clear()
+    started, started_log = red.exp_grad_train(
+        x, y, a, np.ones(len(y)), red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.01),
+        iters=4, oracle_max_iter=300, start=start, design=design)
+    assert len(fitted) == started_log.oracle_calls == log.oracle_calls - 1
+    np.testing.assert_array_equal(started.mix_weights, mixture.mix_weights)
+    for got, want in zip(started.members, mixture.members, strict=True):
+        np.testing.assert_array_equal(got.coef, want.coef)
+        assert got.intercept == want.intercept
 
 
 # --- brute-force oracle for the reduction --------------------------------------

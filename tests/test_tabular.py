@@ -302,6 +302,27 @@ def test_split_scarce_stratification_frequencies():
             assert abs(got - 0.3 * full) <= 2.0
 
 
+def test_split_scarce_matches_copy_of_remainder_reference():
+    # the split once copied the non-test rows and drew d1 and d2 out of that
+    # copy; drawing them from the dataset by row index must select the same
+    ds = balanced_dataset(300, seed=6)
+    ds = tabular.Dataset(ds.features, ds.sample_ids[::-1].copy(), ds.labels, ds.sensitive)
+    ratio, seed, test_fraction = 0.25, 9, 0.3
+    mask = np.ones(len(ds), dtype=bool)
+    mask[tabular.stratified_holdout(ds.labels, ds.sensitive, test_fraction, seed)] = False
+    rest = ds.take(np.flatnonzero(mask))
+    in_d2 = np.zeros(len(rest), dtype=bool)
+    in_d2[tabular.stratified_holdout(rest.labels, rest.sensitive, ratio, seed + 1)] = True
+    d1, d2 = rest.take(np.flatnonzero(~in_d2)), rest.take(np.flatnonzero(in_d2))
+    want = tabular.ScarceSplit(
+        tabular.Dataset(d1.features, d1.sample_ids, labels=d1.labels,
+                        masked_sensitive=d1.sensitive),
+        tabular.Dataset(d2.features, d2.sample_ids, sensitive=d2.sensitive,
+                        masked_labels=d2.labels),
+        ds.take(np.flatnonzero(~mask)), ratio)
+    assert_splits_identical(tabular.split_scarce(ds, ratio, seed, test_fraction), want)
+
+
 def test_split_scarce_empty_cell_raises():
     n = 40
     rng = np.random.default_rng(0)
