@@ -21,6 +21,8 @@ from .uncertainty import LN2, binary_entropy
 
 # d1 rows scored per MC-dropout call in predict_proxy
 _PROXY_CHUNK = 4096
+# most stacked MC-dropout rows (passes x input rows) in one hidden-layer block
+_MC_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -80,30 +82,61 @@ class ProxyRecord:
     u: float
 
 
+def _uint32_reader(seeds: np.random.SeedSequence, start: int):
+    """A function ``read(count)`` that returns the next ``count`` uint32 draws
+    of the PCG64 stream seeded by ``seeds``, starting at uint32 position
+    ``start``. PCG64 serves 32-bit draws as the low, then the high half of
+    each 64-bit draw, so an odd start drops the low half of its first draw,
+    and a read that ends inside a draw leaves the high half to the next."""
+    gen = np.random.PCG64(seeds)
+    gen.advance(start // 2)
+    spare = gen.random_raw(1).view(np.uint32)[1:] if start % 2 else np.empty(0, np.uint32)
+
+    def read(count: int) -> np.ndarray:
+        nonlocal spare
+        need = count - len(spare)
+        fresh = gen.random_raw((need + 1) // 2).view(np.uint32)
+        out = np.concatenate((spare, fresh[:need])) if len(spare) else fresh[:need]
+        spare = fresh[need:]
+        return out
+
+    return read
+
+
 def _mc_probs_f32(params: nn.MlpParams, x: np.ndarray, passes: int,
                   seed: int, counter: int) -> np.ndarray:
     """Mean sigmoid of ``passes`` stochastic forward passes in float32 (the
     scoring pass is memory-bound and does not need double precision);
     deterministic in (seed, counter).
 
-    The output is bit-identical to stacking ``passes`` copies of ``x`` and
-    running every layer on the stack with keep-masks drawn as
-    ``rng.random(..., dtype=float32) < keep``, layer by layer:
+    The output is bit-identical to stacking ``passes`` copies of ``x`` (row
+    ``p * n + i`` is pass p of input row i) and running every layer on the
+    stack with keep-masks drawn as ``rng.random(..., dtype=float32) < keep``,
+    layer by layer, from ``default_rng((seed, counter))``:
 
     - Keep-masks come from raw PCG64 bits. numpy's float32 uniform is
-      ``(next_uint32 >> 8) * 2**-24`` and PCG64 serves 32-bit draws as the
-      low, then the high half of each 64-bit draw, so one ``random_raw``
-      call viewed as uint32 is the same stream across all layers, odd
-      counts included; ``u < keep`` is ``bits < ceil(keep * 2**24) * 256``.
+      ``(next_uint32 >> 8) * 2**-24``, so ``u < keep`` is
+      ``bits < ceil(keep * 2**24) * 256``. The stream is layer-major and
+      row-major within a layer: hidden layer k's bits start at uint32
+      position ``rows * sum(widths of layers before k)``, and each layer
+      reads its own slice through a generator advanced to that position
+      (``_uint32_reader``), so the layers can run block by block.
     - Layer 0 runs once per input row: ``relu(z) * (kept / keep)`` equals
-      ``(relu(z) * (1 / keep)) * kept`` exactly, so the per-pass activations
-      are one broadcast product of that with the masks.
+      ``(relu(z) * (1 / keep)) * kept`` exactly, so a block's per-pass
+      activations are one broadcast product of that with the masks.
+    - The hidden layers run on blocks of whole passes, at most
+      ``_MC_BLOCK_ROWS`` stacked rows each (one pass when a pass is longer),
+      so no block holds more than that many rows of masks and activations
+      at once; gemm rounds a row the same whatever the block around it.
+    - The output layer stays one product over all rows, read from a buffer
+      of the last hidden layer's activations: a one-column product goes to
+      gemv, whose rounding depends on a row's position in the matrix.
     - numpy sends a one-row product to gemv, which rounds differently from
       the gemm a stack of two or more rows gets, so a single row with
-      several passes runs layer 0 on two copies of itself, and a net with
-      no hidden layer keeps the tiled product.
+      several passes runs layer 0 on two copies of itself, a one-row last
+      block joins the block before it, and a net with no hidden layer keeps
+      the tiled product.
     """
-    rng = np.random.default_rng((seed, counter))
     keep = np.float32(1.0 - params.dropout_rate)
     scale = np.float32(1.0) / keep
     # bits <= limit, i.e. bits < ceil(keep * 2**24) * 256 without
@@ -112,30 +145,42 @@ def _mc_probs_f32(params: nn.MlpParams, x: np.ndarray, passes: int,
     a = np.asarray(x, dtype=np.float32)
     n = len(a)
     rows = passes * n
+    weights = [w.astype(np.float32) for w in params.weights]
+    biases = [b.astype(np.float32) for b in params.biases]
     hidden = [w.shape[1] for w in params.weights[:-1]]
-    bits = rng.bit_generator.random_raw((rows * sum(hidden) + 1) // 2).view(np.uint32)
     if not hidden:
-        a = np.tile(a, (passes, 1))
-    elif n == 1 and passes > 1:
-        a = np.tile(a, (2, 1))
-    offset = 0
-    for k in range(params.n_layers):
-        z = a @ params.weights[k].astype(np.float32)
-        z += params.biases[k].astype(np.float32)
-        if k == params.n_layers - 1:
-            break
-        h = hidden[k]
-        kept = bits[offset:offset + rows * h] <= limit
-        offset += rows * h
-        np.maximum(z, np.float32(0.0), out=z)
-        z *= scale
-        if k == 0:
-            a = (z[:n] * kept.reshape(passes, n, h)).reshape(rows, h)
-        else:
-            z *= kept.reshape(rows, h)
-            a = z
-    logits = z[:, 0].astype(float)
-    return nn.sigmoid(logits).reshape(passes, n).mean(axis=0)
+        z = np.tile(a, (passes, 1)) @ weights[0]
+        z += biases[0]
+        return nn.sigmoid(z[:, 0].astype(float)).reshape(passes, n).mean(axis=0)
+
+    z0 = (np.tile(a, (2, 1)) if n == 1 and passes > 1 else a) @ weights[0]
+    z0 += biases[0]
+    np.maximum(z0, np.float32(0.0), out=z0)
+    z0 *= scale
+    seeds = np.random.SeedSequence((seed, counter))
+    readers = [_uint32_reader(seeds, rows * sum(hidden[:k])) for k in range(len(hidden))]
+    per_block = max(1, _MC_BLOCK_ROWS // max(n, 1))  # passes per block
+    starts = list(range(0, passes, per_block))
+    if n == 1 and len(starts) > 1 and passes - starts[-1] == 1:
+        starts.pop()
+    last = np.empty((rows, hidden[-1]), dtype=np.float32)
+    for p0, p1 in zip(starts, starts[1:] + [passes]):
+        m = (p1 - p0) * n
+        for k, h in enumerate(hidden):
+            kept = readers[k](m * h) <= limit
+            out = last[p0 * n:p1 * n] if k == len(hidden) - 1 else np.empty((m, h), np.float32)
+            if k == 0:
+                np.multiply(z0[:n], kept.reshape(p1 - p0, n, h), out=out.reshape(p1 - p0, n, h))
+            else:
+                np.matmul(a, weights[k], out=out)
+                out += biases[k]
+                np.maximum(out, np.float32(0.0), out=out)
+                out *= scale
+                out *= kept.reshape(m, h)
+            a = out
+    z = last @ weights[-1]
+    z += biases[-1]
+    return nn.sigmoid(z[:, 0].astype(float)).reshape(passes, n).mean(axis=0)
 
 
 def mc_dropout_predict(params: nn.MlpParams, x: np.ndarray, passes: int,
@@ -329,9 +374,17 @@ def predict_proxy(state: StudentTeacherState, d1: Dataset, passes: int,
 
 def teacher_eval_probs(state: StudentTeacherState, ds: Dataset) -> np.ndarray:
     """Deterministic (no-dropout) teacher probabilities; the score source for
-    conformal calibration."""
-    logits, _ = nn.forward(state.teacher, ds.features, nn.DropoutPlan(nn.EVAL))
-    return nn.sigmoid(logits)
+    conformal calibration. Bit-identical to the sigmoid of ``nn.forward`` in
+    eval mode (the same product, then bias, then relu, per layer), but each
+    layer works in place and no cache for backward is kept."""
+    params = state.teacher
+    a = ds.features
+    for k in range(params.n_layers):
+        a = a @ params.weights[k]
+        a += params.biases[k]
+        if k < params.n_layers - 1:
+            np.maximum(a, 0.0, out=a)
+    return nn.sigmoid(a[:, 0])
 
 
 # --- proxy csv io -------------------------------------------------------------

@@ -66,7 +66,7 @@ def _cmd_train_fair(args) -> int:
     _require_at_least("--seed", args.seed, 0)
     artifacts = harness.load_run(args.run)
     if args.proxies:
-        artifacts.proxies = attribute.load_proxies(args.proxies)
+        artifacts.proxies = harness.load_checked_proxies(args.proxies)
     source = harness.parse_uncertainty_source(args.uncertainty_source)
     report = harness.run_cell(artifacts, args.variant, args.constraint, args.eps,
                               args.seed, args.H, source)

@@ -14,7 +14,8 @@ A run directory produced by the attribute phase holds, one file each:
   attr_summary.json       the phase-1 configuration and summary numbers
 
 Every later command (train-fair, sweep, fig2, table) works off that
-directory; ``load_run`` reads all of it except the checkpoint and the log.
+directory; ``load_run`` reads and checks all of it except the checkpoint and
+the log, so a damaged file is a ConfigError that names it.
 Run directories from earlier versions must be rebuilt with train-attr.
 
 A sweep shares unconstrained fits between its cells (``SharedFits``): each
@@ -96,8 +97,9 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
     calib_ds = split.d2.take(np.flatnonzero(calib_pos))
     calib_probs = attr.teacher_eval_probs(state, calib_ds)
     calib_truth = calib_ds.sensitive
-    order = np.argsort(split.d1.sample_ids)
-    d1_eval_probs = attr.teacher_eval_probs(state, split.d1.take(order))
+    # split_scarce keeps row order, so d1 already lists its sample ids in
+    # ascending order: the order d1_eval_probs.csv is written in
+    d1_eval_probs = attr.teacher_eval_probs(state, split.d1)
 
     tabular.save_dataset(out / "d1.ds", split.d1)
     tabular.save_dataset(out / "d2.ds", split.d2)
@@ -115,7 +117,7 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
                 for i, p, a in zip(calib_ds.sample_ids, calib_probs, calib_truth)])
     _write_csv(out / "d1_eval_probs.csv", "sample_id,p_eval",
                [f"{int(i)},{repr(float(p))}"
-                for i, p in zip(split.d1.sample_ids[order], d1_eval_probs)])
+                for i, p in zip(split.d1.sample_ids, d1_eval_probs)])
 
     import platform
 
@@ -144,26 +146,85 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
                         d1_eval_probs, summary)
 
 
+def _bad_rows(path, bad: np.ndarray, what: str) -> None:
+    """Raise ConfigError naming ``path`` and its first data row (1-based)
+    where ``bad`` holds."""
+    if bad.any():
+        raise ConfigError(f"{path}: data row {int(np.argmax(bad)) + 1}: {what}")
+
+
+def _read_columns(path: Path, header: str, kinds: Sequence[type]) -> list[np.ndarray]:
+    """The columns of one of phase 1's small CSV files, parsed as ``int`` or
+    ``float`` each by ``np.loadtxt`` (its floats are ``float()``'s). A wrong
+    header, cell count or number raises ConfigError naming the file."""
+    first, _, body = path.read_text().partition("\n")
+    if first != header:
+        raise ConfigError(f"{path}: header is not {header!r}")
+    if not body:
+        return [np.empty(0, dtype=kind) for kind in kinds]
+    try:
+        table = np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=1,
+                           dtype=[(str(j), kind) for j, kind in enumerate(kinds)])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return [np.ascontiguousarray(table[str(j)]) for j in range(len(kinds))]
+
+
+def load_checked_proxies(path) -> list[attr.ProxyRecord]:
+    """A proxies.csv file, checked: numbers, ``p_group`` in [0, 1], ``u`` in
+    [0, ln 2] (to 1e-12 for rounding) and ``a_hat`` equal to
+    ``p_group >= 0.5``. A bad file raises ConfigError naming it."""
+    try:
+        records = attr.load_proxies(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    a_hat = np.array([r.a_hat for r in records])
+    p = np.array([r.p_group for r in records], dtype=float)
+    u = np.array([r.u for r in records], dtype=float)
+    _bad_rows(path, ~((p >= 0.0) & (p <= 1.0)), "p_group is not a number in [0, 1]")
+    _bad_rows(path, ~((u >= 0.0) & (u <= LN2 + 1e-12)), "u is not a number in [0, ln 2]")
+    _bad_rows(path, a_hat != (p >= 0.5), "a_hat is not p_group >= 0.5 as 0 or 1")
+    return records
+
+
 def load_run(run_dir) -> RunArtifacts:
+    """Read a run directory written by ``run_attribute_phase`` (all of it
+    but the checkpoint and the log). A damaged file raises ConfigError
+    naming it: a summary without a ``ratio`` in (0, 1), a bad proxies file
+    (``load_checked_proxies``), a calibration row whose probability is not in
+    [0, 1] or whose attribute is not 0 or 1, or conformal scores that are
+    not in [0, 1] or do not list d1's sample ids in ascending order."""
     run = Path(run_dir)
+    summary_path = run / "attr_summary.json"
+    try:
+        config = json.loads(summary_path.read_text())
+        ratio = float(config["ratio"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"{summary_path}: needs a number under 'ratio' "
+                          f"({type(exc).__name__}: {exc})") from None
+    if not 0.0 < ratio < 1.0:
+        raise ConfigError(f"{summary_path}: ratio {ratio} is not in (0, 1)")
     split = tabular.ScarceSplit(
         tabular.load_dataset(run / "d1.ds"),
         tabular.load_dataset(run / "d2.ds"),
         tabular.load_dataset(run / "test.ds"),
-        group_labeled_ratio=float(json.loads((run / "attr_summary.json").read_text())["ratio"]),
+        group_labeled_ratio=ratio,
     )
-    proxies = attr.load_proxies(run / "proxies.csv")
-    calib_ids, calib_probs, calib_truth = [], [], []
-    for line in (run / "calibration.csv").read_text().splitlines()[1:]:
-        i, p, a = line.split(",")
-        calib_ids.append(int(i)); calib_probs.append(float(p)); calib_truth.append(int(a))
-    d1_probs = []
-    for line in (run / "d1_eval_probs.csv").read_text().splitlines()[1:]:
-        _, p = line.split(",")
-        d1_probs.append(float(p))
-    config = json.loads((run / "attr_summary.json").read_text())
-    return RunArtifacts(split, proxies, np.array(calib_probs),
-                        np.array(calib_truth), np.array(d1_probs), config)
+    proxies = load_checked_proxies(run / "proxies.csv")
+    calib_path = run / "calibration.csv"
+    _, calib_probs, calib_truth = _read_columns(calib_path, "sample_id,p_eval,a_true",
+                                                (int, float, int))
+    _bad_rows(calib_path, ~((calib_probs >= 0.0) & (calib_probs <= 1.0)),
+              "p_eval is not a number in [0, 1]")
+    _bad_rows(calib_path, (calib_truth != 0) & (calib_truth != 1), "a_true is not 0 or 1")
+    scores_path = run / "d1_eval_probs.csv"
+    score_ids, d1_probs = _read_columns(scores_path, "sample_id,p_eval", (int, float))
+    if not np.array_equal(score_ids, np.sort(split.d1.sample_ids)):
+        raise ConfigError(f"{scores_path}: {len(score_ids)} rows do not list the "
+                          f"{len(split.d1)} d1 sample ids in ascending order")
+    _bad_rows(scores_path, ~((d1_probs >= 0.0) & (d1_probs <= 1.0)),
+              "p_eval is not a number in [0, 1]")
+    return RunArtifacts(split, proxies, calib_probs, calib_truth, d1_probs, config)
 
 
 def _write_csv(path, header: str, rows: Sequence[str]) -> None:
@@ -394,11 +455,11 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
                    constraint_kind: str = reduction.DEMOGRAPHIC_PARITY, seed: int = 0,
                    budget: dict | None = None) -> TuneResult:
     """Pick the uncertainty cutoff for the certain variant: train candidates
-    under ``constraint_kind`` on d1's training portion minus a validation
-    slice, score (accuracy - the gap that constraint bounds) on that slice,
-    return the argmax (ties to the smallest H). The tuning loop runs on a
-    reduced budget: fewer reduction iterations and a row cap, both
-    overridable. When no candidate can be
+    H = lo, lo + 0.05, ..., none above hi, under ``constraint_kind`` on d1's
+    training portion minus a validation slice, score (accuracy - the gap
+    that constraint bounds) on that slice, return the argmax (ties to the
+    smallest H). The tuning loop runs on a reduced budget: fewer reduction
+    iterations and a row cap, both overridable. When no candidate can be
     trained, the error names how many failed for each reason."""
     budget = dict(budget or {})
     iters = budget.get("iters", 10)
@@ -418,8 +479,10 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
     val_truth = tabular.oracle_sensitive(d1_val)
 
     lo, hi = tune_range
+    # steps of _TUNE_GRID_STEP from lo, up to the last one that does not pass hi
     n_steps = int(round((hi - lo) / _TUNE_GRID_STEP))
-    grid = [round(lo + i * _TUNE_GRID_STEP, 10) for i in range(n_steps + 1)]
+    grid = [h for h in (round(lo + i * _TUNE_GRID_STEP, 10) for i in range(n_steps + 1))
+            if h <= hi]
     table = []
     failures: Counter = Counter()
     best_h, best_obj = None, -math.inf

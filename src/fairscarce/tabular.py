@@ -1,9 +1,10 @@
 """Tabular loading, encoding, and the demographic-scarce split.
 
-A corpus is read column by column: ``load_csv`` validates the CSV row by row
-and keeps one token tuple per column, and ``encode`` turns those columns into
-the feature matrix in one pass each (numeric columns standardized by the
-fitting rows, categorical ones one-hot over the whole column's vocabulary).
+A corpus is read column by column: ``load_csv`` validates the CSV row by row,
+parses the declared-numeric cells as it goes and keeps one float array or
+token tuple per column, and ``encode`` turns those columns into the feature
+matrix in one pass each (numeric columns standardized by the fitting rows,
+categorical ones one-hot over the whole column's vocabulary).
 
 The split produces three disjoint parts: ``d1`` keeps task labels but has its
 sensitive column masked, ``d2`` keeps the sensitive column but has labels
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import zipfile
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -73,18 +75,19 @@ class Schema:
 
 @dataclass(frozen=True)
 class RawTable:
-    """Parsed CSV, column-major: the header and one tuple of string tokens
-    per column, all of the same length."""
+    """Parsed CSV, column-major: the header and one column per name, all of
+    the same length. A column is a float64 array once parsed as numbers, or
+    a tuple of string tokens."""
 
     column_names: tuple[str, ...]
-    columns: tuple[tuple[str, ...], ...]
+    columns: tuple[tuple[str, ...] | np.ndarray, ...]
     n_dropped: int = 0
 
     @property
     def n_rows(self) -> int:
         return len(self.columns[0])
 
-    def column(self, name: str) -> tuple[str, ...]:
+    def column(self, name: str) -> tuple[str, ...] | np.ndarray:
         return self.columns[self.column_names.index(name)]
 
 
@@ -98,9 +101,16 @@ def _parses_as_float(token: str) -> bool:
 
 def load_csv(path, schema: Schema, strict: bool = True) -> RawTable:
     """Read a UTF-8 CSV with a header row into a column-major RawTable.
-    Columns the schema declares ``numeric`` are validated cell by cell; a bad
-    cell raises MalformedRow (with its line number) in strict mode or drops
-    the row (counted) otherwise."""
+
+    Cells are stripped of surrounding whitespace. Each cell of a column the
+    schema declares ``numeric`` is parsed with ``float()`` once, as its row
+    is read, and the column is kept as a float64 array. A row with the wrong
+    number of cells or a bad numeric cell raises MalformedRow (with its line
+    number) in strict mode or is dropped (and counted) otherwise. Every
+    other column, and the target and sensitive columns whatever their kind,
+    keeps its tokens as a tuple of strings that holds one ``str`` object per
+    distinct token: a repeated token is stored as a reference to its first
+    occurrence, so a column costs a pointer per row plus its vocabulary."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -111,31 +121,41 @@ def load_csv(path, schema: Schema, strict: bool = True) -> RawTable:
         for needed in (schema.target, schema.sensitive):
             if needed not in header:
                 raise MissingColumn(f"{path}: declared column {needed!r} not in header")
-        numeric_cols = [i for i, name in enumerate(header)
-                        if schema.kinds.get(name) == NUMERIC]
-        rows: list[tuple[str, ...]] = []
-        dropped = 0
+        numeric = [i for i, name in enumerate(header) if schema.kinds.get(name) == NUMERIC]
+        text = [i for i, name in enumerate(header)
+                if i not in numeric or name in (schema.target, schema.sensitive)]
+        values = array("d")  # numeric cells, row after row
+        tokens: list[str] = []  # text cells, row after row
+        seen: dict[str, str] = {}  # the one object kept per distinct token
+        n_rows = dropped = 0
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
                 continue
             cells = tuple(map(str.strip, cells))
-            bad = None
             if len(cells) != len(header):
                 bad = f"{len(cells)} cells for {len(header)} columns"
             else:
-                for i in numeric_cols:
-                    if not _parses_as_float(cells[i]):
-                        bad = f"column {header[i]!r} cell {cells[i]!r} is not numeric"
-                        break
-            if bad is not None:
-                if strict:
-                    raise MalformedRow(f"{path}:{lineno}: {bad}")
-                dropped += 1
-                continue
-            rows.append(cells)
-    if not rows:
+                try:
+                    values.extend(map(float, map(cells.__getitem__, numeric)))
+                except ValueError:
+                    del values[n_rows * len(numeric):]  # the row's cells parsed so far
+                    i = next(i for i in numeric if not _parses_as_float(cells[i]))
+                    bad = f"column {header[i]!r} cell {cells[i]!r} is not numeric"
+                else:
+                    row_tokens = [cells[i] for i in text]
+                    tokens.extend(map(seen.setdefault, row_tokens, row_tokens))
+                    n_rows += 1
+                    continue
+            if strict:
+                raise MalformedRow(f"{path}:{lineno}: {bad}")
+            dropped += 1
+    if not n_rows:
         raise EmptyFile(f"{path}: no data rows")
-    return RawTable(header, tuple(zip(*rows)), n_dropped=dropped)
+    parsed = np.frombuffer(values, dtype=float).reshape(n_rows, len(numeric))
+    columns = {i: tuple(tokens[j::len(text)]) for j, i in enumerate(text)}
+    for j, i in enumerate(numeric):  # a numeric target or sensitive column keeps its tokens
+        columns.setdefault(i, parsed[:, j].copy())
+    return RawTable(header, tuple(columns[i] for i in range(len(header))), n_dropped=dropped)
 
 
 @dataclass(frozen=True)
@@ -194,9 +214,12 @@ def _indicator(tokens: Sequence[str], token: str) -> np.ndarray:
     return np.array([t == token for t in tokens], dtype=int)
 
 
-def _numeric_values(tokens: Sequence[str], kind: str | None) -> np.ndarray | None:
-    """The column as floats when it is numeric: declared so, or undeclared
-    with every token parsing as a float; None for a categorical column."""
+def _numeric_values(tokens: Sequence[str] | np.ndarray, kind: str | None) -> np.ndarray | None:
+    """The column as floats when it is numeric: already parsed by
+    ``load_csv``, declared so, or undeclared with every token parsing as a
+    float; None for a categorical column."""
+    if isinstance(tokens, np.ndarray):
+        return tokens
     if kind == CATEGORICAL:
         return None
     try:
@@ -308,7 +331,10 @@ def stratified_holdout(labels: np.ndarray, sensitive: np.ndarray, fraction: floa
 
 def split_scarce(ds: Dataset, ratio: float, seed: int, test_fraction: float) -> ScarceSplit:
     """Carve a stratified test set, then split the remainder into the
-    group-labeled part d2 (fraction ``ratio``) and the label-only part d1."""
+    group-labeled part d2 (fraction ``ratio``) and the label-only part d1.
+    Each part keeps the rows of ``ds`` in their order there, so its sample
+    ids ascend when those of ``ds`` do, as ``encode``'s (0 to n - 1) do:
+    phase 1 writes d1's conformal scores in d1 row order as sample-id order."""
     if ds.labels is None or ds.sensitive is None:
         raise ValueError("split_scarce needs both labels and sensitive present")
     if not 0.0 < ratio < 1.0 or not 0.0 < test_fraction < 1.0:

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,13 +108,45 @@ def test_mc_probs_bit_identical_to_tiled_reference(dims, rate):
     params = nn.MlpParams(base.weights,
                           tuple(rng.normal(scale=0.3, size=b.shape) for b in base.biases),
                           rate)
-    x_all = rng.normal(size=(2775, dims[0]))
-    for n in (1, 2, 7, 256, 2775):
-        for passes in (1, 5, 30):
-            x = x_all[:n]
-            expected = reference_mc_probs(params, x, passes, seed=11, counter=n)
-            got = attr._mc_probs_f32(params, x, passes, seed=11, counter=n)
-            assert np.array_equal(got, expected), (n, passes)
+    x_all = rng.normal(size=(4096, dims[0]))
+    # past 8,192 stacked rows the hidden layers run in blocks of whole
+    # passes: 4,096 x 30 is 15 blocks; 2,775 x 5 ends on a one-pass block;
+    # 2,731 x 7 has odd-sized blocks, so with odd widths a layer's stream
+    # starts on an odd uint32 and reads end inside a 64-bit draw; 1 x 8,193
+    # leaves a one-row last block
+    cases = [(n, passes) for n in (1, 2, 7, 256, 2775) for passes in (1, 5, 30)]
+    for n, passes in cases + [(4096, 30), (2775, 5), (2731, 7), (1, 8193)]:
+        x = x_all[:n]
+        expected = reference_mc_probs(params, x, passes, seed=11, counter=n)
+        got = attr._mc_probs_f32(params, x, passes, seed=11, counter=n)
+        assert np.array_equal(got, expected), (n, passes)
+
+
+def test_predict_proxy_peak_memory():
+    # 4,096 rows x 30 passes is 122,880 stacked rows; scoring them holds one
+    # block of masks and activations at a time, not all of them
+    params = nn.init_mlp([100, 64, 32], dropout_rate=0.3, seed=7)
+    state = attr.StudentTeacherState(params, params, nn.init_adam(params), 0.99,
+                                     attr.RampSchedule(1, 1), attr.RampSchedule(1, 1))
+    x = (np.random.default_rng(2).random((4096, 100)) < 0.13).astype(float)
+    ds = tabular.Dataset(x, np.arange(4096))
+    tracemalloc.start()
+    try:
+        attr.predict_proxy(state, ds, passes=30, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20, peak / 2 ** 20
+
+
+def test_teacher_eval_probs_equal_eval_forward():
+    split = two_cluster_split(300, seed=4)
+    result = attr.train_attribute_classifier(split, quick_config(epochs=2, hidden=(16, 8)))
+    for ds in (split.d1, split.d2, split.test):
+        logits, _ = nn.forward(result.state.teacher, ds.features, nn.DropoutPlan(nn.EVAL))
+        expected = nn.sigmoid(logits)
+        got = attr.teacher_eval_probs(result.state, ds)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def two_cluster_split(n=600, gap=8.0, seed=0):

@@ -190,6 +190,65 @@ def test_stale_text_dataset_cache_exit_code(demo_run, tmp_path, capsys):
             assert "d1.ds" in err and "rerun train-attr" in err, (kind, argv[0])
 
 
+def set_cell(path, column, value):
+    """Overwrite one cell of the first data row of a run directory's csv."""
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[column] = value(cells[column])
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def drop_ratio(path):
+    summary = json.loads(path.read_text())
+    del summary["ratio"]
+    path.write_text(json.dumps(summary), encoding="utf-8")
+
+
+def truncate(path):
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2], encoding="utf-8")
+
+
+# probe: the file it damages and how
+DAMAGED_RUN_FILES = {
+    "eval-probs-truncated": ("d1_eval_probs.csv", truncate),
+    "calibration-not-number": ("calibration.csv", lambda p: set_cell(p, 1, lambda _: "abc")),
+    "summary-without-ratio": ("attr_summary.json", drop_ratio),
+    "u-not-number": ("proxies.csv", lambda p: set_cell(p, 3, lambda _: "high")),
+    "u-nan": ("proxies.csv", lambda p: set_cell(p, 3, lambda _: "nan")),
+    "u-above-ln2": ("proxies.csv", lambda p: set_cell(p, 3, lambda _: "0.7")),
+    "u-negative": ("proxies.csv", lambda p: set_cell(p, 3, lambda _: "-0.1")),
+    "p-above-1": ("proxies.csv", lambda p: set_cell(p, 2, lambda _: "1.5")),
+    "a_hat-not-binary": ("proxies.csv", lambda p: set_cell(p, 1, lambda _: "7")),
+    "a_hat-flipped": ("proxies.csv", lambda p: set_cell(p, 1, lambda a: str(1 - int(a)))),
+}
+
+
+@pytest.mark.parametrize("probe", list(DAMAGED_RUN_FILES))
+def test_damaged_run_dir_exit_code(demo_run, tmp_path, capsys, probe):
+    name, damage = DAMAGED_RUN_FILES[probe]
+    run = tmp_path / "run"
+    shutil.copytree(demo_run / "run", run)
+    damage(run / name)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"run_dir = {run}\nout_dir = {tmp_path / 'out'}\n"
+                   "variants = certain\neps_grid = 0.1\nseeds = 1\nH = 0.5\n",
+                   encoding="utf-8")
+    commands = [["train-fair", "--variant", "certain", "--uncertainty-source",
+                 "conformal(0.1)", "--run", str(run)],
+                ["sweep", "--config", str(cfg)]]
+    if name == "proxies.csv":
+        # a proxies file given on the command line gets the same checks
+        commands.append(["train-fair", "--variant", "certain", "--proxies", str(run / name),
+                         "--run", str(demo_run / "run")])
+    for argv in commands:
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--ratio", "1.5"), ("--ratio", "0"),
                                         ("--test-fraction", "0"), ("--test-fraction", "1"),
                                         ("--epochs", "0"), ("--seed", "-1")])

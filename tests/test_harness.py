@@ -9,7 +9,8 @@ import pytest
 
 from fairscarce import attribute as attr
 from fairscarce import harness, synthdata, tabular
-from fairscarce.errors import ConfigError
+from fairscarce.errors import ConfigError, EmptySelection
+from fairscarce.uncertainty import LN2
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,25 @@ def test_tune_threshold_returns_grid_value(small_run):
     grid = [round(0.2 + 0.05 * i, 10) for i in range(7)]
     assert tuned.threshold in grid
     assert len(tuned.table) == 7
+
+
+@pytest.mark.parametrize("lo,hi", [(0.1, LN2), (0.1, 0.43), (0.23, 0.41), (0.2, 0.5),
+                                   (0.3, 0.3)])
+def test_tune_grid_stays_in_range(small_run, monkeypatch, lo, hi):
+    _, artifacts = small_run
+    tried = []
+
+    def keeps_no_rows(artifacts, variant, rows, threshold, source):
+        tried.append(threshold)
+        raise EmptySelection("no rows")
+
+    monkeypatch.setattr(harness, "select", keeps_no_rows)
+    with pytest.raises(EmptySelection):
+        harness.tune_threshold(artifacts, (lo, hi))
+    # steps of 0.05 from lo, up to the last one that does not pass hi
+    assert tried == [round(lo + 0.05 * i, 10) for i in range(len(tried))]
+    assert all(lo <= h <= hi for h in tried)
+    assert tried[-1] + 0.05 > hi + 1e-9
 
 
 def test_sweep_writes_artifacts_and_manifest(small_run, tmp_path):

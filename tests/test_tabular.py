@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -68,6 +69,46 @@ def test_load_csv_strict_vs_lenient(tmp_path, schema):
     table = tabular.load_csv(path, schema, strict=False)
     assert table.n_rows == 2
     assert table.n_dropped == 1
+
+
+def test_load_csv_shares_tokens_and_parses_numbers_once(tmp_path):
+    synthdata.write_corpus(tmp_path / "census.csv", 2000, seed=2)
+    synthdata.write_schema(tmp_path / "census.schema")
+    schema = tabular.Schema.from_file(tmp_path / "census.schema")
+    table = tabular.load_csv(tmp_path / "census.csv", schema)
+    with open(tmp_path / "census.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    for j, name in enumerate(header):
+        column = table.column(name)
+        raw = [row[j].strip() for row in rows]
+        if schema.kinds.get(name) == tabular.NUMERIC:
+            assert isinstance(column, np.ndarray) and column.dtype == np.float64
+            assert column.tolist() == [float(t) for t in raw], name
+        else:
+            # one str object per distinct token, however many rows hold it
+            assert list(column) == raw, name
+            assert len({id(t) for t in column}) == len(set(raw)) < len(raw), name
+
+
+def test_load_csv_malformed_row_messages(tmp_path, schema):
+    path = write_lines(tmp_path, "t.csv", [
+        "age,sex,income",
+        "25,Male,>50K",
+        " 31 ,Female,<=50K",
+        "forty,Female,<=50K",
+        "52,Male",
+        "47,Male,>50K",
+    ])
+    with pytest.raises(MalformedRow, match=r"t\.csv:4: column 'age' cell 'forty' is not numeric"):
+        tabular.load_csv(path, schema)
+    table = tabular.load_csv(path, schema, strict=False)
+    assert table.n_dropped == 2
+    assert table.column("age").tolist() == [25.0, 31.0, 47.0]
+    assert table.column("sex") == ("Male", "Female", "Male")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + lines[4:]) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRow, match=r"t\.csv:4: 2 cells for 3 columns"):
+        tabular.load_csv(path, schema)
 
 
 def make_table(*rows, columns=("age", "sex", "income")):
@@ -190,7 +231,12 @@ def test_encode_roundtrip_through_csv(tmp_path, schema):
                             for row in (table.column_names, *zip(*table.columns))),
                     encoding="utf-8")
     back = tabular.load_csv(path, schema)
-    assert back.columns == table.columns
+    assert back.column_names == table.column_names
+    # the declared-numeric age column comes back parsed, the others as tokens
+    age = back.column("age")
+    assert isinstance(age, np.ndarray) and age.dtype == np.float64
+    assert age.tolist() == [float(t) for t in table.column("age")]
+    assert back.columns[1:] == table.columns[1:]
     a = tabular.encode(table, [0, 1, 2], schema)
     b = tabular.encode(back, [0, 1, 2], schema)
     np.testing.assert_array_equal(a.features, b.features)
@@ -300,6 +346,20 @@ def test_split_scarce_stratification_frequencies():
             full = np.sum((labels == y) & (sensitive == a))
             got = np.sum((test_y == y) & (test_a == a))
             assert abs(got - 0.3 * full) <= 2.0
+
+
+def test_split_scarce_keeps_sample_ids_ascending(tmp_path):
+    # phase 1 writes d1's conformal scores in d1 row order as sample-id order
+    ds = balanced_dataset(300, seed=6)
+    for split in (tabular.split_scarce(ds, 0.25, 9, 0.3),
+                  tabular.split_scarce(ds, 0.05, 2, 0.5)):
+        for part in (split.d1, split.d2, split.test):
+            assert np.all(np.diff(part.sample_ids) > 0)
+    synthdata.write_corpus(tmp_path / "census.csv", 2000, seed=6)
+    synthdata.write_schema(tmp_path / "census.schema")
+    schema = tabular.Schema.from_file(tmp_path / "census.schema")
+    split = tabular.prepare_split(tmp_path / "census.csv", schema, 0.2, 0.3, seed=6)
+    assert np.all(np.diff(split.d1.sample_ids) > 0)
 
 
 def test_split_scarce_matches_copy_of_remainder_reference():
