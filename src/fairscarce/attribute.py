@@ -9,8 +9,9 @@ and the uncertainty cutoff ramp up over early epochs.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from typing import IO, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,15 +72,29 @@ def ema_update(state: StudentTeacherState, decay: float | None = None) -> Studen
     return replace(state, teacher=teacher)
 
 
-@dataclass(frozen=True)
-class ProxyRecord:
-    """Predicted sensitive attribute for one row: hard label (ties at 0.5 go
-    to 1), mean group probability over the MC passes, and its entropy."""
+ProxyRow = namedtuple("ProxyRow", "sample_id a_hat p_group u")
 
-    sample_id: int
-    a_hat: int
-    p_group: float
-    u: float
+
+@dataclass(frozen=True, eq=False)
+class Proxies:
+    """Predicted sensitive attribute of every d1 row, as four columns in d1
+    row order: the sample id, the hard label (ties at 0.5 go to 1), the mean
+    group probability over the MC passes, and its entropy."""
+
+    sample_id: np.ndarray
+    a_hat: np.ndarray
+    p_group: np.ndarray
+    u: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sample_id)
+
+    def __iter__(self) -> Iterator[ProxyRow]:
+        # read-only rows for the benchmark's perfbench/workloads.py
+        # (_proxy_readings, setup and summarize_rep), which still reads the
+        # proxies as records; delete this once it reads the columns
+        return map(ProxyRow, self.sample_id.tolist(), self.a_hat.tolist(),
+                   self.p_group.tolist(), self.u.tolist())
 
 
 def _uint32_reader(seeds: np.random.SeedSequence, start: int):
@@ -355,21 +370,16 @@ def train_attribute_classifier(split: ScarceSplit,
 
 
 def predict_proxy(state: StudentTeacherState, d1: Dataset, passes: int,
-                  seed: int) -> list[ProxyRecord]:
-    """One ProxyRecord per d1 row, sorted by sample id: teacher MC-dropout
-    passes give the mean probability and its entropy, and a_hat is that
-    probability thresholded at 0.5."""
-    records: list[ProxyRecord] = []
-    order = np.argsort(d1.sample_ids)
-    for start in range(0, len(order), _PROXY_CHUNK):
-        rows = order[start:start + _PROXY_CHUNK]
-        x = d1.features[rows]
-        p, u = mc_dropout_predict(state.teacher, x, passes, seed, counter=start)
-        a_hat = (p >= 0.5).astype(int)
-        for i, row in enumerate(rows):
-            records.append(ProxyRecord(int(d1.sample_ids[row]), int(a_hat[i]),
-                                       float(p[i]), float(u[i])))
-    return records
+                  seed: int) -> Proxies:
+    """The proxies of every d1 row, in d1 row order: teacher MC-dropout
+    passes over blocks of ``_PROXY_CHUNK`` rows give the mean probability and
+    its entropy, and a_hat is that probability thresholded at 0.5."""
+    p, u = np.empty(len(d1)), np.empty(len(d1))
+    for start in range(0, len(d1), _PROXY_CHUNK):
+        stop = start + _PROXY_CHUNK
+        p[start:stop], u[start:stop] = mc_dropout_predict(
+            state.teacher, d1.features[start:stop], passes, seed, counter=start)
+    return Proxies(d1.sample_ids, (p >= 0.5).astype(int), p, u)
 
 
 def teacher_eval_probs(state: StudentTeacherState, ds: Dataset) -> np.ndarray:
@@ -392,33 +402,14 @@ def teacher_eval_probs(state: StudentTeacherState, ds: Dataset) -> np.ndarray:
 PROXY_HEADER = "sample_id,a_hat,p_group,u"
 
 
-def write_proxies(fh: IO[str], records: Sequence[ProxyRecord]) -> None:
-    fh.write(PROXY_HEADER + "\n")
-    for r in records:
-        fh.write(f"{r.sample_id},{r.a_hat},{repr(r.p_group)},{repr(r.u)}\n")
-
-
-def read_proxies(fh: IO[str]) -> list[ProxyRecord]:
-    if fh.readline().strip() != PROXY_HEADER:
-        raise ValueError("not a proxy file")
-    out = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        sid, a_hat, p, u = line.split(",")
-        out.append(ProxyRecord(int(sid), int(a_hat), float(p), float(u)))
-    return out
-
-
-def save_proxies(path, records: Sequence[ProxyRecord]) -> None:
+def save_proxies(path, proxies: Proxies) -> None:
+    """Write ``proxies`` as a CSV under ``PROXY_HEADER``, one line per d1
+    row in d1 row order, each float as its shortest round-trip repr."""
     with open(path, "w", encoding="utf-8") as fh:
-        write_proxies(fh, records)
-
-
-def load_proxies(path) -> list[ProxyRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_proxies(fh)
+        fh.write(PROXY_HEADER + "\n")
+        columns = (proxies.sample_id, proxies.a_hat, proxies.p_group, proxies.u)
+        for sample_id, a_hat, p_group, u in zip(*(col.tolist() for col in columns)):
+            fh.write(f"{sample_id},{a_hat},{p_group!r},{u!r}\n")
 
 
 # --- checkpoint ---------------------------------------------------------------

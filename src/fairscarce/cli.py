@@ -66,7 +66,8 @@ def _cmd_train_fair(args) -> int:
     _require_at_least("--seed", args.seed, 0)
     artifacts = harness.load_run(args.run)
     if args.proxies:
-        artifacts.proxies = harness.load_checked_proxies(args.proxies)
+        artifacts.proxies = harness.load_checked_proxies(args.proxies,
+                                                         artifacts.split.d1.sample_ids)
     source = harness.parse_uncertainty_source(args.uncertainty_source)
     report = harness.run_cell(artifacts, args.variant, args.constraint, args.eps,
                               args.seed, args.H, source)
@@ -149,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--H", type=float, default=0.3)
     p.add_argument("--proxies", default=None,
-                   help="proxy csv (defaults to the run directory's proxies.csv)")
+                   help="proxy csv listing the run's d1 rows in d1 row order "
+                        "(defaults to the run directory's proxies.csv)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--uncertainty-source", default="mc-dropout")
     p.add_argument("--run", required=True, help="run directory from train-attr")

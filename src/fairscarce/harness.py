@@ -8,14 +8,16 @@ A run directory produced by the attribute phase holds, one file each:
   attr_checkpoint.npz     student and teacher weights, npz; never read back
   proxies.csv             sample_id, a_hat, p_group, u of every d1 row
   calibration.csv         teacher eval probability and true attribute of the
-                          conformal calibration slice of d2
+                          conformal calibration slice of d2, by ascending id
   d1_eval_probs.csv       teacher eval probability of every d1 row
   attr_log.csv            per-epoch training log
   attr_summary.json       the phase-1 configuration and summary numbers
 
-Every later command (train-fair, sweep, fig2, table) works off that
-directory; ``load_run`` reads and checks all of it except the checkpoint and
-the log, so a damaged file is a ConfigError that names it.
+proxies.csv and d1_eval_probs.csv list d1's rows in d1 row order, which
+``split_scarce`` makes ascending sample id. Every later command (train-fair,
+sweep, fig2, table) works off that directory; ``load_run`` reads and checks
+all of it except the checkpoint and the log, so a missing or damaged file is
+a ConfigError that names it.
 Run directories from earlier versions must be rebuilt with train-attr.
 
 A sweep shares unconstrained fits between its cells (``SharedFits``): each
@@ -59,10 +61,10 @@ class RunArtifacts:
     """Everything the fair phase needs, loaded from a run directory."""
 
     split: tabular.ScarceSplit
-    proxies: list[attr.ProxyRecord]
+    proxies: attr.Proxies  # d1 row order
     calib_probs: np.ndarray
     calib_truth: np.ndarray
-    d1_eval_probs: np.ndarray  # teacher eval probabilities, d1 rows in sample_id order
+    d1_eval_probs: np.ndarray  # teacher eval probability of every d1 row, d1 row order
     config: dict
 
 
@@ -97,8 +99,6 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
     calib_ds = split.d2.take(np.flatnonzero(calib_pos))
     calib_probs = attr.teacher_eval_probs(state, calib_ds)
     calib_truth = calib_ds.sensitive
-    # split_scarce keeps row order, so d1 already lists its sample ids in
-    # ascending order: the order d1_eval_probs.csv is written in
     d1_eval_probs = attr.teacher_eval_probs(state, split.d1)
 
     tabular.save_dataset(out / "d1.ds", split.d1)
@@ -122,7 +122,6 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
     import platform
 
     from . import __version__
-    u_vals = np.array([r.u for r in proxies])
     test_logits_probs = attr.teacher_eval_probs(state, split.test)
     test_attr_acc = float(((test_logits_probs >= 0.5).astype(int)
                            == tabular.oracle_sensitive(split.test)).mean())
@@ -137,7 +136,7 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
         "best_epoch": result.best_epoch,
         "val_accuracy_last": result.log[-1].val_accuracy if result.log else None,
         "test_attr_accuracy": test_attr_acc,
-        "d1_mean_uncertainty": float(u_vals.mean()),
+        "d1_mean_uncertainty": float(proxies.u.mean()),
     }
     with open(out / "attr_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -155,9 +154,13 @@ def _bad_rows(path, bad: np.ndarray, what: str) -> None:
 
 def _read_columns(path: Path, header: str, kinds: Sequence[type]) -> list[np.ndarray]:
     """The columns of one of phase 1's small CSV files, parsed as ``int`` or
-    ``float`` each by ``np.loadtxt`` (its floats are ``float()``'s). A wrong
-    header, cell count or number raises ConfigError naming the file."""
-    first, _, body = path.read_text().partition("\n")
+    ``float`` each by ``np.loadtxt`` (its floats are ``float()``'s). A file
+    that cannot be read, or a wrong header, cell count or number, raises
+    ConfigError naming the file."""
+    try:
+        first, _, body = path.read_text().partition("\n")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
     if first != header:
         raise ConfigError(f"{path}: header is not {header!r}")
     if not body:
@@ -170,31 +173,46 @@ def _read_columns(path: Path, header: str, kinds: Sequence[type]) -> list[np.nda
     return [np.ascontiguousarray(table[str(j)]) for j in range(len(kinds))]
 
 
-def load_checked_proxies(path) -> list[attr.ProxyRecord]:
+def _require_d1_rows(path, ids: np.ndarray, d1_ids: np.ndarray) -> None:
+    """Raise ConfigError naming ``path`` unless its ``ids`` list d1's sample
+    ids ``d1_ids`` in d1 row order."""
+    if np.array_equal(ids, d1_ids):
+        return
+    n = min(len(ids), len(d1_ids))
+    at = n if np.array_equal(ids[:n], d1_ids[:n]) else int(np.argmax(ids[:n] != d1_ids[:n]))
+    first = (f"first without a matching row: sample id {d1_ids[at]}"
+             if at < len(d1_ids) else "rows past d1's last")
+    raise ConfigError(f"{path}: {len(ids)} rows do not list the {len(d1_ids)} d1 "
+                      f"sample ids in d1 row order ({first})")
+
+
+def load_checked_proxies(path, d1_ids: np.ndarray) -> attr.Proxies:
     """A proxies.csv file, checked: numbers, ``p_group`` in [0, 1], ``u`` in
-    [0, ln 2] (to 1e-12 for rounding) and ``a_hat`` equal to
-    ``p_group >= 0.5``. A bad file raises ConfigError naming it."""
-    try:
-        records = attr.load_proxies(path)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    a_hat = np.array([r.a_hat for r in records])
-    p = np.array([r.p_group for r in records], dtype=float)
-    u = np.array([r.u for r in records], dtype=float)
+    [0, ln 2] (to 1e-12 for rounding), ``a_hat`` equal to ``p_group >= 0.5``,
+    and one row per d1 sample id ``d1_ids`` in d1 row order. A bad file
+    raises ConfigError naming it."""
+    path = Path(path)
+    sample_id, a_hat, p, u = _read_columns(path, attr.PROXY_HEADER, (int, int, float, float))
     _bad_rows(path, ~((p >= 0.0) & (p <= 1.0)), "p_group is not a number in [0, 1]")
     _bad_rows(path, ~((u >= 0.0) & (u <= LN2 + 1e-12)), "u is not a number in [0, ln 2]")
     _bad_rows(path, a_hat != (p >= 0.5), "a_hat is not p_group >= 0.5 as 0 or 1")
-    return records
+    _require_d1_rows(path, sample_id, d1_ids)
+    return attr.Proxies(sample_id, a_hat, p, u)
 
 
 def load_run(run_dir) -> RunArtifacts:
     """Read a run directory written by ``run_attribute_phase`` (all of it
-    but the checkpoint and the log). A damaged file raises ConfigError
-    naming it: a summary without a ``ratio`` in (0, 1), a bad proxies file
-    (``load_checked_proxies``), a calibration row whose probability is not in
-    [0, 1] or whose attribute is not 0 or 1, or conformal scores that are
-    not in [0, 1] or do not list d1's sample ids in ascending order."""
+    but the checkpoint and the log). A missing or damaged file raises
+    ConfigError naming it: a summary without a ``ratio`` in (0, 1), a bad
+    proxies file (``load_checked_proxies``), a calibration row whose id is
+    not a d2 sample id or not above the id before, whose probability is not
+    in [0, 1] or whose attribute is not 0 or 1, or conformal scores that are
+    not in [0, 1] or do not list d1's sample ids in d1 row order."""
     run = Path(run_dir)
+    for name in ("attr_summary.json", "d1.ds", "d2.ds", "test.ds", "proxies.csv",
+                 "calibration.csv", "d1_eval_probs.csv"):
+        if not (run / name).is_file():
+            raise ConfigError(f"{run / name}: missing from the run directory; rerun train-attr")
     summary_path = run / "attr_summary.json"
     try:
         config = json.loads(summary_path.read_text())
@@ -210,18 +228,21 @@ def load_run(run_dir) -> RunArtifacts:
         tabular.load_dataset(run / "test.ds"),
         group_labeled_ratio=ratio,
     )
-    proxies = load_checked_proxies(run / "proxies.csv")
+    d1_ids = split.d1.sample_ids
+    proxies = load_checked_proxies(run / "proxies.csv", d1_ids)
     calib_path = run / "calibration.csv"
-    _, calib_probs, calib_truth = _read_columns(calib_path, "sample_id,p_eval,a_true",
-                                                (int, float, int))
+    calib_ids, calib_probs, calib_truth = _read_columns(
+        calib_path, "sample_id,p_eval,a_true", (int, float, int))
+    _bad_rows(calib_path, ~np.isin(calib_ids, split.d2.sample_ids),
+              "sample_id is not a d2 sample id")
+    _bad_rows(calib_path, np.diff(calib_ids, prepend=calib_ids[:1] - 1) <= 0,
+              "sample_id does not ascend")
     _bad_rows(calib_path, ~((calib_probs >= 0.0) & (calib_probs <= 1.0)),
               "p_eval is not a number in [0, 1]")
     _bad_rows(calib_path, (calib_truth != 0) & (calib_truth != 1), "a_true is not 0 or 1")
     scores_path = run / "d1_eval_probs.csv"
     score_ids, d1_probs = _read_columns(scores_path, "sample_id,p_eval", (int, float))
-    if not np.array_equal(score_ids, np.sort(split.d1.sample_ids)):
-        raise ConfigError(f"{scores_path}: {len(score_ids)} rows do not list the "
-                          f"{len(split.d1)} d1 sample ids in ascending order")
+    _require_d1_rows(scores_path, score_ids, d1_ids)
     _bad_rows(scores_path, ~((d1_probs >= 0.0) & (d1_probs <= 1.0)),
               "p_eval is not a number in [0, 1]")
     return RunArtifacts(split, proxies, calib_probs, calib_truth, d1_probs, config)
@@ -280,40 +301,22 @@ def parse_uncertainty_source(text: str) -> UncertaintySource:
     raise ConfigError(f"unknown uncertainty source {text!r}")
 
 
-def proxy_columns(artifacts: RunArtifacts) -> tuple[np.ndarray, np.ndarray]:
-    """Proxy attribute ``a_hat`` and its uncertainty ``u`` of every d1 row,
-    in d1 row order. Proxies that miss a d1 row are a bad input."""
-    by_id = {r.sample_id: r for r in artifacts.proxies}
-    try:
-        records = [by_id[int(i)] for i in artifacts.split.d1.sample_ids]
-    except KeyError as exc:
-        raise ConfigError(f"proxies do not cover d1: no record for sample id {exc.args[0]}") from None
-    return (np.array([r.a_hat for r in records], dtype=int),
-            np.array([r.u for r in records], dtype=float))
-
-
 def certain_mask(artifacts: RunArtifacts, source: UncertaintySource,
-                 threshold: float | None, u: np.ndarray) -> np.ndarray:
+                 threshold: float | None) -> np.ndarray:
     """Which d1 rows (in row order) count as reliably labeled under the given
-    uncertainty machinery; ``u`` is the d1 proxy uncertainty column. Only
-    mc-dropout reads ``threshold``; the other sources take None."""
+    uncertainty machinery. Only mc-dropout reads ``threshold``; the other
+    sources take None."""
     if source.kind == "mc-dropout":
-        return u <= threshold
-    # d1_eval_probs lists d1 in sample-id order, not row order
-    ids = artifacts.split.d1.sample_ids
-    order = np.argsort(ids)
+        return artifacts.proxies.u <= threshold
     if source.kind == "conformal":
         cal = uncertainty.conformal_calibrate(artifacts.calib_probs,
                                               artifacts.calib_truth, source.epsilon)
-        sets = uncertainty.conformal_sets(cal, artifacts.d1_eval_probs, ids[order])
-        by_id_order = np.array([s.certain for s in sets], dtype=bool)
-    elif source.kind == "confidence":
-        by_id_order = uncertainty.confidence_band_filter(artifacts.d1_eval_probs, source.tau)
-    else:
-        raise ConfigError(f"unknown uncertainty source kind {source.kind!r}")
-    mask = np.empty(len(ids), dtype=bool)
-    mask[order] = by_id_order
-    return mask
+        sets = uncertainty.conformal_sets(cal, artifacts.d1_eval_probs,
+                                          artifacts.split.d1.sample_ids)
+        return np.array([s.certain for s in sets], dtype=bool)
+    if source.kind == "confidence":
+        return uncertainty.confidence_band_filter(artifacts.d1_eval_probs, source.tau)
+    raise ConfigError(f"unknown uncertainty source kind {source.kind!r}")
 
 
 def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: float | None,
@@ -332,13 +335,13 @@ def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: f
         return rows, reduction.knn_impute(d1.take(rows), artifacts.split.d2, k=5), ones
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    a_hat, u = proxy_columns(artifacts)
+    a_hat, u = artifacts.proxies.a_hat, artifacts.proxies.u
     if variant == "proxy-dnn":
         return rows, a_hat[rows], ones
     if variant == "weighted" and source.kind == "mc-dropout":
         # entropy scaled to [0, 1]: weight 1 at u = 0, weight 0 at u = ln 2
         return rows, a_hat[rows], np.maximum(1.0 - u[rows] / LN2, 0.0)
-    certain = certain_mask(artifacts, source, threshold, u)[rows]
+    certain = certain_mask(artifacts, source, threshold)[rows]
     if variant == "weighted":
         return rows, a_hat[rows], certain.astype(float)
     idx = rows[certain] if variant == "certain" else rows[~certain]
@@ -663,7 +666,7 @@ def run_sweep(config: SweepConfig, artifacts: RunArtifacts | None = None,
                                             test_fraction=config.test_fraction,
                                             seed=config.base_seed)
         else:
-            raise ConfigError("sweep needs either run_dir with artifacts or data+schema")
+            raise ConfigError("sweep needs a run_dir with attr_summary.json, or data+schema")
     out.mkdir(parents=True, exist_ok=True)
 
     # only the certain and uncertain variants under mc-dropout read H (the
@@ -779,7 +782,7 @@ def fig2_study(artifacts: RunArtifacts, out_path,
     rows_out = []
     results = []
     d1 = artifacts.split.d1
-    _, u = proxy_columns(artifacts)
+    u = artifacts.proxies.u
     for h_cut in h_grid:
         for j in range(seeds):
             seed = base_seed + j

@@ -333,8 +333,8 @@ def split_scarce(ds: Dataset, ratio: float, seed: int, test_fraction: float) -> 
     """Carve a stratified test set, then split the remainder into the
     group-labeled part d2 (fraction ``ratio``) and the label-only part d1.
     Each part keeps the rows of ``ds`` in their order there, so its sample
-    ids ascend when those of ``ds`` do, as ``encode``'s (0 to n - 1) do:
-    phase 1 writes d1's conformal scores in d1 row order as sample-id order."""
+    ids ascend when those of ``ds`` do, as ``encode``'s (0 to n - 1) do: the
+    d1 row order of phase 1's per-row outputs is ascending sample id."""
     if ds.labels is None or ds.sensitive is None:
         raise ValueError("split_scarce needs both labels and sensitive present")
     if not 0.0 < ratio < 1.0 or not 0.0 < test_fraction < 1.0:

@@ -210,6 +210,22 @@ def truncate(path):
     path.write_text(text[:len(text) // 2], encoding="utf-8")
 
 
+def swap_first_rows(path):
+    lines = path.read_text().splitlines()
+    lines[1:3] = lines[2:0:-1]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def calibration_id_from_d1(path):
+    # a calibration slice that is not this run's d2: its first id is d1's
+    d1_id = (path.parent / "d1_eval_probs.csv").read_text().splitlines()[1].split(",")[0]
+    set_cell(path, 0, lambda _: d1_id)
+
+
+RUN_FILES = ("attr_summary.json", "d1.ds", "d2.ds", "test.ds", "proxies.csv",
+             "calibration.csv", "d1_eval_probs.csv")
+
+
 # probe: the file it damages and how
 DAMAGED_RUN_FILES = {
     "eval-probs-truncated": ("d1_eval_probs.csv", truncate),
@@ -222,6 +238,11 @@ DAMAGED_RUN_FILES = {
     "p-above-1": ("proxies.csv", lambda p: set_cell(p, 2, lambda _: "1.5")),
     "a_hat-not-binary": ("proxies.csv", lambda p: set_cell(p, 1, lambda _: "7")),
     "a_hat-flipped": ("proxies.csv", lambda p: set_cell(p, 1, lambda a: str(1 - int(a)))),
+    "proxies-out-of-d1-order": ("proxies.csv", swap_first_rows),
+    "eval-probs-out-of-d1-order": ("d1_eval_probs.csv", swap_first_rows),
+    "calibration-id-not-in-d2": ("calibration.csv", calibration_id_from_d1),
+    "calibration-ids-descending": ("calibration.csv", swap_first_rows),
+    **{f"{name}-missing": (name, Path.unlink) for name in RUN_FILES},
 }
 
 

@@ -6,7 +6,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from fairscarce import attribute, harness
+import numpy as np
+
+from fairscarce import attribute, harness, tabular
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,3 +44,22 @@ def test_benchmark_configs_build(monkeypatch, tmp_path):
                         f"base_seed = 0\nH = 0.5\n" + body)
         config = harness.parse_sweep_config(path)
         assert config.variants and config.eps_grid == (0.05,)
+
+
+def test_benchmark_reads_proxies(monkeypatch):
+    # the benchmark reads phase 1's proxies row by row and counts
+    # predict_proxy's rows with len()
+    workloads = load_perfbench_module("workloads", monkeypatch)
+    tracer = load_perfbench_module("tracer", monkeypatch)
+    d1 = tabular.Dataset(np.zeros((4, 2)), np.arange(4) * 10, labels=np.array([0, 1, 0, 1]),
+                         masked_sensitive=np.array([1, 0, 0, 1]))
+    proxies = attribute.Proxies(d1.sample_ids, np.array([1, 0, 1, 1]),
+                                np.array([0.9, 0.2, 0.6, 0.7]), np.array([0.1, 0.3, 0.5, 0.6]))
+    artifacts = harness.RunArtifacts(tabular.ScarceSplit(d1, d1, d1, 0.2), proxies,
+                                     np.empty(0), np.empty(0), np.empty(0), {})
+    assert [(r.sample_id, r.a_hat, r.p_group, r.u) for r in proxies] == [
+        (0, 1, 0.9, 0.1), (10, 0, 0.2, 0.3), (20, 1, 0.6, 0.5), (30, 1, 0.7, 0.6)]
+    assert workloads._proxy_readings(artifacts, 0.4) == {
+        "mean_u": 0.375, "proxy_acc": 0.75, "certain_H": 0.4, "certain_rows": 2,
+        "certain_group0_frac": 0.5}
+    assert tracer._probe("attribute.predict_proxy", (None, d1, 5, 0), proxies)["rows"] == len(d1)

@@ -6,9 +6,9 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from fairscarce import attribute as attr
 from fairscarce import harness, synthdata, tabular
 from fairscarce import reduction as red
-from fairscarce.attribute import ProxyRecord
 from fairscarce.errors import EmptySelection, NonFiniteCost
 from fairscarce.uncertainty import LN2
 
@@ -399,14 +399,17 @@ MC_DROPOUT = harness.UncertaintySource("mc-dropout")
 
 
 def tiny_artifacts(records, d1=None, d2=None, d1_eval_probs=(), calib=((), ())):
-    """A hand-built run: d1 (sample id i on row i by default), proxy records
-    given as (sample_id, a_hat, u), and the conformal inputs."""
+    """A hand-built run: d1 (sample id i on row i by default), proxies given
+    as one (sample_id, a_hat, u) per d1 row in d1 row order, and the
+    conformal inputs (eval probabilities in d1 row order too)."""
     if d1 is None:
         rng = np.random.default_rng(1)
         d1 = tabular.Dataset(rng.normal(size=(len(records), 2)), np.arange(len(records)),
                              labels=rng.integers(0, 2, size=len(records)))
     split = tabular.ScarceSplit(d1, d2, d1, 0.2)
-    proxies = [ProxyRecord(i, a_hat, 0.5, u) for i, a_hat, u in records]
+    ids, a_hat, u = zip(*records)
+    proxies = attr.Proxies(np.array(ids), np.array(a_hat), np.full(len(records), 0.5),
+                           np.array(u, dtype=float))
     return harness.RunArtifacts(split, proxies, np.array(calib[0]), np.array(calib[1]),
                                 np.array(d1_eval_probs), {})
 
@@ -470,11 +473,10 @@ def test_select_every_variant_and_source_on_unsorted_ids():
                          sensitive=np.array([1, 1, 1, 1, 0, 0, 0, 0, 1, 0]))
     a_hat = [1, 0, 0, 1, 1, 0]
     u = [0.1, 0.6, 0.3, 0.69, 0.0, 0.45]
-    # proxies listed in sample-id order; eval probabilities by sorted id
-    # 0, 10, 20, 30, 40, 50, i.e. 0.6, 0.97, 0.05, 0.5, 0.92, 0.15 in row order
-    records = sorted(zip(ids.tolist(), a_hat, u))
+    # proxies and eval probabilities listed in d1 row order
+    records = list(zip(ids.tolist(), a_hat, u))
     # calibration scores 0.1..0.4 at eps 0.7: q_hat = 0.2
-    arts = tiny_artifacts(records, d1, d2, d1_eval_probs=[0.5, 0.97, 0.15, 0.05, 0.6, 0.92],
+    arts = tiny_artifacts(records, d1, d2, d1_eval_probs=[0.6, 0.97, 0.05, 0.5, 0.92, 0.15],
                           calib=([0.1, 0.2, 0.3, 0.4], [0, 0, 0, 0]))
     sources = {
         # u <= 0.3
