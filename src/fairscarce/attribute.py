@@ -5,18 +5,22 @@ teacher (exponential moving average of the student) scores every row with
 MC-dropout entropy; a consistency term pulls student logits toward teacher
 logits on rows the teacher is already sure about. Both the consistency weight
 and the uncertainty cutoff ramp up over early epochs.
+
+Training returns both networks as plain ``nn.MlpParams`` values
+(``AttrTrainResult``); scoring (``predict_proxy``, ``teacher_eval_probs``)
+takes the teacher alone, and ``save_checkpoint`` takes the two networks.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import nn
-from .errors import DivergedTraining
+from .errors import ConfigError, DivergedTraining
 from .tabular import Dataset, ScarceSplit
 from .uncertainty import LN2, binary_entropy
 
@@ -43,33 +47,13 @@ class RampSchedule:
         return self.max_value * math.exp(-5.0 * frac * frac)
 
 
-@dataclass(frozen=True)
-class StudentTeacherState:
-    student: nn.MlpParams
-    teacher: nn.MlpParams
-    adam: nn.AdamState
-    ema_decay: float
-    lambda_schedule: RampSchedule
-    r_schedule: RampSchedule
-
-    def __post_init__(self):
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise ValueError("ema_decay must lie in [0, 1)")
-
-
-def ema_update(state: StudentTeacherState, decay: float | None = None) -> StudentTeacherState:
-    """teacher <- decay * teacher + (1 - decay) * student, element-wise.
-
-    ``decay`` defaults to the state's ema_decay; the trainer passes a
-    warmed-up value in early steps so the teacher tracks the student instead
-    of its random initialization."""
-    a = state.ema_decay if decay is None else decay
-    new_w = tuple(a * tw + (1.0 - a) * sw
-                  for tw, sw in zip(state.teacher.weights, state.student.weights))
-    new_b = tuple(a * tb + (1.0 - a) * sb
-                  for tb, sb in zip(state.teacher.biases, state.student.biases))
-    teacher = nn.MlpParams(new_w, new_b, state.teacher.dropout_rate)
-    return replace(state, teacher=teacher)
+def ema_update(teacher: nn.MlpParams, student: nn.MlpParams, decay: float) -> nn.MlpParams:
+    """teacher <- decay * teacher + (1 - decay) * student, element-wise."""
+    new_w = tuple(decay * tw + (1.0 - decay) * sw
+                  for tw, sw in zip(teacher.weights, student.weights))
+    new_b = tuple(decay * tb + (1.0 - decay) * sb
+                  for tb, sb in zip(teacher.biases, student.biases))
+    return nn.MlpParams(new_w, new_b, teacher.dropout_rate)
 
 
 ProxyRow = namedtuple("ProxyRow", "sample_id a_hat p_group u")
@@ -231,6 +215,14 @@ class AttrTrainConfig:
     min_delta: float = 1e-4
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.lambda_max) and self.lambda_max >= 0.0):
+            raise ConfigError(f"lambda_max must be a finite number >= 0, got {self.lambda_max}")
+        if not 0.0 <= self.ema_decay < 1.0:
+            raise ConfigError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
+
 
 @dataclass
 class EpochLog:
@@ -245,10 +237,13 @@ class EpochLog:
 
 @dataclass
 class AttrTrainResult:
-    state: StudentTeacherState
+    """The networks at the last epoch run, the per-epoch log, and the sorted
+    d2 row indices reserved for conformal calibration."""
+
+    student: nn.MlpParams
+    teacher: nn.MlpParams
     log: list[EpochLog]
-    val_ids: np.ndarray
-    calib_ids: np.ndarray
+    calib_rows: np.ndarray
     best_epoch: int
 
 
@@ -275,7 +270,11 @@ def train_attribute_classifier(split: ScarceSplit,
     through the student's deterministic logits, because consistency on the
     noised forward penalizes logit variance and systematically inflates the
     MC entropy. A held-out slice of d2 drives early stopping; a second
-    disjoint slice is reserved for conformal calibration."""
+    disjoint slice is reserved for conformal calibration.
+
+    Returns the student and teacher after the last epoch run, the per-epoch
+    log, the sorted d2 row indices of the calibration slice, and the epoch of
+    the best validation accuracy."""
     d1, d2 = split.d1, split.d2
     if d2.sensitive is None:
         raise ValueError("d2 must carry sensitive attributes")
@@ -298,9 +297,8 @@ def train_attribute_classifier(split: ScarceSplit,
     student = nn.init_mlp(dims, config.dropout_rate, seed=config.seed)
     teacher = student  # EMA starts as an exact copy
     adam = nn.init_adam(student, lr=config.lr)
-    state = StudentTeacherState(student, teacher, adam, config.ema_decay,
-                                RampSchedule(config.lambda_max, config.ramp_epochs),
-                                RampSchedule(config.r_max, config.ramp_epochs))
+    lambda_schedule = RampSchedule(config.lambda_max, config.ramp_epochs)
+    r_schedule = RampSchedule(config.r_max, config.ramp_epochs)
 
     step = 0
     log: list[EpochLog] = []
@@ -309,8 +307,8 @@ def train_attribute_classifier(split: ScarceSplit,
     order_rng = np.random.default_rng((config.seed, 1))
 
     for epoch in range(config.epochs):
-        lam = state.lambda_schedule.value(epoch)
-        r_cut = state.r_schedule.value(epoch)
+        lam = lambda_schedule.value(epoch)
+        r_cut = r_schedule.value(epoch)
         order = order_rng.permutation(len(x_all))
         sup_sum, cons_sum, unc_sum, n_batches = 0.0, 0.0, 0.0, 0
         for start in range(0, len(order), config.batch_size):
@@ -319,23 +317,23 @@ def train_attribute_classifier(split: ScarceSplit,
             lab_mask = labeled[rows]
             spec_ce = nn.LossSpec("cross_entropy", targets=targets_all[rows],
                                   labeled_mask=lab_mask)
-            ce_loss, grads = nn.value_and_grad(state.student, xb, spec_ce,
+            ce_loss, grads = nn.value_and_grad(student, xb, spec_ce,
                                                nn.DropoutPlan(nn.TRAIN, config.seed + 13, step))
             loss = ce_loss
             if lam > 0.0:
-                teacher_logits, _ = nn.forward(state.teacher, xb, nn.DropoutPlan(nn.EVAL))
+                teacher_logits, _ = nn.forward(teacher, xb, nn.DropoutPlan(nn.EVAL))
                 if r_cut >= LN2:
                     # entropy never exceeds ln 2, so the cutoff admits every
                     # row and the MC scoring pass can be skipped
                     cons_mask = np.ones(len(rows), dtype=bool)
                 else:
-                    _, u_batch = mc_dropout_predict(state.teacher, xb, config.mc_passes,
+                    _, u_batch = mc_dropout_predict(teacher, xb, config.mc_passes,
                                                     seed=(config.seed + 7919), counter=step)
                     cons_mask = u_batch <= r_cut
                     unc_sum += float(u_batch.mean())
                 spec_cons = nn.LossSpec("consistency", teacher_logits=teacher_logits,
                                         consistency_mask=cons_mask)
-                cons_loss, cons_grads = nn.value_and_grad(state.student, xb, spec_cons,
+                cons_loss, cons_grads = nn.value_and_grad(student, xb, spec_cons,
                                                           nn.DropoutPlan(nn.EVAL))
                 loss += lam * cons_loss
                 cons_sum += cons_loss
@@ -344,14 +342,15 @@ def train_attribute_classifier(split: ScarceSplit,
                     tuple(a + lam * b for a, b in zip(grads.biases, cons_grads.biases)))
             if not math.isfinite(loss):
                 raise DivergedTraining(f"non-finite loss at epoch {epoch}")
-            adam, student = nn.adam_step(state.adam, state.student, grads)
-            state = replace(state, adam=adam, student=student)
-            state = ema_update(state, decay=min(1.0 - 1.0 / (step + 1), config.ema_decay))
+            adam, student = nn.adam_step(adam, student, grads)
+            # the 1 - 1/t warm-up lets the teacher track the student instead
+            # of its random initialization in early steps
+            teacher = ema_update(teacher, student, min(1.0 - 1.0 / (step + 1), config.ema_decay))
             step += 1
             n_batches += 1
             sup_sum += ce_loss
 
-        val_logits, _ = nn.forward(state.teacher, x_val, nn.DropoutPlan(nn.EVAL))
+        val_logits, _ = nn.forward(teacher, x_val, nn.DropoutPlan(nn.EVAL))
         val_acc = float(((val_logits >= 0.0).astype(int) == a_val).mean()) if len(a_val) else 0.0
         log.append(EpochLog(epoch, sup_sum / max(n_batches, 1), cons_sum / max(n_batches, 1),
                             lam, r_cut, unc_sum / max(n_batches, 1), val_acc))
@@ -363,13 +362,12 @@ def train_attribute_classifier(split: ScarceSplit,
             if stale >= config.patience and epoch + 1 >= config.min_epochs:
                 break
 
-    # the plateau state is returned (not the best-accuracy snapshot): the
-    # consistency term keeps sharpening logits after accuracy levels off
-    return AttrTrainResult(state, log, d2.sample_ids[val_idx],
-                           d2.sample_ids[calib_idx], best_epoch)
+    # the plateau networks are returned (not the best-accuracy snapshot):
+    # the consistency term keeps sharpening logits after accuracy levels off
+    return AttrTrainResult(student, teacher, log, calib_idx, best_epoch)
 
 
-def predict_proxy(state: StudentTeacherState, d1: Dataset, passes: int,
+def predict_proxy(teacher: nn.MlpParams, d1: Dataset, passes: int,
                   seed: int) -> Proxies:
     """The proxies of every d1 row, in d1 row order: teacher MC-dropout
     passes over blocks of ``_PROXY_CHUNK`` rows give the mean probability and
@@ -378,21 +376,20 @@ def predict_proxy(state: StudentTeacherState, d1: Dataset, passes: int,
     for start in range(0, len(d1), _PROXY_CHUNK):
         stop = start + _PROXY_CHUNK
         p[start:stop], u[start:stop] = mc_dropout_predict(
-            state.teacher, d1.features[start:stop], passes, seed, counter=start)
+            teacher, d1.features[start:stop], passes, seed, counter=start)
     return Proxies(d1.sample_ids, (p >= 0.5).astype(int), p, u)
 
 
-def teacher_eval_probs(state: StudentTeacherState, ds: Dataset) -> np.ndarray:
+def teacher_eval_probs(teacher: nn.MlpParams, ds: Dataset) -> np.ndarray:
     """Deterministic (no-dropout) teacher probabilities; the score source for
     conformal calibration. Bit-identical to the sigmoid of ``nn.forward`` in
     eval mode (the same product, then bias, then relu, per layer), but each
     layer works in place and no cache for backward is kept."""
-    params = state.teacher
     a = ds.features
-    for k in range(params.n_layers):
-        a = a @ params.weights[k]
-        a += params.biases[k]
-        if k < params.n_layers - 1:
+    for k in range(teacher.n_layers):
+        a = a @ teacher.weights[k]
+        a += teacher.biases[k]
+        if k < teacher.n_layers - 1:
             np.maximum(a, 0.0, out=a)
     return nn.sigmoid(a[:, 0])
 
@@ -414,14 +411,14 @@ def save_proxies(path, proxies: Proxies) -> None:
 
 # --- checkpoint ---------------------------------------------------------------
 
-def save_checkpoint(path, state: StudentTeacherState) -> None:
+def save_checkpoint(path, student: nn.MlpParams, teacher: nn.MlpParams) -> None:
     """Write the trained networks as one uncompressed npz archive at exactly
     ``path``: ``student_w{k}``, ``student_b{k}``, ``teacher_w{k}`` and
     ``teacher_b{k}`` per layer k, plus the scalar ``dropout_rate``. The
     arrays round-trip bit-exactly through ``np.load``. Nothing in the package
     reads the file back: phase 2 works off the proxies and conformal inputs."""
-    arrays = {"dropout_rate": np.float64(state.student.dropout_rate)}
-    for role, params in (("student", state.student), ("teacher", state.teacher)):
+    arrays = {"dropout_rate": np.float64(student.dropout_rate)}
+    for role, params in (("student", student), ("teacher", teacher)):
         for k, (w, b) in enumerate(zip(params.weights, params.biases)):
             arrays[f"{role}_w{k}"] = w
             arrays[f"{role}_b{k}"] = b

@@ -184,7 +184,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FairscarceError, FileNotFoundError) as exc:
+    except FileNotFoundError as exc:
+        # a missing input path is bad usage, like a bad setting
+        print(f"config error: no such file or directory: {exc.filename}", file=sys.stderr)
+        return 2
+    except FairscarceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -79,8 +79,6 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
         raise ConfigError(f"ratio and test fraction must lie in (0, 1), "
                           f"got {ratio} and {test_fraction}")
     cfg = train_config if train_config is not None else attr.AttrTrainConfig(seed=seed)
-    if cfg.epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     schema = tabular.Schema.from_file(schema_path)
@@ -89,22 +87,21 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = attr.train_attribute_classifier(split, cfg)
-    state = result.state
+    teacher = result.teacher
 
-    proxies = attr.predict_proxy(state, split.d1, cfg.mc_passes, seed=seed + 4099)
+    proxies = attr.predict_proxy(teacher, split.d1, cfg.mc_passes, seed=seed + 4099)
 
     # conformal inputs: eval-mode teacher probabilities on the reserved
     # calibration slice of d2 and on d1
-    calib_pos = np.isin(split.d2.sample_ids, result.calib_ids)
-    calib_ds = split.d2.take(np.flatnonzero(calib_pos))
-    calib_probs = attr.teacher_eval_probs(state, calib_ds)
+    calib_ds = split.d2.take(result.calib_rows)
+    calib_probs = attr.teacher_eval_probs(teacher, calib_ds)
     calib_truth = calib_ds.sensitive
-    d1_eval_probs = attr.teacher_eval_probs(state, split.d1)
+    d1_eval_probs = attr.teacher_eval_probs(teacher, split.d1)
 
     tabular.save_dataset(out / "d1.ds", split.d1)
     tabular.save_dataset(out / "d2.ds", split.d2)
     tabular.save_dataset(out / "test.ds", split.test)
-    attr.save_checkpoint(out / "attr_checkpoint.npz", state)
+    attr.save_checkpoint(out / "attr_checkpoint.npz", result.student, teacher)
     attr.save_proxies(out / "proxies.csv", proxies)
     with open(out / "attr_log.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch,loss_supervised,loss_consistency,lambda,r,mean_batch_u,val_accuracy\n")
@@ -122,7 +119,7 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
     import platform
 
     from . import __version__
-    test_logits_probs = attr.teacher_eval_probs(state, split.test)
+    test_logits_probs = attr.teacher_eval_probs(teacher, split.test)
     test_attr_acc = float(((test_logits_probs >= 0.5).astype(int)
                            == tabular.oracle_sensitive(split.test)).mean())
     summary = {

@@ -8,7 +8,7 @@ exactly by reusing the same plan.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -242,60 +242,46 @@ def value_and_grad(
     return loss, _backward(params, cache, dz)
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamState:
-    """First/second moment accumulators plus step counter and hyperparameters."""
+    """First and second moment accumulators, one array per parameter tensor
+    (weights first, then biases), plus the step counter and learning rate."""
 
-    m_weights: tuple[np.ndarray, ...]
-    m_biases: tuple[np.ndarray, ...]
-    v_weights: tuple[np.ndarray, ...]
-    v_biases: tuple[np.ndarray, ...]
+    m: tuple[np.ndarray, ...]
+    v: tuple[np.ndarray, ...]
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(params: MlpParams, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    zeros_w = tuple(np.zeros_like(w) for w in params.weights)
-    zeros_b = tuple(np.zeros_like(b) for b in params.biases)
-    return AdamState(zeros_w, zeros_b,
-                     tuple(np.zeros_like(w) for w in params.weights),
-                     tuple(np.zeros_like(b) for b in params.biases),
-                     t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def init_adam(params: MlpParams, lr: float = 1e-3) -> AdamState:
+    tensors = (*params.weights, *params.biases)
+    return AdamState(tuple(np.zeros_like(p) for p in tensors),
+                     tuple(np.zeros_like(p) for p in tensors), t=0, lr=lr)
 
 
 def adam_step(state: AdamState, params: MlpParams, g: Gradients) -> tuple[AdamState, MlpParams]:
     """One bias-corrected Adam update; returns the new state and parameters."""
-    for arr in (*g.weights, *g.biases):
+    grads = (*g.weights, *g.biases)
+    for arr in grads:
         if not np.isfinite(arr).all():
             raise NonFiniteGradient("gradient contains NaN or infinity")
     t = state.t + 1
-    corr1 = 1.0 - state.beta1 ** t
-    corr2 = 1.0 - state.beta2 ** t
-
-    def update(p, m, v, grad_arr):
-        m_new = state.beta1 * m + (1.0 - state.beta1) * grad_arr
-        v_new = state.beta2 * v + (1.0 - state.beta2) * np.square(grad_arr)
-        step = state.lr * (m_new / corr1) / (np.sqrt(v_new / corr2) + state.eps)
-        return p - step, m_new, v_new
-
-    new_w, new_mw, new_vw = [], [], []
-    for p, m, v, ga in zip(params.weights, state.m_weights, state.v_weights, g.weights):
-        if p.shape != ga.shape:
+    corr1 = 1.0 - BETA1 ** t
+    corr2 = 1.0 - BETA2 ** t
+    new_p, new_m, new_v = [], [], []
+    for p, m, v, grad in zip((*params.weights, *params.biases), state.m, state.v, grads):
+        if p.shape != grad.shape:
             raise ShapeMismatch("gradient shape does not match parameters")
-        pn, mn, vn = update(p, m, v, ga)
-        new_w.append(pn); new_mw.append(mn); new_vw.append(vn)
-    new_b, new_mb, new_vb = [], [], []
-    for p, m, v, ga in zip(params.biases, state.m_biases, state.v_biases, g.biases):
-        if p.shape != ga.shape:
-            raise ShapeMismatch("gradient shape does not match parameters")
-        pn, mn, vn = update(p, m, v, ga)
-        new_b.append(pn); new_mb.append(mn); new_vb.append(vn)
-
-    new_state = replace(state, m_weights=tuple(new_mw), m_biases=tuple(new_mb),
-                        v_weights=tuple(new_vw), v_biases=tuple(new_vb), t=t)
-    new_params = MlpParams(tuple(new_w), tuple(new_b), params.dropout_rate)
-    return new_state, new_params
+        m = BETA1 * m + (1.0 - BETA1) * grad
+        v = BETA2 * v + (1.0 - BETA2) * np.square(grad)
+        new_p.append(p - state.lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS))
+        new_m.append(m)
+        new_v.append(v)
+    n = params.n_layers
+    new_params = MlpParams(tuple(new_p[:n]), tuple(new_p[n:]), params.dropout_rate)
+    return AdamState(tuple(new_m), tuple(new_v), t, state.lr), new_params

@@ -363,11 +363,11 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
             return None
         return res.x[:m], np.maximum(-res.ineqlin.marginals, 0.0)
 
-    def consider(mix, lam_vec, verify: bool) -> None:
+    def consider(mix, lam_vec) -> None:
         """Track the candidate; on a would-converge gap, certify the lower
         bound with one fresh best response against the candidate's lambda."""
         gap, mix_err, mix_viol = gap_of(mix, lam_vec)
-        if verify and gap < GAP_TOL:
+        if gap < GAP_TOL:
             fit_and_register(base_cost + cons.cost_contribution(lam_vec))
             gap, mix_err, mix_viol = gap_of(np.pad(mix, (0, 1)), lam_vec)
             mix = np.pad(mix, (0, 1))
@@ -391,12 +391,11 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         uniform = np.zeros(len(members))
         for i in chosen:
             uniform[i] += 1.0 / len(chosen)
-        consider(uniform, lambda_sum / (t + 1), verify=True)
+        consider(uniform, lambda_sum / (t + 1))
         if log.best_gap >= GAP_TOL:
             lp_pair = hull_lp()
             if lp_pair is not None:
-                consider(np.pad(lp_pair[0], (0, len(members) - len(lp_pair[0]))),
-                         lp_pair[1], verify=True)
+                consider(np.pad(lp_pair[0], (0, len(members) - len(lp_pair[0]))), lp_pair[1])
         log.iterations = t + 1
         if log.best_gap < GAP_TOL:
             log.converged = True

@@ -6,6 +6,7 @@ import pytest
 
 from fairscarce import attribute as attr
 from fairscarce import harness, nn, tabular
+from fairscarce.errors import ConfigError
 from fairscarce.uncertainty import LN2, binary_entropy
 
 PROXY_COLUMNS = ("sample_id", "a_hat", "p_group", "u")
@@ -28,30 +29,27 @@ def test_rampup_monotone_and_clamped():
     assert zero_ramp.value(0) == 0.7
 
 
-def make_state(alpha, t_val, s_val):
+def ema_of(alpha, t_val, s_val):
     student = nn.MlpParams((np.full((2, 1), s_val),), (np.array([s_val]),))
     teacher = nn.MlpParams((np.full((2, 1), t_val),), (np.array([t_val]),))
-    return attr.StudentTeacherState(student, teacher, nn.init_adam(student),
-                                    alpha, attr.RampSchedule(1, 1), attr.RampSchedule(1, 1))
+    return attr.ema_update(teacher, student, alpha)
 
 
 def test_ema_update_arithmetic():
-    state = attr.ema_update(make_state(0.99, 0.0, 1.0))
-    assert state.teacher.weights[0][0, 0] == pytest.approx(0.01)
-    state = attr.ema_update(make_state(0.0, 0.3, 1.0))
-    assert state.teacher.weights[0][0, 0] == 1.0
-    state = attr.ema_update(make_state(0.9, 0.5, 0.5))
-    assert state.teacher.weights[0][0, 0] == pytest.approx(0.5)
+    teacher = ema_of(0.99, 0.0, 1.0)
+    assert teacher.weights[0][0, 0] == pytest.approx(0.01)
+    teacher = ema_of(0.0, 0.3, 1.0)
+    assert teacher.weights[0][0, 0] == 1.0
+    teacher = ema_of(0.9, 0.5, 0.5)
+    assert teacher.weights[0][0, 0] == pytest.approx(0.5)
 
 
 def test_ema_update_convex_combination():
     rng = np.random.default_rng(0)
     student = nn.init_mlp([3, 4], seed=1)
     teacher = nn.init_mlp([3, 4], seed=2)
-    state = attr.StudentTeacherState(student, teacher, nn.init_adam(student), 0.9,
-                                     attr.RampSchedule(1, 1), attr.RampSchedule(1, 1))
-    new = attr.ema_update(state)
-    for t_new, t_old, s in zip(new.teacher.weights, teacher.weights, student.weights):
+    new = attr.ema_update(teacher, student, 0.9)
+    for t_new, t_old, s in zip(new.weights, teacher.weights, student.weights):
         lo = np.minimum(t_old, s) - 1e-12
         hi = np.maximum(t_old, s) + 1e-12
         assert np.all((t_new >= lo) & (t_new <= hi))
@@ -127,13 +125,11 @@ def test_predict_proxy_peak_memory():
     # 4,096 rows x 30 passes is 122,880 stacked rows; scoring them holds one
     # block of masks and activations at a time, not all of them
     params = nn.init_mlp([100, 64, 32], dropout_rate=0.3, seed=7)
-    state = attr.StudentTeacherState(params, params, nn.init_adam(params), 0.99,
-                                     attr.RampSchedule(1, 1), attr.RampSchedule(1, 1))
     x = (np.random.default_rng(2).random((4096, 100)) < 0.13).astype(float)
     ds = tabular.Dataset(x, np.arange(4096))
     tracemalloc.start()
     try:
-        attr.predict_proxy(state, ds, passes=30, seed=3)
+        attr.predict_proxy(params, ds, passes=30, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -144,9 +140,9 @@ def test_teacher_eval_probs_equal_eval_forward():
     split = two_cluster_split(300, seed=4)
     result = attr.train_attribute_classifier(split, quick_config(epochs=2, hidden=(16, 8)))
     for ds in (split.d1, split.d2, split.test):
-        logits, _ = nn.forward(result.state.teacher, ds.features, nn.DropoutPlan(nn.EVAL))
+        logits, _ = nn.forward(result.teacher, ds.features, nn.DropoutPlan(nn.EVAL))
         expected = nn.sigmoid(logits)
-        got = attr.teacher_eval_probs(result.state, ds)
+        got = attr.teacher_eval_probs(result.teacher, ds)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
@@ -167,13 +163,25 @@ def quick_config(**kw):
     return attr.AttrTrainConfig(**base)
 
 
+@pytest.mark.parametrize("field,value", [("ema_decay", 1.0), ("ema_decay", -0.1),
+                                         ("lambda_max", math.nan), ("lambda_max", -1.0),
+                                         ("lambda_max", math.inf), ("epochs", 0)])
+def test_attr_config_rejects_bad_settings(field, value):
+    with pytest.raises(ConfigError, match=field):
+        attr.AttrTrainConfig(**{field: value})
+
+
+def test_attr_config_accepts_range_ends():
+    attr.AttrTrainConfig(ema_decay=0.0, lambda_max=0.0, epochs=1)
+
+
 def test_train_separable_attribute_data():
     split = two_cluster_split()
     result = attr.train_attribute_classifier(split, quick_config(epochs=60, min_epochs=60,
                                                                 patience=60))
     # the early-stop slice has only ~14 rows; the real bar is the test set
     assert result.log[-1].val_accuracy >= 0.9
-    logits, _ = nn.forward(result.state.teacher, split.test.features, nn.DropoutPlan(nn.EVAL))
+    logits, _ = nn.forward(result.teacher, split.test.features, nn.DropoutPlan(nn.EVAL))
     acc = ((logits >= 0) == tabular.oracle_sensitive(split.test)).mean()
     assert acc >= 0.99
 
@@ -183,10 +191,10 @@ def test_train_determinism():
     cfg = quick_config(epochs=4)
     r1 = attr.train_attribute_classifier(split, cfg)
     r2 = attr.train_attribute_classifier(split, cfg)
-    for w1, w2 in zip(r1.state.student.weights, r2.state.student.weights):
+    for w1, w2 in zip(r1.student.weights, r2.student.weights):
         np.testing.assert_array_equal(w1, w2)
-    p1 = attr.predict_proxy(r1.state, split.d1, passes=5, seed=3)
-    p2 = attr.predict_proxy(r2.state, split.d1, passes=5, seed=3)
+    p1 = attr.predict_proxy(r1.teacher, split.d1, passes=5, seed=3)
+    p2 = attr.predict_proxy(r2.teacher, split.d1, passes=5, seed=3)
     for name in PROXY_COLUMNS:
         np.testing.assert_array_equal(getattr(p1, name), getattr(p2, name), err_msg=name)
 
@@ -225,11 +233,11 @@ def test_lambda_zero_matches_plain_supervised_trajectory():
             adam, student = nn.adam_step(adam, student, grads)
             step += 1
 
-    # the returned state is the plateau state, so the student trajectory must
+    # the returned student is the plateau student, so its trajectory must
     # match the plain supervised reference bit for bit
-    for w1, w2 in zip(result.state.student.weights, student.weights):
+    for w1, w2 in zip(result.student.weights, student.weights):
         np.testing.assert_array_equal(w1, w2)
-    for b1, b2 in zip(result.state.student.biases, student.biases):
+    for b1, b2 in zip(result.student.biases, student.biases):
         np.testing.assert_array_equal(b1, b2)
 
 
@@ -237,7 +245,7 @@ def test_predict_proxy_contracts():
     split = two_cluster_split(200, seed=5)
     cfg = quick_config(epochs=3)
     result = attr.train_attribute_classifier(split, cfg)
-    proxies = attr.predict_proxy(result.state, split.d1, passes=5, seed=2)
+    proxies = attr.predict_proxy(result.teacher, split.d1, passes=5, seed=2)
     assert len(proxies) == len(split.d1)
     np.testing.assert_array_equal(proxies.sample_id, split.d1.sample_ids)
     np.testing.assert_array_equal(proxies.a_hat, (proxies.p_group >= 0.5).astype(int))
@@ -246,20 +254,16 @@ def test_predict_proxy_contracts():
 
 def test_predict_proxy_identical_rows():
     params = nn.init_mlp([3, 8], dropout_rate=0.3, seed=7)
-    state = attr.StudentTeacherState(params, params, nn.init_adam(params), 0.99,
-                                     attr.RampSchedule(1, 1), attr.RampSchedule(1, 1))
     x = np.tile(np.array([[0.5, -0.2, 1.0]]), (6, 1))
     ds = tabular.Dataset(x, np.arange(6))
-    proxies = attr.predict_proxy(state, ds, passes=400, seed=1)
+    proxies = attr.predict_proxy(params, ds, passes=400, seed=1)
     # same row, i.i.d. mask draws: estimates agree up to MC noise
     assert proxies.p_group.std() < 0.05
     # all-zero weights and biases: every pass gives exactly 0.5, a tie that
     # goes to group 1 at the largest entropy
     zero = nn.MlpParams(tuple(np.zeros_like(w) for w in params.weights),
                         tuple(np.zeros_like(b) for b in params.biases), params.dropout_rate)
-    state = attr.StudentTeacherState(zero, zero, nn.init_adam(zero), 0.99,
-                                     attr.RampSchedule(1, 1), attr.RampSchedule(1, 1))
-    tie = attr.predict_proxy(state, ds, passes=30, seed=1)
+    tie = attr.predict_proxy(zero, ds, passes=30, seed=1)
     assert tie.p_group.tolist() == [0.5] * 6
     assert tie.a_hat.tolist() == [1] * 6
     assert tie.u.tolist() == [LN2] * 6
@@ -276,19 +280,19 @@ def test_checkpoint_roundtrip(tmp_path):
     split = two_cluster_split(150, seed=8)
     result = attr.train_attribute_classifier(split, quick_config(epochs=2))
     path = tmp_path / "attr_checkpoint.npz"
-    attr.save_checkpoint(path, result.state)
+    attr.save_checkpoint(path, result.student, result.teacher)
     # the archive sits at exactly the given path and loads without pickles
     assert [p.name for p in tmp_path.iterdir()] == ["attr_checkpoint.npz"]
     with np.load(path) as archive:
         back = {name: archive[name] for name in archive.files}
-    expected = {"dropout_rate": np.float64(result.state.student.dropout_rate)}
+    expected = {"dropout_rate": np.float64(result.student.dropout_rate)}
     for role in ("student", "teacher"):
-        params = getattr(result.state, role)
+        params = getattr(result, role)
         for k, (w, b) in enumerate(zip(params.weights, params.biases)):
             expected[f"{role}_w{k}"] = w
             expected[f"{role}_b{k}"] = b
     assert sorted(back) == sorted(expected)
-    assert back["dropout_rate"] == result.state.student.dropout_rate > 0.0
+    assert back["dropout_rate"] == result.student.dropout_rate > 0.0
     for name, value in expected.items():
         assert back[name].dtype == np.float64 and back[name].shape == np.shape(value), name
         # bit-exact, signed zeros included

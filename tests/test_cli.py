@@ -272,7 +272,9 @@ def test_damaged_run_dir_exit_code(demo_run, tmp_path, capsys, probe):
 
 @pytest.mark.parametrize("flag,value", [("--ratio", "1.5"), ("--ratio", "0"),
                                         ("--test-fraction", "0"), ("--test-fraction", "1"),
-                                        ("--epochs", "0"), ("--seed", "-1")])
+                                        ("--epochs", "0"), ("--seed", "-1"),
+                                        ("--lambda-max", "nan"), ("--lambda-max", "-1"),
+                                        ("--lambda-max", "inf")])
 def test_train_attr_bad_setting_exit_code(demo_run, tmp_path, capsys, flag, value):
     out = tmp_path / "new" / "run"
     rc = cli.main(["train-attr", "--data", str(demo_run / "data" / "census.csv"),
@@ -287,9 +289,24 @@ def test_train_attr_missing_corpus_creates_no_directory(demo_run, tmp_path, caps
     rc = cli.main(["train-attr", "--data", str(tmp_path / "absent.csv"),
                    "--schema", str(demo_run / "data" / "census.schema"),
                    "--out", str(tmp_path / "new" / "run")])
-    assert rc == 1
+    assert rc == 2
     assert "absent.csv" in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["train-attr-schema", "sweep-config", "table-run"])
+def test_missing_input_path_exit_code(demo_run, tmp_path, capsys, command):
+    absent = tmp_path / "absent"
+    argv = {
+        "train-attr-schema": ["train-attr", "--data", str(demo_run / "data" / "census.csv"),
+                              "--schema", str(absent), "--out", str(tmp_path / "new" / "run")],
+        "sweep-config": ["sweep", "--config", str(absent)],
+        "table-run": ["table", "--run", str(absent)],
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(absent) in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_tuned_sweep_names_one_group_candidates(tmp_path, capsys):

@@ -258,6 +258,47 @@ def test_adam_rejects_non_finite_gradient():
         nn.adam_step(state, params, bad)
 
 
+def test_adam_checks_finiteness_before_shapes():
+    params = nn.init_mlp([2, 3], seed=0)
+    state = nn.init_adam(params)
+    wrong_bias = (np.zeros(4),) + tuple(np.zeros_like(b) for b in params.biases[1:])
+    weights = tuple(np.zeros_like(w) for w in params.weights)
+    with pytest.raises(ShapeMismatch):
+        nn.adam_step(state, params, nn.Gradients(weights, wrong_bias))
+    nan_weights = (np.full_like(params.weights[0], np.nan),) + weights[1:]
+    with pytest.raises(NonFiniteGradient):
+        nn.adam_step(state, params, nn.Gradients(nan_weights, wrong_bias))
+
+
+def test_adam_trajectory_matches_reference_bit_for_bit():
+    # the bias-corrected Adam update written out per tensor, independently
+    # of nn: beta1 0.9, beta2 0.999, eps 1e-8
+    params = nn.init_mlp([5, 6, 4], dropout_rate=0.2, seed=3)
+    state = nn.init_adam(params, lr=0.01)
+    ref_p = [p.copy() for p in (*params.weights, *params.biases)]
+    ref_m = [np.zeros_like(p) for p in ref_p]
+    ref_v = [np.zeros_like(p) for p in ref_p]
+    rng = np.random.default_rng(17)
+    for t in range(1, 7):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-4, 2), size=p.shape) for p in ref_p]
+        n = params.n_layers
+        state, params = nn.adam_step(state, params, nn.Gradients(tuple(grads[:n]),
+                                                                 tuple(grads[n:])))
+        corr1 = 1.0 - 0.9 ** t
+        corr2 = 1.0 - 0.999 ** t
+        for k, g in enumerate(grads):
+            ref_m[k] = 0.9 * ref_m[k] + (1.0 - 0.9) * g
+            ref_v[k] = 0.999 * ref_v[k] + (1.0 - 0.999) * np.square(g)
+            ref_p[k] = ref_p[k] - 0.01 * (ref_m[k] / corr1) / (np.sqrt(ref_v[k] / corr2) + 1e-8)
+        assert state.t == t and state.lr == 0.01
+        got = (*params.weights, *params.biases)
+        for k in range(len(ref_p)):
+            assert got[k].tobytes() == ref_p[k].tobytes(), (t, k)
+            assert state.m[k].tobytes() == ref_m[k].tobytes(), (t, k)
+            assert state.v[k].tobytes() == ref_v[k].tobytes(), (t, k)
+    assert params.dropout_rate == 0.2
+
+
 def test_forward_shape_mismatch():
     params = nn.init_mlp([3, 4], seed=0)
     with pytest.raises(ShapeMismatch):

@@ -3,12 +3,14 @@ configurations of its own; a rename, a deletion or a removed config field
 here must fail the suite instead of the benchmark run."""
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from fairscarce import attribute, harness, tabular
+from fairscarce import attribute, harness, reduction, tabular
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -63,3 +65,20 @@ def test_benchmark_reads_proxies(monkeypatch):
         "mean_u": 0.375, "proxy_acc": 0.75, "certain_H": 0.4, "certain_rows": 2,
         "certain_group0_frac": 0.5}
     assert tracer._probe("attribute.predict_proxy", (None, d1, 5, 0), proxies)["rows"] == len(d1)
+
+
+# (function, position, parameter name) for every argument the tracer's
+# _probe reads by position; a reordered signature would skew its counts
+PROBED_ARGUMENTS = [
+    (attribute.mc_dropout_predict, 1, "x"), (attribute.mc_dropout_predict, 2, "passes"),
+    (tabular.save_dataset, 0, "path"),
+    (reduction.unconstrained_train, 0, "x"), (reduction.exp_grad_train, 0, "x"),
+]
+
+
+@pytest.mark.parametrize("func,position,name", PROBED_ARGUMENTS,
+                         ids=[f"{f.__name__}-{i}" for f, i, _ in PROBED_ARGUMENTS])
+def test_probed_argument_positions(func, position, name):
+    params = list(inspect.signature(func).parameters.values())
+    assert params[position].name == name
+    assert params[position].kind == inspect.Parameter.POSITIONAL_OR_KEYWORD
