@@ -4,7 +4,7 @@ Subcommands:
   make-demo   write the bundled census-like corpus and its schema
   train-attr  phase 1: train the attribute classifier, emit proxies
   train-fair  phase 2: train one fair (or unconstrained) model from a run dir
-  sweep       full (variant x slack x seed) sweep from a config file
+  sweep       (variant x slack x seed) sweep over a run dir, from a config file
   fig2        the uncertainty-threshold study CSV
   table       mean/std summary rows from a sweep's results.csv
 
@@ -53,6 +53,8 @@ def _cmd_train_attr(args) -> int:
         lenient=args.lenient)
     summary = artifacts.config
     print(f"run dir: {args.out}")
+    if args.lenient:
+        print(f"malformed rows dropped: {summary['rows_dropped']}")
     print(f"epochs run: {summary['epochs_run']}  "
           f"test attribute accuracy: {summary['test_attr_accuracy']:.4f}  "
           f"mean D1 uncertainty: {summary['d1_mean_uncertainty']:.4f}")

@@ -20,19 +20,17 @@ all of it except the checkpoint and the log, so a missing or damaged file is
 a ConfigError that names it.
 Run directories from earlier versions must be rebuilt with train-attr.
 
-A sweep shares unconstrained fits between its cells (``SharedFits``): each
-distinct set of training rows is fitted once per sweep, and that fit serves
-as the whole model of the vanilla and uncertain cells and as the seed member
-of every exp-grad cell on the same rows.
+A sweep reads such a directory and runs its cells one after another. The
+cells share unconstrained fits: each distinct set of training rows is fitted
+once per sweep, and that fit serves as the whole model of the vanilla and
+uncertain cells and as the seed member of every exp-grad cell on the same
+rows.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -50,7 +48,6 @@ RESULTS_HEADER = "variant,constraint,eps_fair,seed,H,uncertainty_source,accuracy
 PARETO_HEADER = ("variant,metric,eps_fair,accuracy_median,unfairness_median,"
                  "accuracy_min,accuracy_max")
 FIG2_HEADER = "H,seed,n_rows,accuracy,dp,eop,eod"
-WORKERS_ENV = "FAIRSCARCE_WORKERS"
 _TRAIN_FRACTION = 0.7  # share of d1 each seed trains on; the rest evaluates
 
 
@@ -82,8 +79,8 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     schema = tabular.Schema.from_file(schema_path)
-    split = tabular.prepare_split(csv_path, schema, ratio, test_fraction, seed,
-                                  strict=not lenient)
+    split, rows_dropped = tabular.prepare_split(csv_path, schema, ratio, test_fraction, seed,
+                                                strict=not lenient)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = attr.train_attribute_classifier(split, cfg)
@@ -128,6 +125,8 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
         "seed": seed,
         "ratio": ratio,
         "test_fraction": test_fraction,
+        "lenient": lenient,
+        "rows_dropped": rows_dropped,
         "train_config": asdict(cfg),
         "epochs_run": len(result.log),
         "best_epoch": result.best_epoch,
@@ -358,73 +357,54 @@ def _d1_train_eval(artifacts: RunArtifacts, seed: int) -> tuple[np.ndarray, np.n
     return np.sort(order[:cut]), np.sort(order[cut:])
 
 
-class SharedFits:
-    """The unconstrained fits of one sweep, one per distinct set of training
-    rows. Every variant but certain and uncertain trains on a seed's full
-    training slice, and an exp-grad cell's seed member is the unconstrained
-    fit on its rows, so without sharing each cell (and each slack) would
-    redo the same fit. The first cell that asks for a fit computes it; cells
-    that ask meanwhile, on other threads, wait for its result. Every sweep
-    cell uses the same ``oracle_max_iter``, so the rows alone are the key."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._fits: dict[bytes, Future] = {}
-
-    def get(self, rows: np.ndarray,
-            fit: Callable[[], reduction.RandomizedClassifier]) -> reduction.RandomizedClassifier:
-        key = rows.tobytes()
-        with self._lock:
-            future = self._fits.get(key)
-            owner = future is None
-            if owner:
-                future = self._fits[key] = Future()
-        if owner:
-            try:
-                future.set_result(fit())
-            except Exception as exc:  # every cell on these rows fails alike
-                future.set_exception(exc)
-        return future.result()
+def _score(model: reduction.RandomizedClassifier, d1: tabular.Dataset,
+           eval_rows: np.ndarray) -> metrics.FairnessReport:
+    """``model`` scored on the d1 rows ``eval_rows`` against their true
+    (masked) sensitive attributes."""
+    d1_eval = d1.take(eval_rows)
+    preds = model.expected_predictions(d1_eval.features)
+    return metrics.evaluate_report(preds, d1_eval.labels, tabular.oracle_sensitive(d1_eval))
 
 
 def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
              eps_fair: float, seed: int, threshold: float | None,
              source: UncertaintySource = UncertaintySource(),
-             exp_grad_kw: dict | None = None,
-             shared_fits: SharedFits | None = None) -> metrics.FairnessReport:
+             iters: int = 50, oracle_max_iter: int = 5000,
+             fits: dict | None = None) -> metrics.FairnessReport:
     """Train one variant on a per-seed 70 percent slice of d1 and score it on
     the held-out 30 percent against the true (masked) sensitive attributes.
-    With ``shared_fits``, the unconstrained fit on the selected rows (the
-    whole model of vanilla and uncertain, the seed member of the exp-grad
-    variants) comes from there; the outputs are the same either way."""
+
+    ``fits`` maps a set of training rows (``idx.tobytes()``) to the
+    unconstrained fit on them: the whole model of vanilla and uncertain, the
+    seed member of the exp-grad variants. A fit it lacks is made and stored,
+    so cells that share one map fit each row set once, and the outputs are
+    those of a fresh map per cell. A map serves one ``oracle_max_iter`` only,
+    since the rows alone are the key."""
+    fits = {} if fits is None else fits
     train_rows, eval_rows = _d1_train_eval(artifacts, seed)
     idx, a, w = select(artifacts, variant, train_rows, threshold, source)
     d1 = artifacts.split.d1
-    max_iter = (exp_grad_kw or {}).get("oracle_max_iter", 5000)
+    key = idx.tobytes()
     # vanilla and uncertain copy their training rows for the fit alone; an
     # exp-grad cell builds one copy and one design for both of its fits
     # (other layouts measured up to 2.7 MB more peak RSS on the benchmark
     # sweeps)
     if variant in ("vanilla", "uncertain"):
-        def fit() -> reduction.RandomizedClassifier:
-            return reduction.unconstrained_train(d1.features[idx], d1.labels[idx],
-                                                 oracle_max_iter=max_iter)
-
-        model = fit() if shared_fits is None else shared_fits.get(idx, fit)
+        if key not in fits:
+            fits[key] = reduction.unconstrained_train(d1.features[idx], d1.labels[idx],
+                                                      oracle_max_iter=oracle_max_iter)
+        model = fits[key]
     else:
         x, y = d1.features[idx], d1.labels[idx]
         design = reduction.oracle_design(x)
-        start = None
-        if shared_fits is not None:
-            start = shared_fits.get(idx, lambda: reduction.unconstrained_train(
-                x, y, oracle_max_iter=max_iter, design=design)).members[0]
+        if key not in fits:
+            fits[key] = reduction.unconstrained_train(x, y, oracle_max_iter=oracle_max_iter,
+                                                      design=design)
         constraint = reduction.MomentConstraint(constraint_kind, eps_fair)
-        model, _ = reduction.exp_grad_train(x, y, a, w, constraint, start=start,
-                                            design=design, **(exp_grad_kw or {}))
-    d1_eval = d1.take(eval_rows)
-    preds = model.expected_predictions(d1_eval.features)
-    return metrics.evaluate_report(preds, d1_eval.labels,
-                                   tabular.oracle_sensitive(d1_eval))
+        model, _ = reduction.exp_grad_train(x, y, a, w, constraint, iters=iters,
+                                            oracle_max_iter=oracle_max_iter,
+                                            start=fits[key].members[0], design=design)
+    return _score(model, d1, eval_rows)
 
 
 # --- threshold tuning ----------------------------------------------------------
@@ -548,9 +528,7 @@ def pareto_front(points: Sequence[tuple[float, float]]) -> list[tuple[float, flo
 
 @dataclass
 class SweepConfig:
-    data: str = ""
-    schema: str = ""
-    run_dir: str = ""
+    run_dir: str = ""  # a run directory written by train-attr
     out_dir: str = ""
     variants: tuple[str, ...] = ("certain",)
     constraint: str = reduction.DEMOGRAPHIC_PARITY
@@ -561,12 +539,12 @@ class SweepConfig:
     tune_lo: float = 0.1
     tune_hi: float = LN2
     source: UncertaintySource = UncertaintySource()
-    ratio: float = 0.2
-    test_fraction: float = 0.3
     exp_grad_iters: int = 50
     oracle_max_iter: int = 5000
 
     def __post_init__(self):
+        if not self.run_dir:
+            raise ConfigError("run_dir is required: the run directory train-attr wrote")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
         if self.base_seed < 0:
@@ -589,10 +567,28 @@ class SweepConfig:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}")
+        # a repeated value would repeat its cells in results.csv
+        for name, values in (("variants", self.variants), ("eps_grid", self.eps_grid)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats a value: {', '.join(map(str, values))}")
+
+
+_SWEEP_KEYS = ("run_dir", "out_dir", "variants", "constraint", "eps_grid", "seeds",
+               "base_seed", "H", "tune_lo", "tune_hi", "uncertainty_source",
+               "exp_grad_iters", "oracle_max_iter")
+_PHASE1_KEYS = ("data", "schema", "ratio", "test_fraction")
 
 
 def parse_sweep_config(path) -> SweepConfig:
+    """A sweep config file. An unknown key, a missing ``run_dir`` or a bad
+    value raises ConfigError."""
     kv = read_kv_file(path)
+    for key in kv:
+        if key in _PHASE1_KEYS:
+            raise ConfigError(f"{key}: a sweep reads a run directory; run train-attr "
+                              "with this setting first and set run_dir to its --out")
+        if key not in _SWEEP_KEYS:
+            raise ConfigError(f"unknown sweep key {key!r}; known keys: {', '.join(_SWEEP_KEYS)}")
     def split_list(text):
         return tuple(t.strip() for t in text.split(",") if t.strip())
     def number(kind, key, text):
@@ -601,10 +597,8 @@ def parse_sweep_config(path) -> SweepConfig:
         except ValueError:
             raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from None
     cfg = SweepConfig(
-        data=kv.get("data", ""),
-        schema=kv.get("schema", ""),
         run_dir=kv.get("run_dir", ""),
-        out_dir=kv.get("out_dir", kv.get("run_dir", "sweep_out")),
+        out_dir=kv.get("out_dir", kv.get("run_dir", "")),
         variants=split_list(kv.get("variants", "certain")) or ("certain",),
         constraint=kv.get("constraint", "dp"),
         eps_grid=tuple(number(float, "eps_grid", v) for v in split_list(kv.get("eps_grid", ""))),
@@ -616,8 +610,6 @@ def parse_sweep_config(path) -> SweepConfig:
         # (a common way to say "no upper cut") clamps to it
         tune_hi=min(number(float, "tune_hi", kv.get("tune_hi", str(LN2))), LN2),
         source=parse_uncertainty_source(kv.get("uncertainty_source", "mc-dropout")),
-        ratio=number(float, "ratio", kv.get("ratio", "0.2")),
-        test_fraction=number(float, "test_fraction", kv.get("test_fraction", "0.3")),
         exp_grad_iters=number(int, "exp_grad_iters", kv.get("exp_grad_iters", "50")),
         oracle_max_iter=number(int, "oracle_max_iter", kv.get("oracle_max_iter", "5000")),
     )
@@ -634,36 +626,18 @@ class SweepOutcome:
     n_failed: int
 
 
-def _worker_count() -> int:
-    value = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def run_sweep(config: SweepConfig, artifacts: RunArtifacts | None = None,
+def run_sweep(config: SweepConfig,
               progress: Callable[[str], None] | None = None) -> SweepOutcome:
-    """Execute every (variant, eps, seed) cell, write results.csv, pareto.csv
-    and a manifest sufficient to reproduce both byte for byte. The cells
-    share one ``SharedFits``, so each distinct unconstrained fit runs once
-    per sweep, serial or parallel, and the outputs equal those of cells run
-    one by one."""
+    """Run every (variant, eps, seed) cell, one after another, on the run
+    directory ``config.run_dir`` and write results.csv, pareto.csv and a
+    manifest sufficient to reproduce both byte for byte. The cells share one
+    map of unconstrained fits (``run_cell``'s ``fits``), so each distinct fit
+    runs once per sweep and the outputs equal those of cells run one by one.
+    A cell that raises is recorded as failed, with its error, in the
+    manifest."""
     out = Path(config.out_dir)
     say = progress or (lambda _msg: None)
-
-    if artifacts is None:
-        if config.run_dir and (Path(config.run_dir) / "attr_summary.json").exists():
-            artifacts = load_run(config.run_dir)
-        elif config.data and config.schema:
-            run_dir = config.run_dir or str(out / "attr_run")
-            say(f"training attribute model into {run_dir}")
-            artifacts = run_attribute_phase(config.data, config.schema, run_dir,
-                                            ratio=config.ratio,
-                                            test_fraction=config.test_fraction,
-                                            seed=config.base_seed)
-        else:
-            raise ConfigError("sweep needs a run_dir with attr_summary.json, or data+schema")
+    artifacts = load_run(config.run_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     # only the certain and uncertain variants under mc-dropout read H (the
@@ -686,26 +660,20 @@ def run_sweep(config: SweepConfig, artifacts: RunArtifacts | None = None,
              for variant in config.variants
              for eps in config.eps_grid
              for j in range(config.seeds)]
-    exp_grad_kw = {"iters": config.exp_grad_iters,
-                   "oracle_max_iter": config.oracle_max_iter}
-    shared_fits = SharedFits()
+    fits: dict[bytes, reduction.RandomizedClassifier] = {}
 
     def execute(cell):
         variant, eps, seed = cell
         try:
-            report = run_cell(artifacts, variant, config.constraint, eps, seed,
-                              threshold, config.source, exp_grad_kw, shared_fits)
+            report = run_cell(artifacts, variant, config.constraint, eps, seed, threshold,
+                              config.source, config.exp_grad_iters, config.oracle_max_iter,
+                              fits)
             return cell, report, None
         except Exception as exc:  # recorded, never fabricated
             return cell, None, f"{type(exc).__name__}: {exc}"
 
-    n_workers = _worker_count()
-    say(f"running {len(cells)} cells on {n_workers} worker(s)")
-    if n_workers == 1:
-        outcomes = [execute(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(execute, cells))
+    say(f"running {len(cells)} cells")
+    outcomes = [execute(c) for c in cells]
 
     result_rows = []
     cell_status = []
@@ -748,13 +716,12 @@ def run_sweep(config: SweepConfig, artifacts: RunArtifacts | None = None,
 
     manifest = {
         "config": {
-            "data": config.data, "schema": config.schema, "run_dir": config.run_dir,
+            "run_dir": config.run_dir,
             "out_dir": str(config.out_dir), "variants": list(config.variants),
             "constraint": config.constraint, "eps_grid": list(config.eps_grid),
             "seeds": config.seeds, "base_seed": config.base_seed,
             "H": threshold, "tuned": tuned,
             "uncertainty_source": config.source.describe(),
-            "ratio": config.ratio, "test_fraction": config.test_fraction,
             "exp_grad_iters": config.exp_grad_iters,
             "oracle_max_iter": config.oracle_max_iter,
         },
@@ -789,10 +756,7 @@ def fig2_study(artifacts: RunArtifacts, out_path,
                 raise EmptySelection(f"H={h_cut} keeps no rows")
             model = reduction.unconstrained_train(d1.features[keep], d1.labels[keep],
                                                   oracle_max_iter=oracle_max_iter)
-            d1_eval = d1.take(eval_rows)
-            preds = model.expected_predictions(d1_eval.features)
-            report = metrics.evaluate_report(preds, d1_eval.labels,
-                                             tabular.oracle_sensitive(d1_eval))
+            report = _score(model, d1, eval_rows)
             results.append((h_cut, seed, report))
             rows_out.append(f"{h_cut},{seed},{len(keep)},{repr(report.accuracy)},"
                             f"{repr(report.dp_diff)},{repr(report.eop_diff)},{repr(report.eod_diff)}")
@@ -808,7 +772,9 @@ _SUMMARY_METRICS = ("accuracy", "dp", "eop", "eod")
 def table_summary(results_csv) -> list[str]:
     """Mean and std per (variant, eps) group from a results.csv, one line per
     group in the file's first-seen order. Columns are found by their header
-    names, so their order and any further columns do not matter."""
+    names, so their order and any further columns do not matter. A row with
+    the wrong number of cells or a metric that is not a number raises
+    ConfigError naming the file and the row."""
     lines = Path(results_csv).read_text().splitlines()
     header = lines[0].split(",") if lines else []
     if not {"variant", "eps_fair", *_SUMMARY_METRICS} <= set(header):
@@ -817,13 +783,20 @@ def table_summary(results_csv) -> list[str]:
     metric_at = [header.index(name) for name in _SUMMARY_METRICS]
     groups: dict[tuple[str, str], list[list[float]]] = {}
     order: list[tuple[str, str]] = []
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], start=1):
         parts = line.split(",")
+        if len(parts) != len(header):
+            raise ConfigError(f"{results_csv}: data row {row}: {len(parts)} cells "
+                              f"for {len(header)} columns")
+        try:
+            values = [float(parts[i]) for i in metric_at]
+        except ValueError as exc:
+            raise ConfigError(f"{results_csv}: data row {row}: {exc}") from None
         key = (parts[variant_at], parts[eps_at])
         if key not in groups:
             groups[key] = []
             order.append(key)
-        groups[key].append([float(parts[i]) for i in metric_at])
+        groups[key].append(values)
     out = ["variant,eps_fair,n_runs,accuracy_mean,accuracy_std,dp_mean,dp_std,"
            "eop_mean,eop_std,eod_mean,eod_std"]
     for key in order:

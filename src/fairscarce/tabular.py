@@ -396,11 +396,13 @@ def load_dataset(path) -> Dataset:
 
 
 def prepare_split(csv_path, schema: Schema, ratio: float, test_fraction: float,
-                  seed: int, strict: bool = True) -> ScarceSplit:
+                  seed: int, strict: bool = True) -> tuple[ScarceSplit, int]:
     """Full pipeline: load, pick the test rows, encode with the numeric
     statistics fitted on everything except them (no leakage into test
-    standardization), split."""
+    standardization), split. Returns the split and how many malformed rows
+    the load dropped (always 0 when ``strict``)."""
     table = load_csv(csv_path, schema, strict=strict)
+    rows_dropped = table.n_dropped
     y = _indicator(table.column(schema.target), schema.positive_token)
     a = _indicator(table.column(schema.sensitive), schema.privileged_token)
     test_rows = stratified_holdout(y, a, test_fraction, seed)
@@ -408,4 +410,4 @@ def prepare_split(csv_path, schema: Schema, ratio: float, test_fraction: float,
     mask[test_rows] = False
     ds = encode(table, np.flatnonzero(mask), schema)
     del table  # free the tokens before the split copies the feature rows
-    return split_scarce(ds, ratio, seed, test_fraction)
+    return split_scarce(ds, ratio, seed, test_fraction), rows_dropped

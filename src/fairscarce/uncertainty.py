@@ -36,7 +36,6 @@ class ConformalCalibrator:
     epsilon: float
     q_hat: float
     calibration_size: int
-    score_kind: str = "one-minus-true-class-probability"
 
 
 def conformal_calibrate(probs: Sequence[float], truths: Sequence[int], epsilon: float) -> ConformalCalibrator:

@@ -36,7 +36,27 @@ def test_train_attr_run_dir(demo_run):
     run = demo_run / "run"
     summary = json.loads((run / "attr_summary.json").read_text())
     assert summary["seed"] == 5
+    assert summary["lenient"] is False and summary["rows_dropped"] == 0
     assert (run / "proxies.csv").exists()
+
+
+def test_train_attr_lenient_reports_dropped_rows(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["make-demo", "--rows", "2000", "--seed", "5", "--out", str(data)]) == 0
+    corpus = data / "census.csv"
+    good = corpus.read_text().splitlines()[1]
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write("forty" + good[good.index(","):] + "\n")  # age is numeric
+        fh.write(good.rsplit(",", 2)[0] + "\n")  # two cells short
+    argv = ["train-attr", "--data", str(corpus), "--schema", str(data / "census.schema"),
+            "--seed", "5", "--epochs", "2"]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "strict")]) != 0
+    assert "not numeric" in capsys.readouterr().err
+    assert cli.main(argv + ["--lenient", "--out", str(tmp_path / "run")]) == 0
+    assert "malformed rows dropped: 2" in capsys.readouterr().out.splitlines()
+    summary = json.loads((tmp_path / "run" / "attr_summary.json").read_text())
+    assert summary["lenient"] is True and summary["rows_dropped"] == 2
 
 
 def test_train_fair_command(demo_run, capsys):
@@ -135,6 +155,35 @@ def test_config_error_exit_code(tmp_path, capsys, line):
     assert err.startswith("config error: ")
     # the bad line fails at parse time, before the placeholder run_dir is read
     assert "run_dir" not in err
+
+
+@pytest.mark.parametrize("text,names", [
+    ("run_dir = nowhere\nvariant = vanilla\n", "unknown sweep key 'variant'"),
+    ("run_dir = nowhere\ndata = census.csv\n", "data: a sweep reads a run directory; run train-attr"),
+    ("variants = vanilla\n", "run_dir is required"),
+    ("run_dir = nowhere\nvariants = vanilla, certain, vanilla\n", "variants repeats a value"),
+    ("run_dir = nowhere\neps_grid = 0.1, 0.10\n", "eps_grid repeats a value"),
+], ids=["misspelt-key", "phase-1-key", "no-run_dir", "repeated-variant", "repeated-eps"])
+def test_sweep_config_key_exit_code(tmp_path, capsys, text, names):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text, encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and names in err, err
+
+
+@pytest.mark.parametrize("bad_row,names", [
+    ("vanilla,dp,0.1,1,,mc-dropout,0.8,0.1", "data row 2: 8 cells for 10 columns"),
+    ("vanilla,dp,0.1,1,,mc-dropout,high,0.1,0.1,0.1", "data row 2: could not convert"),
+], ids=["short-row", "non-number"])
+def test_table_damaged_results_exit_code(tmp_path, capsys, bad_row, names):
+    good_row = "vanilla,dp,0.1,0,,mc-dropout,0.8,0.1,0.1,0.1"
+    results = tmp_path / "results.csv"
+    results.write_text("\n".join([harness.RESULTS_HEADER, good_row, bad_row]) + "\n",
+                       encoding="utf-8")
+    assert cli.main(["table", "--run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{results}: {names}" in err, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,5 @@
 import itertools
 import json
-import os
 import shutil
 from pathlib import Path
 
@@ -61,32 +60,29 @@ def median_u(artifacts):
 
 def test_run_cell_variants(small_run):
     _, artifacts = small_run
-    kw = {"iters": 8, "oracle_max_iter": 300}
     cut = median_u(artifacts)  # both sides of the filter stay populated
     for variant in ("vanilla", "clean", "proxy-dnn", "certain", "weighted", "uncertain"):
         report = harness.run_cell(artifacts, variant, "dp", 0.05, seed=1,
-                                  threshold=cut, exp_grad_kw=kw)
+                                  threshold=cut, iters=8, oracle_max_iter=300)
         assert 0.5 <= report.accuracy <= 1.0
         assert 0.0 <= report.dp_diff <= 1.0
 
 
 def test_run_cell_deterministic(small_run):
     _, artifacts = small_run
-    kw = {"iters": 5, "oracle_max_iter": 200}
     cut = median_u(artifacts)
     r1 = harness.run_cell(artifacts, "certain", "dp", 0.05, seed=2, threshold=cut,
-                          exp_grad_kw=kw)
+                          iters=5, oracle_max_iter=200)
     r2 = harness.run_cell(artifacts, "certain", "dp", 0.05, seed=2, threshold=cut,
-                          exp_grad_kw=kw)
+                          iters=5, oracle_max_iter=200)
     assert r1 == r2
 
 
 def test_constrained_variant_fairer_than_vanilla(small_run):
     _, artifacts = small_run
-    kw = {"iters": 20, "oracle_max_iter": 800}
     vanilla = harness.run_cell(artifacts, "vanilla", "dp", 0.01, seed=0, threshold=0.4)
     clean = harness.run_cell(artifacts, "clean", "dp", 0.01, seed=0, threshold=0.4,
-                             exp_grad_kw=kw)
+                             iters=20, oracle_max_iter=800)
     assert clean.dp_diff < vanilla.dp_diff
 
 
@@ -230,25 +226,6 @@ def test_sweep_reproducible_byte_for_byte(small_run, tmp_path):
     assert texts[0] == texts[1]
 
 
-def test_sweep_parallel_equals_serial(small_run, tmp_path):
-    run_dir, _ = small_run
-    texts = []
-    for name, workers in (("serial", "1"), ("parallel", "3")):
-        out = tmp_path / name
-        os.environ[harness.WORKERS_ENV] = workers
-        try:
-            config = harness.SweepConfig(run_dir=str(run_dir), out_dir=str(out),
-                                         variants=("vanilla", "uncertain", "certain",
-                                                   "weighted", "proxy-dnn"),
-                                         eps_grid=(0.05,), seeds=2, threshold=median_u(small_run[1]),
-                                         exp_grad_iters=4, oracle_max_iter=150)
-            harness.run_sweep(config)
-        finally:
-            os.environ.pop(harness.WORKERS_ENV, None)
-        texts.append((out / "results.csv").read_text())
-    assert texts[0] == texts[1]
-
-
 def test_sweep_shares_one_unconstrained_fit_per_row_set(small_run, tmp_path, monkeypatch):
     run_dir, _ = small_run
     run_cell = harness.run_cell
@@ -259,7 +236,7 @@ def test_sweep_shares_one_unconstrained_fit_per_row_set(small_run, tmp_path, mon
         return unconstrained_train(x, y, **kw)
 
     def unshared_cell(*args):
-        return run_cell(*args[:8])  # everything but the shared fits
+        return run_cell(*args[:9])  # everything but the shared fits
 
     unconstrained_train = harness.reduction.unconstrained_train
     texts = []
@@ -279,8 +256,10 @@ def test_sweep_shares_one_unconstrained_fit_per_row_set(small_run, tmp_path, mon
             # per seed: the full training slice (vanilla, weighted, proxy-dnn)
             # and the certain rows, each fitted once
             assert len(fits) == len(set(fits)) == 2 * 2
+            shared = set(fits)
         else:
-            assert len(fits) == 2 * 2  # the two vanilla slacks of each seed
+            # each cell fits its own rows: the same row sets, once per cell
+            assert len(fits) == 4 * 2 * 2 and set(fits) == shared
     assert texts[0] == texts[1]
     assert len(texts[0].splitlines()) == 1 + 4 * 2 * 2
 

@@ -157,8 +157,8 @@ def demo_d1(tmp_path_factory):
     synthdata.write_corpus(root / "census.csv", 2000, seed=11)
     synthdata.write_schema(root / "census.schema")
     schema = tabular.Schema.from_file(root / "census.schema")
-    split = tabular.prepare_split(root / "census.csv", schema, ratio=0.2,
-                                  test_fraction=0.3, seed=11)
+    split, _ = tabular.prepare_split(root / "census.csv", schema, ratio=0.2,
+                                     test_fraction=0.3, seed=11)
     return split.d1
 
 

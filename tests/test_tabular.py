@@ -259,7 +259,7 @@ def test_prepare_split_matches_rowwise_reference_on_demo_corpus(tmp_path):
     synthdata.write_corpus(tmp_path / "census.csv", 3000, seed=4)
     synthdata.write_schema(tmp_path / "census.schema")
     schema = tabular.Schema.from_file(tmp_path / "census.schema")
-    got = tabular.prepare_split(tmp_path / "census.csv", schema, 0.2, 0.3, seed=4)
+    got, _ = tabular.prepare_split(tmp_path / "census.csv", schema, 0.2, 0.3, seed=4)
     want = reference_prepare_split(tmp_path / "census.csv", schema, 0.2, 0.3, seed=4)
     assert_splits_identical(got, want)
 
@@ -274,7 +274,7 @@ def test_prepare_split_matches_rowwise_reference_on_undeclared_numeric(tmp_path,
                      f"{rng.choice(['red', 'blue', 'green'])},{rng.choice(['Male', 'Female'])},"
                      f"{rng.choice(['>50K', '<=50K'])}")
     path = write_lines(tmp_path, "corpus.csv", lines)
-    got = tabular.prepare_split(path, schema, 0.25, 0.3, seed=2)
+    got, _ = tabular.prepare_split(path, schema, 0.25, 0.3, seed=2)
     assert got.d1.features.shape[1] == 1 + 1 + 3
     assert_splits_identical(got, reference_prepare_split(path, schema, 0.25, 0.3, seed=2))
 
@@ -358,7 +358,7 @@ def test_split_scarce_keeps_sample_ids_ascending(tmp_path):
     synthdata.write_corpus(tmp_path / "census.csv", 2000, seed=6)
     synthdata.write_schema(tmp_path / "census.schema")
     schema = tabular.Schema.from_file(tmp_path / "census.schema")
-    split = tabular.prepare_split(tmp_path / "census.csv", schema, 0.2, 0.3, seed=6)
+    split, _ = tabular.prepare_split(tmp_path / "census.csv", schema, 0.2, 0.3, seed=6)
     assert np.all(np.diff(split.d1.sample_ids) > 0)
 
 
@@ -429,7 +429,9 @@ def test_prepare_split_pipeline(tmp_path, schema):
         income = rng.choice([">50K", "<=50K"])
         lines.append(f"{age},{color},{sex},{income}")
     path = write_lines(tmp_path, "corpus.csv", lines)
-    split = tabular.prepare_split(path, schema, ratio=0.2, test_fraction=0.3, seed=5)
+    split, rows_dropped = tabular.prepare_split(path, schema, ratio=0.2, test_fraction=0.3,
+                                                seed=5)
+    assert rows_dropped == 0
     total = len(split.d1) + len(split.d2) + len(split.test)
     assert total == 200
     assert abs(len(split.d2) - 0.2 * (len(split.d1) + len(split.d2))) <= 1.0
