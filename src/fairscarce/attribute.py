@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, DivergedTraining
+from .errors import ConfigError, InsufficientRows, NonFiniteGradient
 from .tabular import Dataset, ScarceSplit
 from .uncertainty import LN2, binary_entropy
 
@@ -247,6 +247,20 @@ class AttrTrainResult:
     best_epoch: int
 
 
+def require_d2_slices(n_d2: int, config: AttrTrainConfig) -> None:
+    """Raise InsufficientRows unless ``n_d2`` rows of d2 carve into a
+    validation, a calibration and a training slice of one row or more each
+    (``config.val_fraction`` and ``config.calib_fraction`` of the rows,
+    rounded, and the rest)."""
+    n_val = int(round(config.val_fraction * n_d2))
+    n_calib = int(round(config.calib_fraction * n_d2))
+    if min(n_val, n_calib, n_d2 - n_val - n_calib) < 1:
+        raise InsufficientRows(
+            f"d2 holds {n_d2} rows, too few to carve a validation ({config.val_fraction}), "
+            f"a calibration ({config.calib_fraction}) and a training slice of one row or "
+            "more each; raise the group-labelled ratio or use a larger corpus")
+
+
 def _carve(n: int, fractions: Sequence[float], rng) -> list[np.ndarray]:
     """Disjoint index blocks of the given fractions, remainder last."""
     order = rng.permutation(n)
@@ -270,7 +284,8 @@ def train_attribute_classifier(split: ScarceSplit,
     through the student's deterministic logits, because consistency on the
     noised forward penalizes logit variance and systematically inflates the
     MC entropy. A held-out slice of d2 drives early stopping; a second
-    disjoint slice is reserved for conformal calibration.
+    disjoint slice is reserved for conformal calibration. A d2 too small to
+    give each slice a row raises InsufficientRows.
 
     Returns the student and teacher after the last epoch run, the per-epoch
     log, the sorted d2 row indices of the calibration slice, and the epoch of
@@ -278,6 +293,7 @@ def train_attribute_classifier(split: ScarceSplit,
     d1, d2 = split.d1, split.d2
     if d2.sensitive is None:
         raise ValueError("d2 must carry sensitive attributes")
+    require_d2_slices(len(d2), config)
     rng = np.random.default_rng(config.seed)
     val_idx, calib_idx, train_idx = _carve(
         len(d2), [config.val_fraction, config.calib_fraction], rng)
@@ -341,7 +357,7 @@ def train_attribute_classifier(split: ScarceSplit,
                     tuple(a + lam * b for a, b in zip(grads.weights, cons_grads.weights)),
                     tuple(a + lam * b for a, b in zip(grads.biases, cons_grads.biases)))
             if not math.isfinite(loss):
-                raise DivergedTraining(f"non-finite loss at epoch {epoch}")
+                raise NonFiniteGradient(f"non-finite loss at epoch {epoch}")
             adam, student = nn.adam_step(adam, student, grads)
             # the 1 - 1/t warm-up lets the teacher track the student instead
             # of its random initialization in early steps
@@ -351,7 +367,7 @@ def train_attribute_classifier(split: ScarceSplit,
             sup_sum += ce_loss
 
         val_logits, _ = nn.forward(teacher, x_val, nn.DropoutPlan(nn.EVAL))
-        val_acc = float(((val_logits >= 0.0).astype(int) == a_val).mean()) if len(a_val) else 0.0
+        val_acc = float(((val_logits >= 0.0).astype(int) == a_val).mean())
         log.append(EpochLog(epoch, sup_sum / max(n_batches, 1), cons_sum / max(n_batches, 1),
                             lam, r_cut, unc_sum / max(n_batches, 1), val_acc))
         if val_acc > best_val + config.min_delta:

@@ -8,7 +8,7 @@ Subcommands:
   fig2        the uncertainty-threshold study CSV
   table       mean/std summary rows from a sweep's results.csv
 
-Exit codes: 0 success, 1 partial failure inside a sweep, 2 bad config/usage.
+Exit codes: 0 success, 1 the run itself failed, 2 bad input or usage.
 """
 from __future__ import annotations
 
@@ -186,9 +186,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        # a missing input path is bad usage, like a bad setting
-        print(f"config error: no such file or directory: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        # a path that cannot be read or written as asked (missing, a
+        # directory, an existing file) is bad usage, like a bad setting
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FairscarceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,15 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+An error's class alone decides what it means to the command line:
+``ConfigError`` and its subclasses are bad input (a setting, a path's
+contents, a corpus or a schema) and exit 2; every other ``FairscarceError``
+means the run itself failed and exits 1.
+
+Callers tell only five classes apart: the CLI catches ``ConfigError`` and
+``FairscarceError``, and threshold tuning skips a candidate that raises
+``EmptySelection``, ``DegenerateGroup`` or ``DegenerateCell``. The other
+classes name the failure in messages and tests.
+"""
 
 
 class FairscarceError(Exception):
@@ -6,30 +17,31 @@ class FairscarceError(Exception):
 
 
 class ConfigError(FairscarceError):
-    """A config file or CLI argument is malformed or inconsistent."""
+    """A config file, CLI argument or input file is malformed or inconsistent."""
 
 
-# --- tabular data ---------------------------------------------------------
+# --- tabular data: bad input ----------------------------------------------
 
-class MissingColumn(FairscarceError):
+class MissingColumn(ConfigError):
     """A column named by the schema is absent from the CSV header."""
 
 
-class MalformedRow(FairscarceError):
+class MalformedRow(ConfigError):
     """A row could not be parsed under strict mode."""
 
 
-class EmptyFile(FairscarceError):
+class EmptyFile(ConfigError):
     """The CSV contains no data rows."""
+
+
+class InsufficientRows(ConfigError):
+    """The corpus has too few rows for the requested split: a stratification
+    cell is empty, or d2 cannot give every one of its slices a row."""
 
 
 class EmptyFit(FairscarceError):
     """Encoding was asked to fit its numeric statistics on no rows, or on
     rows outside the table."""
-
-
-class InsufficientRows(FairscarceError):
-    """A stratification cell is empty, so the requested split is impossible."""
 
 
 # --- neural core ----------------------------------------------------------
@@ -39,11 +51,7 @@ class ShapeMismatch(FairscarceError):
 
 
 class NonFiniteGradient(FairscarceError):
-    """A gradient passed to the optimizer contains NaN or infinity."""
-
-
-class DivergedTraining(FairscarceError):
-    """Training produced a non-finite loss."""
+    """Phase-1 training produced a NaN or infinite loss or gradient."""
 
 
 # --- uncertainty ----------------------------------------------------------

@@ -70,8 +70,9 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
                         train_config: attr.AttrTrainConfig | None = None,
                         lenient: bool = False) -> RunArtifacts:
     """Phase 1 end to end: split, train, emit proxies plus conformal inputs,
-    and cache everything under ``out_dir``. Bad settings raise ConfigError,
-    and an unreadable corpus its own error, before ``out_dir`` is created."""
+    and cache everything under ``out_dir``. Bad settings, a bad corpus or
+    schema, and a d2 too small to carve raise ConfigError (or a subclass)
+    before ``out_dir`` is created."""
     if not (0.0 < ratio < 1.0 and 0.0 < test_fraction < 1.0):
         raise ConfigError(f"ratio and test fraction must lie in (0, 1), "
                           f"got {ratio} and {test_fraction}")
@@ -81,6 +82,7 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
     schema = tabular.Schema.from_file(schema_path)
     split, rows_dropped = tabular.prepare_split(csv_path, schema, ratio, test_fraction, seed,
                                                 strict=not lenient)
+    attr.require_d2_slices(len(split.d2), cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = attr.train_attribute_classifier(split, cfg)
@@ -412,7 +414,7 @@ def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
 @dataclass
 class TuneResult:
     threshold: float
-    table: list[tuple[float, float, float, float]]  # H, accuracy, gap, objective
+    table: list[tuple[float, float, float, float]]  # H, accuracy, proxy gap, objective
 
 
 # threshold tuning: share of the training rows held out to score candidates,
@@ -438,8 +440,10 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
     H = lo, lo + 0.05, ..., none above hi, under ``constraint_kind`` on d1's
     training portion minus a validation slice, score (accuracy - the gap
     that constraint bounds) on that slice, return the argmax (ties to the
-    smallest H). The tuning loop runs on a reduced budget: fewer reduction
-    iterations and a row cap, both overridable. When no candidate can be
+    smallest H). The gap is measured against the slice's proxy attribute
+    ``a_hat``: d1's true attribute is hidden in the demographic-scarce
+    regime, so choosing H never reads it. The tuning loop runs on a reduced
+    budget: fewer reduction iterations and a row cap, both overridable. When no candidate can be
     trained, the error names how many failed for each reason."""
     budget = dict(budget or {})
     iters = budget.get("iters", 10)
@@ -456,7 +460,7 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
 
     d1 = artifacts.split.d1
     d1_val = d1.take(val_rows)
-    val_truth = tabular.oracle_sensitive(d1_val)
+    val_proxies = artifacts.proxies.a_hat[val_rows]
 
     lo, hi = tune_range
     # steps of _TUNE_GRID_STEP from lo, up to the last one that does not pass hi
@@ -481,7 +485,7 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
             table.append((h_cand, math.nan, math.nan, -math.inf))
             continue
         preds = model.expected_predictions(d1_val.features)
-        report = metrics.evaluate_report(preds, d1_val.labels, val_truth)
+        report = metrics.evaluate_report(preds, d1_val.labels, val_proxies)
         gap = getattr(report, _CONSTRAINT_GAP[constraint_kind])
         objective = report.accuracy - gap
         table.append((h_cand, report.accuracy, gap, objective))
@@ -652,7 +656,7 @@ def run_sweep(config: SweepConfig,
         tuning = tune_threshold(artifacts, (config.tune_lo, config.tune_hi),
                                 config.constraint, seed=config.base_seed)
         threshold = tuning.threshold
-        _write_csv(out / "tuning.csv", f"H,accuracy,{config.constraint},objective",
+        _write_csv(out / "tuning.csv", f"H,accuracy,{config.constraint}_proxy,objective",
                    [f"{h},{repr(a)},{repr(g)},{repr(o)}" for h, a, g, o in tuning.table])
     h_text = "" if threshold is None else repr(threshold)
 

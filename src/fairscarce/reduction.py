@@ -264,9 +264,7 @@ class ExpGradLog:
     best_gap: float
     iterations: int
     oracle_calls: int
-    final_violations: np.ndarray
     max_violation: float
-    error: float
 
 
 def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
@@ -325,18 +323,17 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
     lambda_sum = np.zeros(cons.count)
     eta_step = ETA / BOUND
     chosen: list[int] = []
-    log = ExpGradLog(False, math.inf, 0, 0, np.zeros(cons.count), 0.0, 0.0)
+    log = ExpGradLog(False, math.inf, 0, 0, 0.0)
     best_mix: np.ndarray | None = None
-    best_lam: np.ndarray | None = None
 
     if start is None:
         fit_and_register(base_cost)  # unconstrained seed, used by the gap bound
     else:
         register(start)
 
-    def gap_of(mix, lam_vec) -> tuple[float, float, np.ndarray]:
-        """Duality gap of the pair (mix, lam_vec) with the lower bound taken
-        over the members generated so far."""
+    def gap_of(mix, lam_vec) -> tuple[float, np.ndarray]:
+        """Duality gap of the pair (mix, lam_vec), with the lower bound taken
+        over the members generated so far, and the mixture's violations."""
         errors = np.array(member_err)
         viols = np.vstack(member_viol)
         mix_err = float(mix @ errors)
@@ -344,7 +341,7 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         l_mid = mix_err + float(lam_vec @ (mix_viol - cons.slack))
         l_low = float(np.min(errors + viols @ lam_vec)) - cons.slack * float(lam_vec.sum())
         l_high = mix_err + BOUND * max(0.0, float((mix_viol - cons.slack).max()))
-        return max(l_mid - l_low, l_high - l_mid), mix_err, mix_viol
+        return max(l_mid - l_low, l_high - l_mid), mix_viol
 
     def hull_lp() -> tuple[np.ndarray, np.ndarray] | None:
         """Cheapest mixture of collected members (max violation beyond the
@@ -366,19 +363,16 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
     def consider(mix, lam_vec) -> None:
         """Track the candidate; on a would-converge gap, certify the lower
         bound with one fresh best response against the candidate's lambda."""
-        gap, mix_err, mix_viol = gap_of(mix, lam_vec)
+        gap, mix_viol = gap_of(mix, lam_vec)
         if gap < GAP_TOL:
             fit_and_register(base_cost + cons.cost_contribution(lam_vec))
-            gap, mix_err, mix_viol = gap_of(np.pad(mix, (0, 1)), lam_vec)
+            gap, mix_viol = gap_of(np.pad(mix, (0, 1)), lam_vec)
             mix = np.pad(mix, (0, 1))
         if gap < log.best_gap:
             log.best_gap = gap
-            nonlocal best_mix, best_lam
+            nonlocal best_mix
             best_mix = np.array(mix, dtype=float)
-            best_lam = np.array(lam_vec, dtype=float)
-            log.final_violations = mix_viol
             log.max_violation = float(mix_viol.max())
-            log.error = mix_err
 
     for t in range(iters):
         expt = np.exp(theta - theta.max())

@@ -102,13 +102,16 @@ def _parses_as_float(token: str) -> bool:
 def load_csv(path, schema: Schema, strict: bool = True) -> RawTable:
     """Read a UTF-8 CSV with a header row into a column-major RawTable.
 
-    Cells are stripped of surrounding whitespace. Each cell of a column the
-    schema declares ``numeric`` is parsed with ``float()`` once, as its row
-    is read, and the column is kept as a float64 array. A row with the wrong
-    number of cells or a bad numeric cell raises MalformedRow (with its line
-    number) in strict mode or is dropped (and counted) otherwise. Every
-    other column, and the target and sensitive columns whatever their kind,
-    keeps its tokens as a tuple of strings that holds one ``str`` object per
+    The header must hold the target, the sensitive column and every column
+    the schema gives a kind (MissingColumn otherwise), so a misspelt
+    ``kind.<name>`` fails like a missing column. Cells are stripped of
+    surrounding whitespace. Each cell of a column the schema declares
+    ``numeric`` is parsed with ``float()`` once, as its row is read, and the
+    column is kept as a float64 array. A row with the wrong number of cells
+    or a bad numeric cell raises MalformedRow (with its line number) in
+    strict mode or is dropped (and counted) otherwise. Every other column,
+    and the target and sensitive columns whatever their kind, keeps its
+    tokens as a tuple of strings that holds one ``str`` object per
     distinct token: a repeated token is stored as a reference to its first
     occurrence, so a column costs a pointer per row plus its vocabulary."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -118,7 +121,7 @@ def load_csv(path, schema: Schema, strict: bool = True) -> RawTable:
         except StopIteration:
             raise EmptyFile(f"{path}: no header row")
         header = tuple(h.strip() for h in header)
-        for needed in (schema.target, schema.sensitive):
+        for needed in (schema.target, schema.sensitive, *schema.kinds):
             if needed not in header:
                 raise MissingColumn(f"{path}: declared column {needed!r} not in header")
         numeric = [i for i, name in enumerate(header) if schema.kinds.get(name) == NUMERIC]

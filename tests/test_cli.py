@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairscarce import cli, harness, tabular
+from fairscarce import cli, errors, harness, tabular
 from fairscarce.errors import DegenerateGroup
 
 
@@ -51,8 +51,9 @@ def test_train_attr_lenient_reports_dropped_rows(tmp_path, capsys):
     argv = ["train-attr", "--data", str(corpus), "--schema", str(data / "census.schema"),
             "--seed", "5", "--epochs", "2"]
     capsys.readouterr()
-    assert cli.main(argv + ["--out", str(tmp_path / "strict")]) != 0
+    assert cli.main(argv + ["--out", str(tmp_path / "strict")]) == 2
     assert "not numeric" in capsys.readouterr().err
+    assert not (tmp_path / "strict").exists()
     assert cli.main(argv + ["--lenient", "--out", str(tmp_path / "run")]) == 0
     assert "malformed rows dropped: 2" in capsys.readouterr().out.splitlines()
     summary = json.loads((tmp_path / "run" / "attr_summary.json").read_text())
@@ -343,19 +344,124 @@ def test_train_attr_missing_corpus_creates_no_directory(demo_run, tmp_path, caps
     assert not (tmp_path / "new").exists()
 
 
-@pytest.mark.parametrize("command", ["train-attr-schema", "sweep-config", "table-run"])
+@pytest.mark.parametrize("command", ["train-attr-schema", "sweep-config", "table-run",
+                                     "sweep-config-directory"])
 def test_missing_input_path_exit_code(demo_run, tmp_path, capsys, command):
     absent = tmp_path / "absent"
-    argv = {
-        "train-attr-schema": ["train-attr", "--data", str(demo_run / "data" / "census.csv"),
-                              "--schema", str(absent), "--out", str(tmp_path / "new" / "run")],
-        "sweep-config": ["sweep", "--config", str(absent)],
-        "table-run": ["table", "--run", str(absent)],
+    # the arguments, and the path the error must name
+    argv, named = {
+        "train-attr-schema": (["train-attr", "--data", str(demo_run / "data" / "census.csv"),
+                               "--schema", str(absent), "--out", str(tmp_path / "new" / "run")],
+                              absent),
+        "sweep-config": (["sweep", "--config", str(absent)], absent),
+        "table-run": (["table", "--run", str(absent)], absent),
+        "sweep-config-directory": (["sweep", "--config", str(tmp_path)], tmp_path),
     }[command]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and str(absent) in err, err
+    assert err.startswith("config error: ") and str(named) in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    data = tmp_path_factory.mktemp("small") / "data"
+    assert cli.main(["make-demo", "--rows", "300", "--seed", "1", "--out", str(data)]) == 0
+    return data
+
+
+def rewrite_corpus(src, dst, edit):
+    """Write ``src`` to ``dst`` with ``edit`` applied to its rows (lists of
+    cells, the header first)."""
+    rows = [line.split(",") for line in src.read_text().splitlines()]
+    dst.write_text("\n".join(",".join(row) for row in edit(rows)) + "\n", encoding="utf-8")
+
+
+def drop_column(name):
+    def edit(rows):
+        at = rows[0].index(name)
+        return [row[:at] + row[at + 1:] for row in rows]
+    return edit
+
+
+def set_column(name, value, first=1, last=None):
+    def edit(rows):
+        at = rows[0].index(name)
+        for row in rows[first:last]:
+            row[at] = value
+        return rows
+    return edit
+
+
+# probe: (corpus edit or None, extra schema line or None, flags replacing
+# the defaults, text the error names)
+BAD_INPUTS = {
+    "age-not-numeric": (set_column("age", "forty", 5, 6), None, {}, "'forty' is not numeric"),
+    "header-only": (lambda rows: rows[:1], None, {}, "no data rows"),
+    "no-sex-column": (drop_column("sex"), None, {}, "'sex' not in header"),
+    "one-group": (set_column("sex", "Male"), None, {}, "stratification cell is empty"),
+    "schema-typo": (None, "kind.agee = numeric", {}, "'agee' not in header"),
+    "no-age-column": (drop_column("age"), None, {}, "'age' not in header"),
+    "data-is-directory": (None, None, {"--data": "."}, "Is a directory"),
+    "out-is-file": (None, None, {"--out": "afile"}, "File exists"),
+    "d2-too-small": (None, None, {"--ratio": "0.01"}, "d2 holds 2 rows"),
+}
+
+
+@pytest.mark.parametrize("probe", list(BAD_INPUTS))
+def test_train_attr_bad_input_exit_code(small_corpus, tmp_path, capsys, probe):
+    edit, schema_line, flags, names = BAD_INPUTS[probe]
+    corpus, schema = small_corpus / "census.csv", small_corpus / "census.schema"
+    if edit is not None:
+        corpus = tmp_path / "census.csv"
+        rewrite_corpus(small_corpus / "census.csv", corpus, edit)
+    if schema_line is not None:
+        schema = tmp_path / "census.schema"
+        schema.write_text((small_corpus / "census.schema").read_text() + schema_line + "\n",
+                          encoding="utf-8")
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    argv = {"--data": str(corpus), "--schema": str(schema), "--epochs": "2",
+            "--out": str(tmp_path / "new" / "run")}
+    argv.update((flag, str(tmp_path / value) if flag in ("--data", "--out") else value)
+                for flag, value in flags.items())
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert cli.main(["train-attr", *(part for item in argv.items() for part in item)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and names in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "afile").is_file()
+
+
+# the classes whose errors are bad input (exit 2); every other package error
+# means the run failed (exit 1)
+INPUT_ERRORS = {"ConfigError", "MissingColumn", "MalformedRow", "EmptyFile", "InsufficientRows"}
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.FairscarceError)]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_class_decides_exit_code(tmp_path, monkeypatch, capsys, cls):
+    def fail(_results):
+        raise cls("boom")
+
+    monkeypatch.setattr(harness, "table_summary", fail)
+    bad_input = cls.__name__ in INPUT_ERRORS
+    assert bad_input == issubclass(cls, errors.ConfigError)
+    assert cli.main(["table", "--run", str(tmp_path)]) == (2 if bad_input else 1)
+    assert capsys.readouterr().err == ("config error: boom\n" if bad_input else "error: boom\n")
+
+
+def test_sweep_failed_cell_exit_code(demo_run, tmp_path, capsys):
+    # H above ln 2 leaves the uncertain variant no row: every cell fails
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"run_dir = {demo_run / 'run'}\nout_dir = {tmp_path / 'out'}\n"
+                   "variants = uncertain\neps_grid = 0.1\nseeds = 1\nH = 0.7\n",
+                   encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    assert "1 cell(s) failed" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [cell["error"] for cell in manifest["cells"]] == [
+        "EmptySelection: uncertain variant kept no rows"]
 
 
 def test_tuned_sweep_names_one_group_candidates(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import shutil
@@ -128,6 +129,22 @@ def test_tune_threshold_returns_grid_value(small_run):
     assert len(tuned.table) == 7
 
 
+def test_tune_threshold_never_reads_d1_hidden_attribute(small_run):
+    # d1's sensitive attribute is hidden in this regime: shuffling it must
+    # not move the tuned H or a single score
+    _, artifacts = small_run
+    d1 = artifacts.split.d1
+    shuffled = np.random.default_rng(0).permutation(d1.masked_sensitive)
+    assert (shuffled != d1.masked_sensitive).any()
+    blind = dataclasses.replace(artifacts, split=dataclasses.replace(
+        artifacts.split, d1=dataclasses.replace(d1, masked_sensitive=shuffled)))
+    budget = {"iters": 3, "max_rows": 1500, "oracle_max_iter": 150}
+    tuned, tuned_blind = (harness.tune_threshold(a, (0.2, 0.5), seed=1, budget=budget)
+                          for a in (artifacts, blind))
+    assert tuned.threshold == tuned_blind.threshold
+    np.testing.assert_array_equal(np.array(tuned.table), np.array(tuned_blind.table))
+
+
 @pytest.mark.parametrize("lo,hi", [(0.1, LN2), (0.1, 0.43), (0.23, 0.41), (0.2, 0.5),
                                    (0.3, 0.3)])
 def test_tune_grid_stays_in_range(small_run, monkeypatch, lo, hi):
@@ -207,7 +224,7 @@ def test_tuned_sweep_tunes_for_its_constraint(small_run, tmp_path, monkeypatch):
                                  exp_grad_iters=3, oracle_max_iter=150)
     harness.run_sweep(config)
     tuning = (out / "tuning.csv").read_text().splitlines()
-    assert tuning[0] == "H,accuracy,eod,objective"
+    assert tuning[0] == "H,accuracy,eod_proxy,objective"
     # every candidate and the one cell
     assert kinds == ["eod"] * len(tuning)
 
