@@ -102,8 +102,33 @@ def _uint32_reader(seeds: np.random.SeedSequence, start: int):
     return read
 
 
+class Scratch:
+    """Work arrays that MC-dropout scoring keeps from one call to the next.
+
+    Each call needs several MB of masks and activations, and the training
+    gate makes one call per batch with the same shapes. glibc hands freed
+    arrays that size back to the system, and faults them in again on the
+    next call, whenever its trim threshold sits below them. That threshold
+    follows the largest array the process freed before, so fresh arrays
+    would make the cost of a call, a page fault per 4 KB, depend on the
+    corpus size. A caller that scores many times keeps one Scratch for all
+    its calls."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialized C-contiguous array of ``shape``: a view of the
+        buffer kept under ``name``, which grows when it is too small."""
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.dtype != dtype or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
 def _mc_probs_f32(params: nn.MlpParams, x: np.ndarray, passes: int,
-                  seed: int, counter: int) -> np.ndarray:
+                  seed: int, counter: int, scratch: Scratch | None = None) -> np.ndarray:
     """Mean sigmoid of ``passes`` stochastic forward passes in float32 (the
     scoring pass is memory-bound and does not need double precision);
     deterministic in (seed, counter).
@@ -135,6 +160,8 @@ def _mc_probs_f32(params: nn.MlpParams, x: np.ndarray, passes: int,
       several passes runs layer 0 on two copies of itself, a one-row last
       block joins the block before it, and a net with no hidden layer keeps
       the tiled product.
+    - The masks and the hidden activations live in ``scratch`` (a fresh one
+      when None), whose arrays a caller can reuse from call to call.
     """
     keep = np.float32(1.0 - params.dropout_rate)
     scale = np.float32(1.0) / keep
@@ -162,12 +189,15 @@ def _mc_probs_f32(params: nn.MlpParams, x: np.ndarray, passes: int,
     starts = list(range(0, passes, per_block))
     if n == 1 and len(starts) > 1 and passes - starts[-1] == 1:
         starts.pop()
-    last = np.empty((rows, hidden[-1]), dtype=np.float32)
+    scratch = Scratch() if scratch is None else scratch
+    last = scratch.take("last", (rows, hidden[-1]), np.float32)
     for p0, p1 in zip(starts, starts[1:] + [passes]):
         m = (p1 - p0) * n
         for k, h in enumerate(hidden):
-            kept = readers[k](m * h) <= limit
-            out = last[p0 * n:p1 * n] if k == len(hidden) - 1 else np.empty((m, h), np.float32)
+            kept = np.less_equal(readers[k](m * h), limit,
+                                 out=scratch.take("kept", (m * h,), np.bool_))
+            out = (last[p0 * n:p1 * n] if k == len(hidden) - 1
+                   else scratch.take(f"hidden{k}", (m, h), np.float32))
             if k == 0:
                 np.multiply(z0[:n], kept.reshape(p1 - p0, n, h), out=out.reshape(p1 - p0, n, h))
             else:
@@ -182,17 +212,19 @@ def _mc_probs_f32(params: nn.MlpParams, x: np.ndarray, passes: int,
     return nn.sigmoid(z[:, 0].astype(float)).reshape(passes, n).mean(axis=0)
 
 
-def mc_dropout_predict(params: nn.MlpParams, x: np.ndarray, passes: int,
-                       seed: int, counter: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def mc_dropout_predict(params: nn.MlpParams, x: np.ndarray, passes: int, seed: int,
+                       counter: int = 0,
+                       scratch: Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Mean sigmoid over ``passes`` stochastic forward passes and the binary
-    entropy of that mean. Deterministic in (seed, counter)."""
+    entropy of that mean. Deterministic in (seed, counter); ``scratch`` only
+    lends the work arrays."""
     if passes < 1:
         raise ValueError("need at least one pass")
     if params.dropout_rate == 0.0:
         logits, _ = nn.forward(params, x, nn.DropoutPlan(nn.EVAL))
         p = nn.sigmoid(logits)
     else:
-        p = _mc_probs_f32(params, x, passes, seed, counter)
+        p = _mc_probs_f32(params, x, passes, seed, counter, scratch)
     return p, binary_entropy(p)
 
 
@@ -298,24 +330,33 @@ def train_attribute_classifier(split: ScarceSplit,
     val_idx, calib_idx, train_idx = _carve(
         len(d2), [config.val_fraction, config.calib_fraction], rng)
 
-    x_lab = d2.features[train_idx]
     a_lab = d2.sensitive[train_idx].astype(float)
     x_val = d2.features[val_idx]
     a_val = d2.sensitive[val_idx]
 
-    # batches mix the labeled rows with every unlabeled d1 row
-    x_all = np.vstack([x_lab, d1.features])
-    labeled = np.zeros(len(x_all), dtype=bool)
-    labeled[:len(x_lab)] = True
-    targets_all = np.concatenate([a_lab, np.zeros(len(d1))])
+    # batches mix the labeled rows with every unlabeled d1 row: row r of the
+    # shuffled range is training row r of d2 for r < n_lab, else d1 row
+    # r - n_lab; each batch gathers its rows from d2 and d1 by index, with
+    # no stacked copy of both
+    n_lab, width = len(train_idx), d1.features.shape[1]
 
-    dims = [x_all.shape[1], *config.hidden]
+    def gather(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lab_mask = rows < n_lab
+        xb = np.empty((len(rows), width))
+        xb[lab_mask] = d2.features[train_idx[rows[lab_mask]]]
+        xb[~lab_mask] = d1.features[rows[~lab_mask] - n_lab]
+        targets = np.zeros(len(rows))
+        targets[lab_mask] = a_lab[rows[lab_mask]]
+        return xb, lab_mask, targets
+
+    dims = [width, *config.hidden]
     student = nn.init_mlp(dims, config.dropout_rate, seed=config.seed)
     teacher = student  # EMA starts as an exact copy
     adam = nn.init_adam(student, lr=config.lr)
     lambda_schedule = RampSchedule(config.lambda_max, config.ramp_epochs)
     r_schedule = RampSchedule(config.r_max, config.ramp_epochs)
 
+    scratch = Scratch()  # the gate's work arrays, reused batch after batch
     step = 0
     log: list[EpochLog] = []
     best_val, best_epoch = -math.inf, 0
@@ -325,14 +366,12 @@ def train_attribute_classifier(split: ScarceSplit,
     for epoch in range(config.epochs):
         lam = lambda_schedule.value(epoch)
         r_cut = r_schedule.value(epoch)
-        order = order_rng.permutation(len(x_all))
+        order = order_rng.permutation(n_lab + len(d1))
         sup_sum, cons_sum, unc_sum, n_batches = 0.0, 0.0, 0.0, 0
         for start in range(0, len(order), config.batch_size):
             rows = order[start:start + config.batch_size]
-            xb = x_all[rows]
-            lab_mask = labeled[rows]
-            spec_ce = nn.LossSpec("cross_entropy", targets=targets_all[rows],
-                                  labeled_mask=lab_mask)
+            xb, lab_mask, targets = gather(rows)
+            spec_ce = nn.LossSpec("cross_entropy", targets=targets, labeled_mask=lab_mask)
             ce_loss, grads = nn.value_and_grad(student, xb, spec_ce,
                                                nn.DropoutPlan(nn.TRAIN, config.seed + 13, step))
             loss = ce_loss
@@ -344,7 +383,8 @@ def train_attribute_classifier(split: ScarceSplit,
                     cons_mask = np.ones(len(rows), dtype=bool)
                 else:
                     _, u_batch = mc_dropout_predict(teacher, xb, config.mc_passes,
-                                                    seed=(config.seed + 7919), counter=step)
+                                                    seed=(config.seed + 7919), counter=step,
+                                                    scratch=scratch)
                     cons_mask = u_batch <= r_cut
                     unc_sum += float(u_batch.mean())
                 spec_cons = nn.LossSpec("consistency", teacher_logits=teacher_logits,
@@ -389,10 +429,11 @@ def predict_proxy(teacher: nn.MlpParams, d1: Dataset, passes: int,
     passes over blocks of ``_PROXY_CHUNK`` rows give the mean probability and
     its entropy, and a_hat is that probability thresholded at 0.5."""
     p, u = np.empty(len(d1)), np.empty(len(d1))
+    scratch = Scratch()
     for start in range(0, len(d1), _PROXY_CHUNK):
         stop = start + _PROXY_CHUNK
         p[start:stop], u[start:stop] = mc_dropout_predict(
-            teacher, d1.features[start:stop], passes, seed, counter=start)
+            teacher, d1.features[start:stop], passes, seed, counter=start, scratch=scratch)
     return Proxies(d1.sample_ids, (p >= 0.5).astype(int), p, u)
 
 

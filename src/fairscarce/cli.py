@@ -65,6 +65,7 @@ def _cmd_train_fair(args) -> int:
     _require_finite("--eps", args.eps)
     _require_finite("--H", args.H)
     _require_at_least("--eps", args.eps, 0.0)
+    _require_at_least("--H", args.H, 0.0)
     _require_at_least("--seed", args.seed, 0)
     artifacts = harness.load_run(args.run)
     if args.proxies:

@@ -14,10 +14,10 @@ A run directory produced by the attribute phase holds, one file each:
   attr_summary.json       the phase-1 configuration and summary numbers
 
 proxies.csv and d1_eval_probs.csv list d1's rows in d1 row order, which
-``split_scarce`` makes ascending sample id. Every later command (train-fair,
-sweep, fig2, table) works off that directory; ``load_run`` reads and checks
-all of it except the checkpoint and the log, so a missing or damaged file is
-a ConfigError that names it.
+``tabular.split_scarce_rows`` makes ascending sample id. Every later command
+(train-fair, sweep, fig2, table) works off that directory; ``load_run`` reads
+and checks all of it except the checkpoint and the log, so a missing or
+damaged file is a ConfigError that names it.
 Run directories from earlier versions must be rebuilt with train-attr.
 
 A sweep reads such a directory and runs its cells one after another. The
@@ -563,8 +563,10 @@ class SweepConfig:
             raise ConfigError(f"unknown constraint {self.constraint!r}")
         if not all(math.isfinite(eps) and eps >= 0 for eps in self.eps_grid):
             raise ConfigError(f"eps_grid values must be finite and >= 0, got {self.eps_grid}")
-        if self.threshold is not None and not math.isfinite(self.threshold):
-            raise ConfigError(f"H must be a finite number, got {self.threshold}")
+        # no entropy is below 0, so a negative H would keep no certain row
+        if self.threshold is not None and not (math.isfinite(self.threshold)
+                                               and self.threshold >= 0):
+            raise ConfigError(f"H must be a finite number >= 0, got {self.threshold}")
         if not self.eps_grid:
             self.eps_grid = tuple(round(float(v), 12) for v in
                                   np.geomspace(0.001, 0.3, 12))

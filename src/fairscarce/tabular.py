@@ -2,15 +2,18 @@
 
 A corpus is read column by column: ``load_csv`` validates the CSV row by row,
 parses the declared-numeric cells as it goes and keeps one float array or
-token tuple per column, and ``encode`` turns those columns into the feature
-matrix in one pass each (numeric columns standardized by the fitting rows,
-categorical ones one-hot over the whole column's vocabulary).
+token tuple per column, and ``encode`` turns those columns into features
+(numeric columns standardized by the fitting rows, categorical ones one-hot
+over the whole column's vocabulary), writing the rows of each part of a split
+straight into that part's own matrix.
 
-The split produces three disjoint parts: ``d1`` keeps task labels but has its
-sensitive column masked, ``d2`` keeps the sensitive column but has labels
-masked, and ``test`` keeps both. Masked columns stay attached to the Dataset
-so evaluation code can recover ground truth; training code must only read the
-visible ``labels`` / ``sensitive`` fields.
+The split picks its rows from the labels and the sensitive column alone
+(``split_scarce_rows``), before any encoding, and produces three disjoint
+parts: ``d1`` keeps task labels but has its sensitive column masked, ``d2``
+keeps the sensitive column but has labels masked, and ``test`` keeps both.
+Masked columns stay attached to the Dataset so evaluation code can recover
+ground truth; training code must only read the visible ``labels`` /
+``sensitive`` fields.
 """
 from __future__ import annotations
 
@@ -233,24 +236,30 @@ def _numeric_values(tokens: Sequence[str] | np.ndarray, kind: str | None) -> np.
         return None
 
 
-def encode(table: RawTable, fitting_rows: Sequence[int], schema: Schema) -> Dataset:
-    """Encode every column except the target and the sensitive one, in header
-    order, and map those two to {0,1} labels and attributes.
+def encode(table: RawTable, fitting_rows: Sequence[int], schema: Schema,
+           parts: Sequence[Sequence[int]]) -> list[Dataset]:
+    """Encode the rows of each part of ``table`` into a Dataset of its own:
+    every column except the target and the sensitive one becomes features, in
+    header order, and those two map to {0,1} labels and attributes. A part's
+    sample ids are its table row indices, in the order given.
 
     A numeric column becomes one feature, standardized by the mean and
     population std of the sorted unique ``fitting_rows`` (a zero std becomes
     divisor 1). A categorical column becomes a one-hot block over the
     lexicographic vocabulary of the whole column, so every token in the table
-    encodes. A column the schema does not declare is numeric when every token
-    parses as a float. Empty or out-of-range ``fitting_rows`` raise EmptyFit."""
+    encodes and every part gets the same feature columns. A column the schema
+    does not declare is numeric when every token parses as a float. Each
+    part's rows are written straight into its own matrix, so no matrix of
+    every row is built: a part equals the rows of the whole table's encoding
+    bit for bit. Empty or out-of-range ``fitting_rows`` raise EmptyFit."""
     n = table.n_rows
     fit = np.unique(np.asarray(fitting_rows, dtype=np.intp))
     if len(fit) == 0:
         raise EmptyFit("no fitting rows")
     if fit[0] < 0 or fit[-1] >= n:
         raise EmptyFit(f"fitting rows outside [0, {n})")
-    # (first feature column, standardized values or None, one-hot codes or None)
-    blocks = []
+    numeric = []  # (feature column, values, fitted mean, divisor)
+    onehot = []  # (first feature column, vocabulary code of each row)
     width = 0
     for name, tokens in zip(table.column_names, table.columns):
         if name in (schema.target, schema.sensitive):
@@ -259,24 +268,27 @@ def encode(table: RawTable, fitting_rows: Sequence[int], schema: Schema) -> Data
         if values is not None:
             fitted = values[fit]
             std = float(fitted.std())
-            blocks.append((width, (values - float(fitted.mean())) / (std if std > 0.0 else 1.0),
-                           None))
+            numeric.append((width, values, float(fitted.mean()), std if std > 0.0 else 1.0))
             width += 1
         else:
             vocab = sorted(set(tokens))
             index = {tok: j for j, tok in enumerate(vocab)}
-            blocks.append((width, None, np.fromiter(map(index.__getitem__, tokens),
-                                                    dtype=np.intp, count=n)))
+            onehot.append((width, np.fromiter(map(index.__getitem__, tokens),
+                                              dtype=np.intp, count=n)))
             width += len(vocab)
-    features = np.zeros((n, width))
-    rows = np.arange(n)
-    for start, values, codes in blocks:
-        if codes is None:
-            features[:, start] = values
-        else:
-            features[rows, start + codes] = 1.0
-    return Dataset(features, rows, _indicator(table.column(schema.target), schema.positive_token),
-                   _indicator(table.column(schema.sensitive), schema.privileged_token))
+    labels = _indicator(table.column(schema.target), schema.positive_token)
+    sensitive = _indicator(table.column(schema.sensitive), schema.privileged_token)
+    out = []
+    for part in parts:
+        rows = np.array(part, dtype=np.intp)
+        features = np.zeros((len(rows), width))
+        for column, values, mean, divisor in numeric:
+            features[:, column] = (values[rows] - mean) / divisor
+        at = np.arange(len(rows))
+        for start, codes in onehot:
+            features[at, start + codes[rows]] = 1.0
+        out.append(Dataset(features, rows, labels[rows], sensitive[rows]))
+    return out
 
 
 # --- demographic-scarce split ------------------------------------------------
@@ -289,6 +301,16 @@ class ScarceSplit:
     d2: Dataset
     test: Dataset
     group_labeled_ratio: float
+
+    @classmethod
+    def of(cls, d1: Dataset, d2: Dataset, test: Dataset, ratio: float) -> "ScarceSplit":
+        """The split of three fully labelled parts: d1's sensitive vector and
+        d2's labels move to their masked fields."""
+        return cls(Dataset(d1.features, d1.sample_ids, labels=d1.labels,
+                           masked_sensitive=d1.sensitive),
+                   Dataset(d2.features, d2.sample_ids, sensitive=d2.sensitive,
+                           masked_labels=d2.labels),
+                   test, ratio)
 
 
 def _strata(labels: np.ndarray, sensitive: np.ndarray) -> list[np.ndarray]:
@@ -332,34 +354,30 @@ def stratified_holdout(labels: np.ndarray, sensitive: np.ndarray, fraction: floa
     return np.sort(np.concatenate(chosen))
 
 
-def split_scarce(ds: Dataset, ratio: float, seed: int, test_fraction: float) -> ScarceSplit:
-    """Carve a stratified test set, then split the remainder into the
-    group-labeled part d2 (fraction ``ratio``) and the label-only part d1.
-    Each part keeps the rows of ``ds`` in their order there, so its sample
-    ids ascend when those of ``ds`` do, as ``encode``'s (0 to n - 1) do: the
-    d1 row order of phase 1's per-row outputs is ascending sample id."""
-    if ds.labels is None or ds.sensitive is None:
-        raise ValueError("split_scarce needs both labels and sensitive present")
+def split_scarce_rows(labels: np.ndarray, sensitive: np.ndarray, ratio: float, seed: int,
+                     test_fraction: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices of d1, d2 and test, each ascending: a stratified holdout
+    of ``test_fraction`` of the rows is the test part, and a second one, with
+    the derived seed ``seed + 1``, takes the group-labelled part d2
+    (fraction ``ratio``) from the remainder; d1 is what is left. Ascending
+    rows keep sample ids ascending, so the d1 row order of phase 1's per-row
+    outputs is ascending sample id. A part that would hold no row, or an
+    empty (sensitive, label) cell, raises InsufficientRows."""
     if not 0.0 < ratio < 1.0 or not 0.0 < test_fraction < 1.0:
         raise ValueError("ratio and test_fraction must lie in (0, 1)")
-    test_rows = stratified_holdout(ds.labels, ds.sensitive, test_fraction, seed)
-    mask = np.ones(len(ds), dtype=bool)
+    test_rows = stratified_holdout(labels, sensitive, test_fraction, seed)
+    mask = np.ones(len(labels), dtype=bool)
     mask[test_rows] = False
     rest_rows = np.flatnonzero(mask)
-    # second stratified draw, derived seed, picks d2 inside the remainder;
-    # d1 and d2 are taken straight from ds, with no copy of the remainder
-    d2_local = stratified_holdout(ds.labels[rest_rows], ds.sensitive[rest_rows], ratio, seed + 1)
-    d2_mask = np.zeros(len(rest_rows), dtype=bool)
-    d2_mask[d2_local] = True
-
-    d2_of = ds.take(rest_rows[d2_mask])
-    d1_of = ds.take(rest_rows[~d2_mask])
-    d1 = Dataset(d1_of.features, d1_of.sample_ids, labels=d1_of.labels,
-                 sensitive=None, masked_sensitive=d1_of.sensitive)
-    d2 = Dataset(d2_of.features, d2_of.sample_ids, labels=None,
-                 sensitive=d2_of.sensitive, masked_labels=d2_of.labels)
-    test = ds.take(test_rows)
-    return ScarceSplit(d1, d2, test, ratio)
+    in_d2 = np.zeros(len(rest_rows), dtype=bool)
+    in_d2[stratified_holdout(labels[rest_rows], sensitive[rest_rows], ratio, seed + 1)] = True
+    parts = rest_rows[~in_d2], rest_rows[in_d2], test_rows
+    for name, rows in zip(("d1", "d2", "test"), parts):
+        if len(rows) == 0:
+            raise InsufficientRows(
+                f"the {name} split of {len(labels)} rows holds no row (group-labelled ratio "
+                f"{ratio}, test fraction {test_fraction}); raise its share or use a larger corpus")
+    return parts
 
 
 # --- dataset cache io --------------------------------------------------------
@@ -400,17 +418,15 @@ def load_dataset(path) -> Dataset:
 
 def prepare_split(csv_path, schema: Schema, ratio: float, test_fraction: float,
                   seed: int, strict: bool = True) -> tuple[ScarceSplit, int]:
-    """Full pipeline: load, pick the test rows, encode with the numeric
-    statistics fitted on everything except them (no leakage into test
-    standardization), split. Returns the split and how many malformed rows
-    the load dropped (always 0 when ``strict``)."""
+    """Full pipeline: load, pick the rows of each part
+    (``split_scarce_rows``), then encode each part into its own matrix with
+    the numeric statistics fitted on everything except the test rows (no
+    leakage into test standardization). Returns the split and how many
+    malformed rows the load dropped (always 0 when ``strict``)."""
     table = load_csv(csv_path, schema, strict=strict)
-    rows_dropped = table.n_dropped
     y = _indicator(table.column(schema.target), schema.positive_token)
     a = _indicator(table.column(schema.sensitive), schema.privileged_token)
-    test_rows = stratified_holdout(y, a, test_fraction, seed)
-    mask = np.ones(table.n_rows, dtype=bool)
-    mask[test_rows] = False
-    ds = encode(table, np.flatnonzero(mask), schema)
-    del table  # free the tokens before the split copies the feature rows
-    return split_scarce(ds, ratio, seed, test_fraction), rows_dropped
+    d1_rows, d2_rows, test_rows = split_scarce_rows(y, a, ratio, seed, test_fraction)
+    d1, d2, test = encode(table, np.concatenate((d1_rows, d2_rows)), schema,
+                          (d1_rows, d2_rows, test_rows))
+    return ScarceSplit.of(d1, d2, test, ratio), table.n_dropped

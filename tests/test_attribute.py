@@ -113,12 +113,29 @@ def test_mc_probs_bit_identical_to_tiled_reference(dims, rate):
     # 2,731 x 7 has odd-sized blocks, so with odd widths a layer's stream
     # starts on an odd uint32 and reads end inside a 64-bit draw; 1 x 8,193
     # leaves a one-row last block
+    # one Scratch lends its work arrays to every call, as the training gate's
+    # does, whatever the shapes before
+    shared = attr.Scratch()
     cases = [(n, passes) for n in (1, 2, 7, 256, 2775) for passes in (1, 5, 30)]
     for n, passes in cases + [(4096, 30), (2775, 5), (2731, 7), (1, 8193)]:
         x = x_all[:n]
         expected = reference_mc_probs(params, x, passes, seed=11, counter=n)
         got = attr._mc_probs_f32(params, x, passes, seed=11, counter=n)
         assert np.array_equal(got, expected), (n, passes)
+        got = attr._mc_probs_f32(params, x, passes, seed=11, counter=n, scratch=shared)
+        assert np.array_equal(got, expected), (n, passes, "shared scratch")
+
+
+def test_scratch_reuses_its_buffers():
+    scratch = attr.Scratch()
+    a = scratch.take("h", (4, 3), np.float32)
+    b = scratch.take("h", (2, 5), np.float32)
+    assert b.shape == (2, 5) and b.flags.c_contiguous and np.shares_memory(a, b)
+    assert not np.shares_memory(a, scratch.take("other", (4, 3), np.float32))
+    # larger than the buffer: a new one, which later takes reuse
+    grown = scratch.take("h", (5, 3), np.float32)
+    assert not np.shares_memory(a, grown)
+    assert np.shares_memory(grown, scratch.take("h", (3,), np.float32))
 
 
 def test_predict_proxy_peak_memory():
@@ -153,7 +170,9 @@ def two_cluster_split(n=600, gap=8.0, seed=0):
     x = rng.normal(size=(n, 2)) + gap * a[:, None]
     y = rng.integers(0, 2, size=n)
     ds = tabular.Dataset(x, np.arange(n), labels=y, sensitive=a)
-    return tabular.split_scarce(ds, ratio=0.3, seed=seed, test_fraction=0.2)
+    d1, d2, test = (ds.take(rows) for rows in
+                    tabular.split_scarce_rows(y, a, ratio=0.3, seed=seed, test_fraction=0.2))
+    return tabular.ScarceSplit.of(d1, d2, test, 0.3)
 
 
 def quick_config(**kw):

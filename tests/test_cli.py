@@ -1,11 +1,15 @@
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairscarce
 from fairscarce import cli, errors, harness, tabular
 from fairscarce.errors import DegenerateGroup
 
@@ -212,6 +216,21 @@ def test_cli_number_out_of_range_exit_code(tmp_path, capsys, argv):
     assert not (tmp_path / "new").exists()
 
 
+def test_negative_threshold_exit_code(demo_run, tmp_path, capsys):
+    # no entropy is below 0: a negative H would keep no certain row and fail
+    # as a run error (exit 1) if it were not rejected as bad input
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"run_dir = {demo_run / 'run'}\nout_dir = {tmp_path / 'out'}\n"
+                   "variants = certain\neps_grid = 0.1\nseeds = 1\nH = -1\n", encoding="utf-8")
+    for argv in (["train-fair", "--variant", "certain", "--H", "-1", "--run",
+                  str(demo_run / "run"), "--out", str(tmp_path / "row.csv")],
+                 ["sweep", "--config", str(cfg)]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "H must be" in err and "-1" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
 def test_stale_text_dataset_cache_exit_code(demo_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(demo_run / "run", run)
@@ -405,6 +424,8 @@ BAD_INPUTS = {
     "data-is-directory": (None, None, {"--data": "."}, "Is a directory"),
     "out-is-file": (None, None, {"--out": "afile"}, "File exists"),
     "d2-too-small": (None, None, {"--ratio": "0.01"}, "d2 holds 2 rows"),
+    "test-split-empty": (None, None, {"--test-fraction": "0.001"},
+                         "the test split of 300 rows holds no row"),
 }
 
 
@@ -481,3 +502,37 @@ def test_tuned_sweep_names_one_group_candidates(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "no tuning candidate could be trained" in err and "one proxy group" in err, err
+
+
+# run in a fresh interpreter: whether scipy.optimize is loaded after the CLI
+# import and phase 1, after an unconstrained cell, and after an exp-grad cell
+LP_IMPORT_PROBE = """
+import sys
+from pathlib import Path
+
+import fairscarce.cli
+from fairscarce import attribute, harness, synthdata
+
+root = Path(sys.argv[1])
+loaded = lambda: "scipy.optimize" in sys.modules
+synthdata.write_corpus(root / "census.csv", 300, seed=1)
+synthdata.write_schema(root / "census.schema")
+artifacts = harness.run_attribute_phase(root / "census.csv", root / "census.schema",
+                                        root / "run", seed=1,
+                                        train_config=attribute.AttrTrainConfig(seed=1, epochs=2))
+print(loaded())
+harness.run_cell(artifacts, "vanilla", "dp", 0.0, 0, None, oracle_max_iter=50)
+print(loaded())
+harness.run_cell(artifacts, "clean", "dp", 0.0, 0, None, iters=2, oracle_max_iter=50)
+print(loaded())
+"""
+
+
+def test_lp_solver_loads_only_when_an_lp_runs(tmp_path):
+    src = str(Path(fairscarce.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", LP_IMPORT_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "True"]

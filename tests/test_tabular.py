@@ -156,20 +156,41 @@ def reference_encode(table, fitting_rows, schema):
     return tabular.Dataset(np.column_stack(blocks), np.arange(n), labels, sensitive)
 
 
-def reference_prepare_split(path, schema, ratio, test_fraction, seed):
-    table = tabular.load_csv(path, schema)
+def encode_all(table, fitting_rows, schema):
+    """``tabular.encode`` of every table row, as one Dataset."""
+    return tabular.encode(table, fitting_rows, schema, [np.arange(table.n_rows)])[0]
+
+
+def masked_parts(ds, d1_rows, d2_rows, test_rows, ratio):
+    """The split that takes each part's rows from ``ds`` and hides d1's
+    sensitive vector and d2's labels."""
+    d1, d2 = ds.take(d1_rows), ds.take(d2_rows)
+    return tabular.ScarceSplit(
+        tabular.Dataset(d1.features, d1.sample_ids, labels=d1.labels,
+                        masked_sensitive=d1.sensitive),
+        tabular.Dataset(d2.features, d2.sample_ids, sensitive=d2.sensitive,
+                        masked_labels=d2.labels),
+        ds.take(test_rows), ratio)
+
+
+def reference_prepare_split(path, schema, ratio, test_fraction, seed, strict=True):
+    """Encode every row row-wise, then take each part's rows out of that one
+    matrix: the bit-exact reference for ``prepare_split``, which encodes
+    each part into its own matrix."""
+    table = tabular.load_csv(path, schema, strict=strict)
     y = np.array([t == schema.positive_token for t in table.column(schema.target)], dtype=int)
     a = np.array([t == schema.privileged_token for t in table.column(schema.sensitive)],
                  dtype=int)
     mask = np.ones(table.n_rows, dtype=bool)
     mask[tabular.stratified_holdout(y, a, test_fraction, seed)] = False
     ds = reference_encode(table, np.flatnonzero(mask), schema)
-    return tabular.split_scarce(ds, ratio, seed, test_fraction)
+    rows = tabular.split_scarce_rows(ds.labels, ds.sensitive, ratio, seed, test_fraction)
+    return masked_parts(ds, *rows, ratio)
 
 
 def age_feature(table, fitting_rows, schema):
     """The encoded age column, the first feature of every table below."""
-    return tabular.encode(table, fitting_rows, schema).features[:, 0]
+    return encode_all(table, fitting_rows, schema).features[:, 0]
 
 
 # the fitted encoding, read off the features: numeric statistics from the
@@ -192,7 +213,7 @@ def test_fit_encoder_constant_column(schema):
 def test_fit_encoder_vocabulary_lexicographic(schema):
     table = make_table(["1", "b", "Male", ">50K"], ["2", "a", "Female", "<=50K"],
                        ["3", "b", "Male", ">50K"], columns=("age", "tok", "sex", "income"))
-    ds = tabular.encode(table, [0, 1, 2], schema)
+    ds = encode_all(table, [0, 1, 2], schema)
     # the one-hot block after age lists "a" before "b"
     np.testing.assert_array_equal(ds.features[:, 1:], [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -208,19 +229,35 @@ def test_fit_encoder_stats_from_fitting_rows_only(schema):
 def test_fit_encoder_empty(schema):
     table = make_table(["1", "Male", ">50K"])
     with pytest.raises(EmptyFit):
-        tabular.encode(table, [], schema)
+        tabular.encode(table, [], schema, [[0]])
     with pytest.raises(EmptyFit):
-        tabular.encode(table, [1], schema)
+        tabular.encode(table, [1], schema, [[0]])
 
 
 def test_encode_dimensions_and_mappings(schema):
     table = make_table(["1", "red", "Male", ">50K"], ["2", "blue", "Female", "<=50K"],
                        ["3", "red", "Male", "<=50K"], columns=("age", "color", "sex", "income"))
-    ds = tabular.encode(table, [0, 1, 2], schema)
+    ds = encode_all(table, [0, 1, 2], schema)
     # 1 numeric + 2 one-hot dims; target and sensitive excluded
     assert ds.features.shape == (3, 3)
     np.testing.assert_array_equal(ds.labels, [1, 0, 0])
     np.testing.assert_array_equal(ds.sensitive, [1, 0, 1])
+
+
+def test_encode_parts_are_rows_of_whole_encoding(schema):
+    # each part gets every feature column, the vocabulary of the whole
+    # column included, and its rows in the order given
+    table = make_table(["1", "red", "Male", ">50K"], ["2", "blue", "Female", "<=50K"],
+                       ["-3", "green", "Male", "<=50K"], ["4", "red", "Female", ">50K"],
+                       columns=("age", "color", "sex", "income"))
+    whole = encode_all(table, [0, 1], schema)
+    parts = tabular.encode(table, [1, 0, 1], schema, [[3, 0], [2], []])
+    for rows, part in zip([[3, 0], [2], []], parts):
+        want = whole.take(np.array(rows, dtype=np.intp))
+        for name in ("features", "sample_ids", "labels", "sensitive"):
+            a, b = getattr(part, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_encode_roundtrip_through_csv(tmp_path, schema):
@@ -237,8 +274,8 @@ def test_encode_roundtrip_through_csv(tmp_path, schema):
     assert isinstance(age, np.ndarray) and age.dtype == np.float64
     assert age.tolist() == [float(t) for t in table.column("age")]
     assert back.columns[1:] == table.columns[1:]
-    a = tabular.encode(table, [0, 1, 2], schema)
-    b = tabular.encode(back, [0, 1, 2], schema)
+    a = encode_all(table, [0, 1, 2], schema)
+    b = encode_all(back, [0, 1, 2], schema)
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.labels, b.labels)
 
@@ -253,6 +290,7 @@ def assert_splits_identical(got, want):
             if a is not None:
                 assert a.dtype == b.dtype and a.shape == b.shape, f"{part}.{name}"
                 assert a.tobytes() == b.tobytes(), f"{part}.{name}"
+    assert got.group_labeled_ratio == want.group_labeled_ratio
 
 
 def test_prepare_split_matches_rowwise_reference_on_demo_corpus(tmp_path):
@@ -262,6 +300,29 @@ def test_prepare_split_matches_rowwise_reference_on_demo_corpus(tmp_path):
     got, _ = tabular.prepare_split(tmp_path / "census.csv", schema, 0.2, 0.3, seed=4)
     want = reference_prepare_split(tmp_path / "census.csv", schema, 0.2, 0.3, seed=4)
     assert_splits_identical(got, want)
+
+
+def test_prepare_split_matches_rowwise_reference_on_lenient_load(tmp_path):
+    # malformed rows among the good ones: a lenient load drops them, and the
+    # row indices of every later row shift down
+    synthdata.write_corpus(tmp_path / "census.csv", 1500, seed=9)
+    synthdata.write_schema(tmp_path / "census.schema")
+    schema = tabular.Schema.from_file(tmp_path / "census.schema")
+    lines = (tmp_path / "census.csv").read_text().splitlines()
+    age = lines[0].split(",").index("age")
+    for at in (7, 400, 1201):
+        cells = lines[at].split(",")
+        cells[age] = "forty"
+        lines[at] = ",".join(cells)
+    lines[900] = lines[900].rsplit(",", 1)[0]  # one cell short
+    path = write_lines(tmp_path, "damaged.csv", lines)
+    with pytest.raises(MalformedRow):
+        tabular.prepare_split(path, schema, 0.2, 0.3, seed=9)
+    got, rows_dropped = tabular.prepare_split(path, schema, 0.2, 0.3, seed=9, strict=False)
+    assert rows_dropped == 4
+    assert len(got.d1) + len(got.d2) + len(got.test) == 1500 - 4
+    assert_splits_identical(got, reference_prepare_split(path, schema, 0.2, 0.3, seed=9,
+                                                         strict=False))
 
 
 def test_prepare_split_matches_rowwise_reference_on_undeclared_numeric(tmp_path, schema):
@@ -287,46 +348,50 @@ def balanced_dataset(n=100, seed=0):
     return tabular.Dataset(features, np.arange(n), labels, sensitive)
 
 
+def split_rows(ds, ratio, seed, test_fraction):
+    """The d1, d2 and test row indices of ``ds``."""
+    return tabular.split_scarce_rows(ds.labels, ds.sensitive, ratio, seed, test_fraction)
+
+
 def test_split_scarce_counts():
-    ds = balanced_dataset(100)
-    split = tabular.split_scarce(ds, ratio=0.2, seed=3, test_fraction=0.3)
-    assert len(split.test) == 30
-    assert len(split.d2) == 14
-    assert len(split.d1) == 56
+    d1, d2, test = split_rows(balanced_dataset(100), ratio=0.2, seed=3, test_fraction=0.3)
+    assert len(test) == 30
+    assert len(d2) == 14
+    assert len(d1) == 56
 
 
 def test_split_scarce_deterministic():
     ds = balanced_dataset(100)
-    s1 = tabular.split_scarce(ds, 0.2, 7, 0.3)
-    s2 = tabular.split_scarce(ds, 0.2, 7, 0.3)
-    np.testing.assert_array_equal(s1.d2.sample_ids, s2.d2.sample_ids)
-    np.testing.assert_array_equal(s1.test.sample_ids, s2.test.sample_ids)
+    for a, b in zip(split_rows(ds, 0.2, 7, 0.3), split_rows(ds, 0.2, 7, 0.3)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_split_scarce_ratio_tolerance():
-    ds = balanced_dataset(400, seed=1)
-    split = tabular.split_scarce(ds, ratio=0.05, seed=2, test_fraction=0.25)
-    n2, n1 = len(split.d2), len(split.d1)
-    assert abs(n2 - 0.05 * (n1 + n2)) <= 1.0
+    d1, d2, _ = split_rows(balanced_dataset(400, seed=1), ratio=0.05, seed=2, test_fraction=0.25)
+    assert abs(len(d2) - 0.05 * (len(d1) + len(d2))) <= 1.0
 
 
 def test_split_scarce_disjoint_union():
-    ds = balanced_dataset(150, seed=4)
-    split = tabular.split_scarce(ds, 0.3, 11, 0.2)
-    all_ids = np.concatenate([split.d1.sample_ids, split.d2.sample_ids, split.test.sample_ids])
-    assert len(set(all_ids.tolist())) == len(all_ids) == 150
+    all_rows = np.concatenate(split_rows(balanced_dataset(150, seed=4), 0.3, 11, 0.2))
+    assert sorted(all_rows.tolist()) == list(range(150))
 
 
-def test_split_scarce_masking():
-    ds = balanced_dataset(100)
-    split = tabular.split_scarce(ds, 0.2, 0, 0.3)
+def test_split_scarce_masking(tmp_path):
+    synthdata.write_corpus(tmp_path / "census.csv", 600, seed=3)
+    synthdata.write_schema(tmp_path / "census.schema")
+    schema = tabular.Schema.from_file(tmp_path / "census.schema")
+    split, _ = tabular.prepare_split(tmp_path / "census.csv", schema, 0.2, 0.3, seed=0)
     assert split.d1.sensitive is None and split.d1.labels is not None
     assert split.d2.labels is None and split.d2.sensitive is not None
     assert split.test.labels is not None and split.test.sensitive is not None
+    assert split.group_labeled_ratio == 0.2
     # masked truth is still reachable for evaluation
-    np.testing.assert_array_equal(tabular.oracle_sensitive(split.d1),
-                                  ds.sensitive[split.d1.sample_ids])
-    np.testing.assert_array_equal(split.d2.masked_labels, ds.labels[split.d2.sample_ids])
+    table = tabular.load_csv(tmp_path / "census.csv", schema)
+    y = np.array([t == ">50K" for t in table.column("income")], dtype=int)
+    a = np.array([t == "Male" for t in table.column("sex")], dtype=int)
+    np.testing.assert_array_equal(tabular.oracle_sensitive(split.d1), a[split.d1.sample_ids])
+    np.testing.assert_array_equal(split.d2.masked_labels, y[split.d2.sample_ids])
+    np.testing.assert_array_equal(split.test.labels, y[split.test.sample_ids])
 
 
 def test_split_scarce_stratification_frequencies():
@@ -337,34 +402,32 @@ def test_split_scarce_stratification_frequencies():
     # guarantee non-empty cells
     labels[:4] = [0, 0, 1, 1]
     sensitive[:4] = [0, 1, 0, 1]
-    ds = tabular.Dataset(rng.normal(size=(n, 2)), np.arange(n), labels, sensitive)
-    split = tabular.split_scarce(ds, 0.2, 5, 0.3)
-    test_y = split.test.labels
-    test_a = tabular.oracle_sensitive(split.test)
+    _, _, test = tabular.split_scarce_rows(labels, sensitive, 0.2, 5, 0.3)
     for a in (0, 1):
         for y in (0, 1):
             full = np.sum((labels == y) & (sensitive == a))
-            got = np.sum((test_y == y) & (test_a == a))
+            got = np.sum((labels[test] == y) & (sensitive[test] == a))
             assert abs(got - 0.3 * full) <= 2.0
 
 
 def test_split_scarce_keeps_sample_ids_ascending(tmp_path):
     # phase 1 writes d1's conformal scores in d1 row order as sample-id order
     ds = balanced_dataset(300, seed=6)
-    for split in (tabular.split_scarce(ds, 0.25, 9, 0.3),
-                  tabular.split_scarce(ds, 0.05, 2, 0.5)):
-        for part in (split.d1, split.d2, split.test):
-            assert np.all(np.diff(part.sample_ids) > 0)
+    for rows in (split_rows(ds, 0.25, 9, 0.3), split_rows(ds, 0.05, 2, 0.5)):
+        for part in rows:
+            assert np.all(np.diff(part) > 0)
     synthdata.write_corpus(tmp_path / "census.csv", 2000, seed=6)
     synthdata.write_schema(tmp_path / "census.schema")
     schema = tabular.Schema.from_file(tmp_path / "census.schema")
     split, _ = tabular.prepare_split(tmp_path / "census.csv", schema, 0.2, 0.3, seed=6)
-    assert np.all(np.diff(split.d1.sample_ids) > 0)
+    for part in (split.d1, split.d2, split.test):
+        assert np.all(np.diff(part.sample_ids) > 0)
 
 
 def test_split_scarce_matches_copy_of_remainder_reference():
     # the split once copied the non-test rows and drew d1 and d2 out of that
-    # copy; drawing them from the dataset by row index must select the same
+    # copy; picking their row indices from the labels alone must select the
+    # same rows
     ds = balanced_dataset(300, seed=6)
     ds = tabular.Dataset(ds.features, ds.sample_ids[::-1].copy(), ds.labels, ds.sensitive)
     ratio, seed, test_fraction = 0.25, 9, 0.3
@@ -380,17 +443,26 @@ def test_split_scarce_matches_copy_of_remainder_reference():
         tabular.Dataset(d2.features, d2.sample_ids, sensitive=d2.sensitive,
                         masked_labels=d2.labels),
         ds.take(np.flatnonzero(~mask)), ratio)
-    assert_splits_identical(tabular.split_scarce(ds, ratio, seed, test_fraction), want)
+    got = masked_parts(ds, *split_rows(ds, ratio, seed, test_fraction), ratio)
+    assert_splits_identical(got, want)
+    d1, d2, test = (ds.take(rows) for rows in split_rows(ds, ratio, seed, test_fraction))
+    assert_splits_identical(tabular.ScarceSplit.of(d1, d2, test, ratio), want)
 
 
 def test_split_scarce_empty_cell_raises():
-    n = 40
-    rng = np.random.default_rng(0)
-    labels = np.ones(n, dtype=int)  # no y=0 rows at all
-    sensitive = np.tile([0, 1], n // 2)
-    ds = tabular.Dataset(rng.normal(size=(n, 2)), np.arange(n), labels, sensitive)
-    with pytest.raises(InsufficientRows):
-        tabular.split_scarce(ds, 0.2, 1, 0.3)
+    labels = np.ones(40, dtype=int)  # no y=0 rows at all
+    sensitive = np.tile([0, 1], 20)
+    with pytest.raises(InsufficientRows, match="stratification cell is empty"):
+        tabular.split_scarce_rows(labels, sensitive, 0.2, 1, 0.3)
+
+
+@pytest.mark.parametrize("ratio,test_fraction,part", [(0.2, 0.001, "test"),
+                                                      (0.001, 0.3, "d2"),
+                                                      (0.999, 0.3, "d1")])
+def test_split_scarce_empty_part_raises(ratio, test_fraction, part):
+    ds = balanced_dataset(300, seed=2)
+    with pytest.raises(InsufficientRows, match=f"the {part} split of 300 rows holds no row"):
+        split_rows(ds, ratio, 4, test_fraction)
 
 
 def test_dataset_cache_roundtrip(tmp_path):
@@ -398,7 +470,7 @@ def test_dataset_cache_roundtrip(tmp_path):
     # a one-hot block next to the dense column, so the CSR parts skip zeros
     ds = tabular.Dataset(np.column_stack([ds.features, np.eye(38)[:, :4]]), ds.sample_ids,
                          ds.labels, ds.sensitive)
-    split = tabular.split_scarce(ds, 0.25, 3, 0.2)
+    split = masked_parts(ds, *split_rows(ds, 0.25, 3, 0.2), 0.25)
     for name, part in (("d1.ds", split.d1), ("d2.ds", split.d2), ("test.ds", split.test)):
         tabular.save_dataset(tmp_path / name, part)
         with np.load(tmp_path / name) as archive:
