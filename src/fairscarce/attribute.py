@@ -248,8 +248,9 @@ class AttrTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("epochs", "batch_size", "mc_passes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lambda_max) and self.lambda_max >= 0.0):
             raise ConfigError(f"lambda_max must be a finite number >= 0, got {self.lambda_max}")
         if not 0.0 <= self.ema_decay < 1.0:

@@ -20,11 +20,13 @@ and checks all of it except the checkpoint and the log, so a missing or
 damaged file is a ConfigError that names it.
 Run directories from earlier versions must be rebuilt with train-attr.
 
-A sweep reads such a directory and runs its cells one after another. The
-cells share unconstrained fits: each distinct set of training rows is fitted
-once per sweep, and that fit serves as the whole model of the vanilla and
-uncertain cells and as the seed member of every exp-grad cell on the same
-rows.
+Phase 2 trains through one helper, ``_fit``: a selection whose attribute
+is -1 (vanilla, uncertain) gets the unconstrained fit on its rows, any other
+selection exp-grad seeded by that fit. ``_fit`` keeps the unconstrained fits
+in a map keyed by the training rows. A sweep reads a run directory and runs
+its cells one after another through ``run_cell`` with one such map, so each
+distinct set of training rows is fitted once per sweep; ``tune_threshold``
+keeps a map of its own per call, since it trains on a smaller budget.
 """
 from __future__ import annotations
 
@@ -368,44 +370,55 @@ def _score(model: reduction.RandomizedClassifier, d1: tabular.Dataset,
     return metrics.evaluate_report(preds, d1_eval.labels, tabular.oracle_sensitive(d1_eval))
 
 
+def _fit(d1: tabular.Dataset, idx: np.ndarray, a: np.ndarray, w: np.ndarray,
+         constraint: reduction.MomentConstraint, iters: int, oracle_max_iter: int,
+         fits: dict[bytes, reduction.RandomizedClassifier]) -> reduction.RandomizedClassifier:
+    """The model of one selection ``(idx, a, w)`` of d1 rows: the one place
+    phase 2 trains a selection (``fig2_study`` makes none and fits its rows
+    directly). An ``a`` of -1 (``select``'s vanilla and uncertain) gives the
+    unconstrained fit on the rows; any other ``a`` gives exp-grad under
+    ``constraint``, seeded by that fit.
+
+    ``fits`` maps a set of training rows (``idx.tobytes()``) to the
+    unconstrained fit on them. A fit it lacks is made and stored, so callers
+    that share one map fit each row set once, and the outputs are those of a
+    fresh map per call. A map serves one ``oracle_max_iter`` only, since the
+    rows alone are the key."""
+    key = idx.tobytes()
+    # an unconstrained fit copies its rows for the fit alone; exp-grad builds
+    # one copy and one design for both of its fits (other layouts measured up
+    # to 2.7 MB more peak RSS on the benchmark sweeps)
+    if (a == -1).all():
+        if key not in fits:
+            fits[key] = reduction.unconstrained_train(d1.features[idx], d1.labels[idx],
+                                                      oracle_max_iter=oracle_max_iter)
+        return fits[key]
+    x, y = d1.features[idx], d1.labels[idx]
+    design = reduction.oracle_design(x)
+    if key not in fits:
+        fits[key] = reduction.unconstrained_train(x, y, oracle_max_iter=oracle_max_iter,
+                                                  design=design)
+    model, _ = reduction.exp_grad_train(x, y, a, w, constraint, iters=iters,
+                                        oracle_max_iter=oracle_max_iter,
+                                        start=fits[key].members[0], design=design)
+    return model
+
+
 def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
              eps_fair: float, seed: int, threshold: float | None,
              source: UncertaintySource = UncertaintySource(),
              iters: int = 50, oracle_max_iter: int = 5000,
              fits: dict | None = None) -> metrics.FairnessReport:
     """Train one variant on a per-seed 70 percent slice of d1 and score it on
-    the held-out 30 percent against the true (masked) sensitive attributes.
-
-    ``fits`` maps a set of training rows (``idx.tobytes()``) to the
-    unconstrained fit on them: the whole model of vanilla and uncertain, the
-    seed member of the exp-grad variants. A fit it lacks is made and stored,
-    so cells that share one map fit each row set once, and the outputs are
-    those of a fresh map per cell. A map serves one ``oracle_max_iter`` only,
-    since the rows alone are the key."""
-    fits = {} if fits is None else fits
+    the held-out 30 percent against the true (masked) sensitive attributes:
+    split, ``select``, ``_fit``, ``_score``. ``fits`` is ``_fit``'s map of
+    unconstrained fits; a sweep passes one map to all of its cells, and
+    None gives the cell a fresh map of its own."""
     train_rows, eval_rows = _d1_train_eval(artifacts, seed)
     idx, a, w = select(artifacts, variant, train_rows, threshold, source)
     d1 = artifacts.split.d1
-    key = idx.tobytes()
-    # vanilla and uncertain copy their training rows for the fit alone; an
-    # exp-grad cell builds one copy and one design for both of its fits
-    # (other layouts measured up to 2.7 MB more peak RSS on the benchmark
-    # sweeps)
-    if variant in ("vanilla", "uncertain"):
-        if key not in fits:
-            fits[key] = reduction.unconstrained_train(d1.features[idx], d1.labels[idx],
-                                                      oracle_max_iter=oracle_max_iter)
-        model = fits[key]
-    else:
-        x, y = d1.features[idx], d1.labels[idx]
-        design = reduction.oracle_design(x)
-        if key not in fits:
-            fits[key] = reduction.unconstrained_train(x, y, oracle_max_iter=oracle_max_iter,
-                                                      design=design)
-        constraint = reduction.MomentConstraint(constraint_kind, eps_fair)
-        model, _ = reduction.exp_grad_train(x, y, a, w, constraint, iters=iters,
-                                            oracle_max_iter=oracle_max_iter,
-                                            start=fits[key].members[0], design=design)
+    model = _fit(d1, idx, a, w, reduction.MomentConstraint(constraint_kind, eps_fair),
+                 iters, oracle_max_iter, {} if fits is None else fits)
     return _score(model, d1, eval_rows)
 
 
@@ -427,10 +440,11 @@ _TUNE_EPS_FAIR = 0.01
 _TUNE_FAILURES = ((DegenerateGroup, "kept one proxy group only"),
                   (DegenerateCell, "left a (group, label) cell empty"),
                   (EmptySelection, "kept no rows"))
-# the gap each constraint bounds, as a FairnessReport field
+# the gap each constraint bounds, as a FairnessReport field, in pareto.csv's
+# metric order
 _CONSTRAINT_GAP = {reduction.DEMOGRAPHIC_PARITY: "dp_diff",
-                   reduction.EQUALIZED_ODDS: "eod_diff",
-                   reduction.EQUAL_OPPORTUNITY: "eop_diff"}
+                   reduction.EQUAL_OPPORTUNITY: "eop_diff",
+                   reduction.EQUALIZED_ODDS: "eod_diff"}
 
 
 def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0.1, LN2),
@@ -443,8 +457,19 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
     smallest H). The gap is measured against the slice's proxy attribute
     ``a_hat``: d1's true attribute is hidden in the demographic-scarce
     regime, so choosing H never reads it. The tuning loop runs on a reduced
-    budget: fewer reduction iterations and a row cap, both overridable. When no candidate can be
-    trained, the error names how many failed for each reason."""
+    budget: fewer reduction iterations and a row cap, both overridable.
+
+    Each candidate trains through ``_fit`` with a fits map of this call's
+    own (tuning's budget is not the sweep's). A range that holds no grid
+    value raises ConfigError; when no candidate can be trained, the error
+    names how many failed for each reason."""
+    lo, hi = tune_range
+    # steps of _TUNE_GRID_STEP from lo, up to the last one that does not pass hi
+    n_steps = int(round((hi - lo) / _TUNE_GRID_STEP))
+    grid = [h for h in (round(lo + i * _TUNE_GRID_STEP, 10) for i in range(n_steps + 1))
+            if h <= hi]
+    if not grid:
+        raise ConfigError(f"tune range ({lo}, {hi}) holds no candidate H")
     budget = dict(budget or {})
     iters = budget.get("iters", 10)
     max_rows = budget.get("max_rows", 8000)
@@ -462,11 +487,8 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
     d1_val = d1.take(val_rows)
     val_proxies = artifacts.proxies.a_hat[val_rows]
 
-    lo, hi = tune_range
-    # steps of _TUNE_GRID_STEP from lo, up to the last one that does not pass hi
-    n_steps = int(round((hi - lo) / _TUNE_GRID_STEP))
-    grid = [h for h in (round(lo + i * _TUNE_GRID_STEP, 10) for i in range(n_steps + 1))
-            if h <= hi]
+    constraint = reduction.MomentConstraint(constraint_kind, _TUNE_EPS_FAIR)
+    fits: dict[bytes, reduction.RandomizedClassifier] = {}
     table = []
     failures: Counter = Counter()
     best_h, best_obj = None, -math.inf
@@ -474,10 +496,7 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
         try:
             idx, a, w = select(artifacts, "certain", fit_rows, h_cand,
                                UncertaintySource("mc-dropout"))
-            model, _ = reduction.exp_grad_train(
-                d1.features[idx], d1.labels[idx], a, w,
-                reduction.MomentConstraint(constraint_kind, _TUNE_EPS_FAIR),
-                iters=iters, oracle_max_iter=oracle_max_iter)
+            model = _fit(d1, idx, a, w, constraint, iters, oracle_max_iter, fits)
         except (EmptySelection, DegenerateGroup, DegenerateCell) as exc:
             # a candidate that keeps no rows, or rows from one group only,
             # simply cannot win the tuning
@@ -499,15 +518,6 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
 
 
 # --- pareto front ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParetoPoint:
-    eps_fair: float
-    accuracy_median: float
-    unfairness_median: float
-    accuracy_min: float
-    accuracy_max: float
-
 
 def pareto_front(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
     """Non-dominated subset (higher accuracy, lower unfairness; strict in at
@@ -533,7 +543,7 @@ def pareto_front(points: Sequence[tuple[float, float]]) -> list[tuple[float, flo
 @dataclass
 class SweepConfig:
     run_dir: str = ""  # a run directory written by train-attr
-    out_dir: str = ""
+    out_dir: str = ""  # empty means run_dir
     variants: tuple[str, ...] = ("certain",)
     constraint: str = reduction.DEMOGRAPHIC_PARITY
     eps_grid: tuple[float, ...] = field(default_factory=tuple)
@@ -549,6 +559,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.run_dir:
             raise ConfigError("run_dir is required: the run directory train-attr wrote")
+        if not self.out_dir:
+            self.out_dir = self.run_dir
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
         if self.base_seed < 0:
@@ -567,9 +579,17 @@ class SweepConfig:
         if self.threshold is not None and not (math.isfinite(self.threshold)
                                                and self.threshold >= 0):
             raise ConfigError(f"H must be a finite number >= 0, got {self.threshold}")
+        # the entropy scale tops out at ln 2, so a nominal 0.7 upper end
+        # (a common way to say "no upper cut") clamps to it
+        self.tune_hi = min(self.tune_hi, LN2)
+        if not 0 < self.tune_lo <= self.tune_hi:
+            raise ConfigError(f"tune range must lie within (0, ln 2], got "
+                              f"tune_lo {self.tune_lo} and tune_hi {self.tune_hi}")
         if not self.eps_grid:
             self.eps_grid = tuple(round(float(v), 12) for v in
                                   np.geomspace(0.001, 0.3, 12))
+        if not self.variants:
+            raise ConfigError("variants must name at least one variant")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}")
@@ -579,49 +599,40 @@ class SweepConfig:
                 raise ConfigError(f"{name} repeats a value: {', '.join(map(str, values))}")
 
 
-_SWEEP_KEYS = ("run_dir", "out_dir", "variants", "constraint", "eps_grid", "seeds",
-               "base_seed", "H", "tune_lo", "tune_hi", "uncertainty_source",
-               "exp_grad_iters", "oracle_max_iter")
+# sweep config key -> (SweepConfig field, parser of one value); variants and
+# eps_grid hold comma-separated lists of such values
+_SWEEP_KEYS = {"run_dir": ("run_dir", str), "out_dir": ("out_dir", str),
+               "variants": ("variants", str), "constraint": ("constraint", str),
+               "eps_grid": ("eps_grid", float), "seeds": ("seeds", int),
+               "base_seed": ("base_seed", int), "H": ("threshold", float),
+               "tune_lo": ("tune_lo", float), "tune_hi": ("tune_hi", float),
+               "uncertainty_source": ("source", parse_uncertainty_source),
+               "exp_grad_iters": ("exp_grad_iters", int),
+               "oracle_max_iter": ("oracle_max_iter", int)}
+_LIST_KEYS = ("variants", "eps_grid")
 _PHASE1_KEYS = ("data", "schema", "ratio", "test_fraction")
 
 
 def parse_sweep_config(path) -> SweepConfig:
-    """A sweep config file. An unknown key, a missing ``run_dir`` or a bad
-    value raises ConfigError."""
-    kv = read_kv_file(path)
-    for key in kv:
+    """A sweep config file; a key it does not set keeps SweepConfig's
+    default. An unknown key, a missing ``run_dir`` or a bad value raises
+    ConfigError."""
+    fields = {}
+    for key, text in read_kv_file(path).items():
         if key in _PHASE1_KEYS:
             raise ConfigError(f"{key}: a sweep reads a run directory; run train-attr "
                               "with this setting first and set run_dir to its --out")
         if key not in _SWEEP_KEYS:
             raise ConfigError(f"unknown sweep key {key!r}; known keys: {', '.join(_SWEEP_KEYS)}")
-    def split_list(text):
-        return tuple(t.strip() for t in text.split(",") if t.strip())
-    def number(kind, key, text):
+        name, parse = _SWEEP_KEYS[key]
         try:
-            return kind(text)
+            if key in _LIST_KEYS:
+                fields[name] = tuple(parse(t.strip()) for t in text.split(",") if t.strip())
+            else:
+                fields[name] = parse(text)
         except ValueError:
-            raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from None
-    cfg = SweepConfig(
-        run_dir=kv.get("run_dir", ""),
-        out_dir=kv.get("out_dir", kv.get("run_dir", "")),
-        variants=split_list(kv.get("variants", "certain")) or ("certain",),
-        constraint=kv.get("constraint", "dp"),
-        eps_grid=tuple(number(float, "eps_grid", v) for v in split_list(kv.get("eps_grid", ""))),
-        seeds=number(int, "seeds", kv.get("seeds", "7")),
-        base_seed=number(int, "base_seed", kv.get("base_seed", "0")),
-        threshold=(number(float, "H", kv["H"]) if "H" in kv else None),
-        tune_lo=number(float, "tune_lo", kv.get("tune_lo", "0.1")),
-        # the entropy scale tops out at ln 2, so a nominal 0.7 upper end
-        # (a common way to say "no upper cut") clamps to it
-        tune_hi=min(number(float, "tune_hi", kv.get("tune_hi", str(LN2))), LN2),
-        source=parse_uncertainty_source(kv.get("uncertainty_source", "mc-dropout")),
-        exp_grad_iters=number(int, "exp_grad_iters", kv.get("exp_grad_iters", "50")),
-        oracle_max_iter=number(int, "oracle_max_iter", kv.get("oracle_max_iter", "5000")),
-    )
-    if not 0 < cfg.tune_lo <= cfg.tune_hi <= LN2 + 1e-9:
-        raise ConfigError("tune range must lie within (0, ln 2]")
-    return cfg
+            raise ConfigError(f"{key}: expected {parse.__name__}, got {text!r}") from None
+    return SweepConfig(**fields)
 
 
 @dataclass
@@ -666,26 +677,20 @@ def run_sweep(config: SweepConfig,
              for variant in config.variants
              for eps in config.eps_grid
              for j in range(config.seeds)]
+    say(f"running {len(cells)} cells")
     fits: dict[bytes, reduction.RandomizedClassifier] = {}
-
-    def execute(cell):
-        variant, eps, seed = cell
+    result_rows = []
+    cell_status = []
+    grouped: dict[tuple[str, float], list[metrics.FairnessReport]] = {}
+    for variant, eps, seed in cells:
+        error = None
         try:
             report = run_cell(artifacts, variant, config.constraint, eps, seed, threshold,
                               config.source, config.exp_grad_iters, config.oracle_max_iter,
                               fits)
-            return cell, report, None
         except Exception as exc:  # recorded, never fabricated
-            return cell, None, f"{type(exc).__name__}: {exc}"
-
-    say(f"running {len(cells)} cells")
-    outcomes = [execute(c) for c in cells]
-
-    result_rows = []
-    cell_status = []
-    grouped: dict[tuple[str, float], list[metrics.FairnessReport]] = {}
-    for (variant, eps, seed), report, error in outcomes:
-        if error is None:
+            error = f"{type(exc).__name__}: {exc}"
+        else:
             result_rows.append(
                 f"{variant},{config.constraint},{repr(eps)},{seed},{h_text},"
                 f"{config.source.describe()},{repr(report.accuracy)},{repr(report.dp_diff)},"
@@ -696,28 +701,23 @@ def run_sweep(config: SweepConfig,
                             "error": error})
     _write_csv(out / "results.csv", RESULTS_HEADER, result_rows)
 
+    # per variant and gap, the (median accuracy, median gap) point of each
+    # slack with results, written when no other such point dominates it
     pareto_rows = []
     for variant in config.variants:
-        for metric_name, getter in (("dp", lambda r: r.dp_diff),
-                                    ("eop", lambda r: r.eop_diff),
-                                    ("eod", lambda r: r.eod_diff)):
-            pts = []
+        for metric_name, gap in _CONSTRAINT_GAP.items():
+            points = []
             for eps in config.eps_grid:
-                reports = grouped.get((variant, eps), [])
-                if not reports:
-                    continue
-                accs = sorted(r.accuracy for r in reports)
-                unfs = sorted(getter(r) for r in reports)
-                pts.append(ParetoPoint(eps, float(np.median(accs)), float(np.median(unfs)),
-                                       accs[0], accs[-1]))
-            if not pts:
-                continue
-            front = set(pareto_front([(p.accuracy_median, p.unfairness_median) for p in pts]))
-            for p in pts:
-                if (p.accuracy_median, p.unfairness_median) in front:
-                    pareto_rows.append(
-                        f"{variant},{metric_name},{repr(p.eps_fair)},{repr(p.accuracy_median)},"
-                        f"{repr(p.unfairness_median)},{repr(p.accuracy_min)},{repr(p.accuracy_max)}")
+                reports = grouped.get((variant, eps))
+                if reports:
+                    accs = sorted(r.accuracy for r in reports)
+                    gaps = sorted(getattr(r, gap) for r in reports)
+                    points.append((eps, float(np.median(accs)), float(np.median(gaps)),
+                                   accs[0], accs[-1]))
+            if points:
+                front = set(pareto_front([p[1:3] for p in points]))
+                pareto_rows += [",".join([variant, metric_name, *map(repr, p)])
+                                for p in points if p[1:3] in front]
     _write_csv(out / "pareto.csv", PARETO_HEADER, pareto_rows)
 
     manifest = {

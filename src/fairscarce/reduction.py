@@ -216,35 +216,24 @@ class MomentConstraint:
         return [y == 0, y == 1]
 
 
-class _ConstraintSet:
-    """Signed conditional-rate constraints over proxy-attribute cells."""
-
-    def __init__(self, constraint: MomentConstraint, y, a, w):
-        self.slack = constraint.slack
-        self.grads = []  # per signed constraint: d(violation)/d(h_i) vector
-        for sl in constraint.label_slices(y):
-            cell0 = (a == 0) & sl
-            cell1 = (a == 1) & sl
-            w0 = float(w[cell0].sum())
-            w1 = float(w[cell1].sum())
-            if w0 <= 0.0 or w1 <= 0.0:
-                exc = DegenerateGroup if constraint.kind == DEMOGRAPHIC_PARITY else DegenerateCell
-                raise exc("a constraint cell has no weight mass")
-            base = np.where(cell0, w / w0, 0.0) - np.where(cell1, w / w1, 0.0)
-            self.grads.append(base)
-            self.grads.append(-base)
-        self.matrix = np.vstack(self.grads)  # (K, n)
-
-    @property
-    def count(self) -> int:
-        return len(self.grads)
-
-    def violations(self, preds: np.ndarray) -> np.ndarray:
-        """Signed gaps g_k(h); the constraints read g_k <= slack."""
-        return self.matrix @ preds
-
-    def cost_contribution(self, lambdas: np.ndarray) -> np.ndarray:
-        return lambdas @ self.matrix
+def _constraint_matrix(constraint: MomentConstraint, y, a, w) -> np.ndarray:
+    """The signed conditional-rate constraints over proxy-attribute cells as
+    one (K, n) matrix: row k is d(g_k)/d(h_i), so ``M @ preds`` gives the
+    signed gaps g_k(h), which the constraints read as g_k <= slack, and
+    ``lam @ M`` the multipliers' share of the per-row costs."""
+    rows = []
+    for sl in constraint.label_slices(y):
+        cell0 = (a == 0) & sl
+        cell1 = (a == 1) & sl
+        w0 = float(w[cell0].sum())
+        w1 = float(w[cell1].sum())
+        if w0 <= 0.0 or w1 <= 0.0:
+            exc = DegenerateGroup if constraint.kind == DEMOGRAPHIC_PARITY else DegenerateCell
+            raise exc("a constraint cell has no weight mass")
+        base = np.where(cell0, w / w0, 0.0) - np.where(cell1, w / w1, 0.0)
+        rows.append(base)
+        rows.append(-base)
+    return np.vstack(rows)
 
 
 @dataclass(frozen=True)
@@ -268,6 +257,9 @@ class RandomizedClassifier:
 
 @dataclass
 class ExpGradLog:
+    """How one ``exp_grad_train`` call went; ``oracle_calls`` counts its own
+    oracle calls, never the caller's seed fit."""
+
     converged: bool
     best_gap: float
     iterations: int
@@ -277,7 +269,7 @@ class ExpGradLog:
 
 def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
                    constraint: MomentConstraint, iters: int = 50,
-                   oracle_max_iter: int = 5000, start: LinearModel | None = None,
+                   oracle_max_iter: int = 5000, *, start: LinearModel,
                    design: OracleDesign | None = None) -> tuple[RandomizedClassifier, ExpGradLog]:
     """Train a randomized fair classifier by exponentiated gradient on rows
     ``x`` with labels ``y``, attributes ``a`` (0 or 1) and constraint weights
@@ -292,12 +284,12 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
     over all generated classifiers; the candidate with the smallest duality
     gap is returned and ``converged`` says whether that gap beat ``GAP_TOL``.
 
-    The first member is the unconstrained fit on the rows, the seed of the
-    gap bound. A caller that already holds that fit, the single member of
-    ``unconstrained_train(x, y, oracle_max_iter)``, passes it as ``start``;
-    it then stands in for the seed oracle call, which ``log.oracle_calls``
-    does not count. ``design``, when given, is ``oracle_design(x)`` built by
-    that caller, so the cell builds it once.
+    The first member is ``start``, required: the single member of
+    ``unconstrained_train(x, y, oracle_max_iter)``, the seed of the gap
+    bound. The caller fits it (or reuses a fit on the same rows), so
+    ``log.oracle_calls`` counts exp-grad's own oracle calls only.
+    ``design``, when given, is ``oracle_design(x)`` built by that caller, so
+    one design serves both fits.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -306,7 +298,8 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         raise ValueError("no training rows")
     if (a < 0).any():
         raise ValueError("every row needs a proxy attribute under fairness constraints")
-    cons = _ConstraintSet(constraint, y, a, np.asarray(w, dtype=float))
+    cons = _constraint_matrix(constraint, y, a, np.asarray(w, dtype=float))  # (K, n)
+    slack = constraint.slack
     n = len(x)
     base_cost = (1.0 - 2.0 * y) / n  # derivative of expected error wrt h_i
 
@@ -320,24 +313,21 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         preds = model.predict(x)
         members.append(model)
         member_err.append(float(np.abs(preds - y).mean()))
-        member_viol.append(cons.violations(preds))
+        member_viol.append(cons @ preds)
         return len(members) - 1
 
     def fit_and_register(costs) -> int:
         log.oracle_calls += 1
         return register(fit_cost_sensitive(design, costs, max_iter=oracle_max_iter))
 
-    theta = np.zeros(cons.count)
-    lambda_sum = np.zeros(cons.count)
+    theta = np.zeros(len(cons))
+    lambda_sum = np.zeros(len(cons))
     eta_step = ETA / BOUND
     chosen: list[int] = []
     log = ExpGradLog(False, math.inf, 0, 0, 0.0)
     best_mix: np.ndarray | None = None
 
-    if start is None:
-        fit_and_register(base_cost)  # unconstrained seed, used by the gap bound
-    else:
-        register(start)
+    register(start)  # the unconstrained seed, used by the gap bound
 
     def gap_of(mix, lam_vec) -> tuple[float, np.ndarray]:
         """Duality gap of the pair (mix, lam_vec), with the lower bound taken
@@ -346,9 +336,9 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         viols = np.vstack(member_viol)
         mix_err = float(mix @ errors)
         mix_viol = mix @ viols
-        l_mid = mix_err + float(lam_vec @ (mix_viol - cons.slack))
-        l_low = float(np.min(errors + viols @ lam_vec)) - cons.slack * float(lam_vec.sum())
-        l_high = mix_err + BOUND * max(0.0, float((mix_viol - cons.slack).max()))
+        l_mid = mix_err + float(lam_vec @ (mix_viol - slack))
+        l_low = float(np.min(errors + viols @ lam_vec)) - slack * float(lam_vec.sum())
+        l_high = mix_err + BOUND * max(0.0, float((mix_viol - slack).max()))
         return max(l_mid - l_low, l_high - l_mid), mix_viol
 
     def hull_lp() -> tuple[np.ndarray, np.ndarray] | None:
@@ -359,8 +349,8 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         viols = np.vstack(member_viol)
         m = len(errors)
         res = linprog(c=np.concatenate([errors, [BOUND]]),
-                      A_ub=np.column_stack([viols.T, -np.ones(cons.count)]),
-                      b_ub=np.full(cons.count, cons.slack),
+                      A_ub=np.column_stack([viols.T, -np.ones(len(cons))]),
+                      b_ub=np.full(len(cons), slack),
                       A_eq=np.concatenate([np.ones(m), [0.0]])[None, :],
                       b_eq=[1.0],
                       bounds=[(0, None)] * m + [(0, None)], method="highs")
@@ -373,7 +363,7 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         bound with one fresh best response against the candidate's lambda."""
         gap, mix_viol = gap_of(mix, lam_vec)
         if gap < GAP_TOL:
-            fit_and_register(base_cost + cons.cost_contribution(lam_vec))
+            fit_and_register(base_cost + lam_vec @ cons)
             gap, mix_viol = gap_of(np.pad(mix, (0, 1)), lam_vec)
             mix = np.pad(mix, (0, 1))
         if gap < log.best_gap:
@@ -387,7 +377,7 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         lam = BOUND * expt / (math.exp(-theta.max()) + expt.sum())
         lambda_sum += lam
 
-        idx = fit_and_register(base_cost + cons.cost_contribution(lam))
+        idx = fit_and_register(base_cost + lam @ cons)
         chosen.append(idx)
 
         uniform = np.zeros(len(members))
@@ -403,7 +393,7 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
             log.converged = True
             break
 
-        theta = theta + eta_step * (member_viol[idx] - cons.slack)
+        theta = theta + eta_step * (member_viol[idx] - slack)
 
     assert best_mix is not None
     best_mix = np.pad(best_mix, (0, len(members) - len(best_mix)))

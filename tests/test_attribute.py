@@ -184,7 +184,8 @@ def quick_config(**kw):
 
 @pytest.mark.parametrize("field,value", [("ema_decay", 1.0), ("ema_decay", -0.1),
                                          ("lambda_max", math.nan), ("lambda_max", -1.0),
-                                         ("lambda_max", math.inf), ("epochs", 0)])
+                                         ("lambda_max", math.inf), ("epochs", 0),
+                                         ("batch_size", 0), ("mc_passes", 0)])
 def test_attr_config_rejects_bad_settings(field, value):
     with pytest.raises(ConfigError, match=field):
         attr.AttrTrainConfig(**{field: value})

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fairscarce import attribute as attr
-from fairscarce import harness, synthdata, tabular
+from fairscarce import harness, metrics, synthdata, tabular
 from fairscarce.errors import ConfigError, EmptySelection
 from fairscarce.uncertainty import LN2
 
@@ -281,12 +281,57 @@ def test_sweep_shares_one_unconstrained_fit_per_row_set(small_run, tmp_path, mon
     assert len(texts[0].splitlines()) == 1 + 4 * 2 * 2
 
 
-def test_median_aggregation_ignores_seed_order(small_run, tmp_path):
-    # medians are computed from sorted per-seed values, so any permutation of
-    # the same reports yields the same pareto rows; run_sweep sorts internally
-    rng = np.random.default_rng(1)
-    vals = rng.random(7)
-    assert np.median(vals) == np.median(vals[::-1])
+def known_report(accuracy, dp, eop, eod):
+    return metrics.FairnessReport(accuracy, dp, eop, eod, None, None)
+
+
+# the reports of seeds 0, 1 and 2 per (variant, eps); None is a failed cell
+KNOWN_REPORTS = {
+    ("vanilla", 0.01): [known_report(0.80, 0.05, 0.30, 0.40), known_report(0.70, 0.01, 0.20, 0.20),
+                        known_report(0.75, 0.03, 0.10, 0.30)],
+    ("vanilla", 0.05): [known_report(0.82, 0.10, 0.05, 0.25), known_report(0.80, 0.12, 0.04, 0.35),
+                        known_report(0.79, 0.09, 0.06, 0.30)],
+    ("vanilla", 0.1): [known_report(0.78, 0.12, 0.01, 0.30), known_report(0.77, 0.11, 0.02, 0.28),
+                       known_report(0.79, 0.13, 0.00, 0.32)],
+    # two seeds left: medians are means (dyadic values keep them exact)
+    ("certain", 0.01): [None, known_report(0.625, 0.125, 0.5, 0.0625),
+                        known_report(0.875, 0.25, 0.25, 0.125)],
+    ("certain", 0.05): [None, None, None],
+    ("certain", 0.1): [known_report(0.5, 0.5, 0.5, 0.5)] * 3,
+}
+# medians (accuracy, gap), then min and max accuracy; per variant and gap
+# only the points no other point of theirs dominates, dp before eop before eod
+KNOWN_PARETO = [
+    harness.PARETO_HEADER,
+    "vanilla,dp,0.01,0.75,0.03,0.7,0.8",
+    "vanilla,dp,0.05,0.8,0.1,0.79,0.82",
+    "vanilla,eop,0.05,0.8,0.05,0.79,0.82",
+    "vanilla,eop,0.1,0.78,0.01,0.77,0.79",
+    "vanilla,eod,0.05,0.8,0.3,0.79,0.82",
+    "certain,dp,0.01,0.75,0.1875,0.625,0.875",
+    "certain,eop,0.01,0.75,0.375,0.625,0.875",
+    "certain,eod,0.01,0.75,0.09375,0.625,0.875",
+]
+
+
+@pytest.mark.parametrize("seed_order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)],
+                         ids=["ascending", "reversed", "rotated"])
+def test_pareto_rows_from_known_reports(small_run, tmp_path, monkeypatch, seed_order):
+    # the same reports dealt to the seeds in any order give the same rows
+    def known_cell(artifacts, variant, constraint_kind, eps, seed, *rest):
+        report = KNOWN_REPORTS[variant, eps][seed_order[seed]]
+        if report is None:
+            raise EmptySelection(f"{variant} variant kept no rows")
+        return report
+
+    monkeypatch.setattr(harness, "run_cell", known_cell)
+    run_dir, _ = small_run
+    config = harness.SweepConfig(run_dir=str(run_dir), out_dir=str(tmp_path / "sweep"),
+                                 variants=("vanilla", "certain"), eps_grid=(0.01, 0.05, 0.1),
+                                 seeds=3, threshold=0.3)
+    outcome = harness.run_sweep(config)
+    assert outcome.n_failed == 4
+    assert outcome.pareto_path.read_text().splitlines() == KNOWN_PARETO
 
 
 def test_fig2_study_writes_rows(small_run, tmp_path):
@@ -340,6 +385,25 @@ uncertainty_source = conformal(0.1)
     assert cfg.eps_grid == (0.01, 0.1)
     assert cfg.threshold == 0.35
     assert cfg.source.kind == "conformal" and cfg.source.epsilon == 0.1
+
+
+def test_sweep_config_defaults_live_in_the_dataclass(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("run_dir = some/run\n", encoding="utf-8")
+    cfg = harness.parse_sweep_config(path)
+    assert cfg == harness.SweepConfig(run_dir="some/run")
+    # output goes to the run directory unless out_dir says otherwise
+    assert cfg.out_dir == "some/run"
+
+
+def test_reversed_tune_range_is_a_config_error(small_run):
+    run_dir, artifacts = small_run
+    with pytest.raises(ConfigError, match="tune range"):
+        harness.SweepConfig(run_dir=str(run_dir), tune_lo=0.5, tune_hi=0.2)
+    with pytest.raises(ConfigError, match="no candidate H"):
+        harness.tune_threshold(artifacts, (0.5, 0.2))
+    # a nominal upper end past ln 2 clamps to it
+    assert harness.SweepConfig(run_dir=str(run_dir), tune_hi=0.7).tune_hi == LN2
 
 
 def test_sweep_config_rejects_bad_variant(tmp_path):

@@ -20,6 +20,13 @@ def separable_instance(n=60, seed=0):
     return x, y
 
 
+def seeded_exp_grad(x, y, a, w, constraint):
+    """``exp_grad_train`` at its default budget, seeded as the harness seeds
+    it: by the unconstrained fit on the same rows."""
+    start = red.unconstrained_train(x, y).members[0]
+    return red.exp_grad_train(x, y, a, w, constraint, start=start)
+
+
 # --- cost-sensitive oracle ----------------------------------------------------
 
 def test_logreg_separable_accuracy():
@@ -168,9 +175,9 @@ def test_sparse_oracle_matches_dense_reference(demo_d1):
     a = tabular.oracle_sensitive(demo_d1)
     n = len(y)
     base_cost = (1.0 - 2.0 * y) / n
-    cons = red._ConstraintSet(red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.02),
-                              y, a, np.ones(n))
-    signed = base_cost + cons.cost_contribution(np.array([0.6, 0.0]))
+    cons = red._constraint_matrix(red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.02),
+                                  y, a, np.ones(n))
+    signed = base_cost + np.array([0.6, 0.0]) @ cons
     flipped = np.sign(signed) != np.sign(base_cost)
     assert 0 < flipped.sum() < n  # the multiplier moves some targets, not all
     for costs in (base_cost, signed):
@@ -188,9 +195,9 @@ def demo_costs(d1):
     y = d1.labels.astype(float)
     n = len(y)
     base_cost = (1.0 - 2.0 * y) / n
-    cons = red._ConstraintSet(red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.02),
-                              y, tabular.oracle_sensitive(d1), np.ones(n))
-    return base_cost, base_cost + cons.cost_contribution(np.array([0.6, 0.0]))
+    cons = red._constraint_matrix(red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.02),
+                                  y, tabular.oracle_sensitive(d1), np.ones(n))
+    return base_cost, base_cost + np.array([0.6, 0.0]) @ cons
 
 
 @pytest.mark.parametrize("max_iter", [5000, 50])
@@ -234,11 +241,14 @@ def test_csr_kernel_equals_matmul_bit_for_bit():
 
 
 def test_exp_grad_members_equal_fresh_oracle_calls(demo_d1, monkeypatch):
-    # exp-grad builds one design and shares it across its oracle calls; each
-    # member must equal an oracle call on a design of its own
+    # exp-grad shares its caller's design across its oracle calls; each
+    # member must equal an oracle call on a design of its own, and the seed
+    # member is the caller's fit, which no oracle call of exp-grad makes
     x = demo_d1.features
     y = demo_d1.labels
     a = tabular.oracle_sensitive(demo_d1)
+    design = red.oracle_design(x)
+    start = red.unconstrained_train(x, y, oracle_max_iter=300, design=design).members[0]
     oracle = red.fit_cost_sensitive
     fitted = []
 
@@ -248,29 +258,25 @@ def test_exp_grad_members_equal_fresh_oracle_calls(demo_d1, monkeypatch):
         return model
 
     monkeypatch.setattr(red, "fit_cost_sensitive", recording)
+    # exp-grad scores each member once, as it registers it
+    registered = []
+    predict = red.LinearModel.predict
+    monkeypatch.setattr(red.LinearModel, "predict",
+                        lambda model, rows: registered.append(model) or predict(model, rows))
     mixture, log = red.exp_grad_train(x, y, a, np.ones(len(y)),
                                       red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.01),
-                                      iters=4, oracle_max_iter=300)
-    assert len(fitted) == log.oracle_calls >= 3
+                                      iters=4, oracle_max_iter=300, start=start, design=design)
+    monkeypatch.undo()
+    assert len(fitted) == log.oracle_calls >= 2
+    assert registered[0] is start
+    assert [id(m) for m in registered[1:]] == [id(m) for m, _, _ in fitted]
     for member in mixture.members:
+        if member is start:
+            continue
         (costs, kw), = [(c, kw) for m, c, kw in fitted if m is member]
         fresh = oracle(red.oracle_design(x), costs, **kw)
         np.testing.assert_array_equal(member.coef, fresh.coef)
         assert member.intercept == fresh.intercept
-
-    # the unconstrained fit on the same rows stands in for the seed call,
-    # and one design serves both
-    design = red.oracle_design(x)
-    start = red.unconstrained_train(x, y, oracle_max_iter=300, design=design).members[0]
-    fitted.clear()
-    started, started_log = red.exp_grad_train(
-        x, y, a, np.ones(len(y)), red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.01),
-        iters=4, oracle_max_iter=300, start=start, design=design)
-    assert len(fitted) == started_log.oracle_calls == log.oracle_calls - 1
-    np.testing.assert_array_equal(started.mix_weights, mixture.mix_weights)
-    for got, want in zip(started.members, mixture.members, strict=True):
-        np.testing.assert_array_equal(got.coef, want.coef)
-        assert got.intercept == want.intercept
 
 
 # --- brute-force oracle for the reduction --------------------------------------
@@ -309,7 +315,7 @@ def test_exp_grad_matches_brute_force_on_8_point_instances():
             if 0 < a.sum() < 8:
                 break
         oracle_acc, _ = brute_force_fair_optimum(y, a, eps=0.0)
-        model, log = red.exp_grad_train(
+        model, log = seeded_exp_grad(
             x, y, a, np.ones(8), red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.0))
         preds = model.expected_predictions(x)
         acc = float((preds * y + (1 - preds) * (1 - y)).mean())
@@ -322,8 +328,8 @@ def test_exp_grad_matches_brute_force_on_8_point_instances():
 def test_exp_grad_inactive_constraint_equals_unconstrained():
     x, y = separable_instance(80, seed=5)
     a = (np.random.default_rng(6).random(80) < 0.5).astype(int)
-    fair, _ = red.exp_grad_train(x, y, a, np.ones(80),
-                                 red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 1.0))
+    fair, _ = seeded_exp_grad(x, y, a, np.ones(80),
+                              red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 1.0))
     plain = red.unconstrained_train(x, y)
     np.testing.assert_allclose(fair.expected_predictions(x), plain.expected_predictions(x))
 
@@ -333,8 +339,8 @@ def test_exp_grad_feasible_start_stays_put():
     x = np.array([[1.0], [2.0], [-1.0], [-2.0], [1.5], [2.5], [-1.5], [-2.5]])
     y = np.array([1, 1, 0, 0, 1, 1, 0, 0])
     a = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    model, log = red.exp_grad_train(x, y, a, np.ones(8),
-                                    red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.01))
+    model, log = seeded_exp_grad(x, y, a, np.ones(8),
+                                 red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.01))
     preds = model.expected_predictions(x)
     assert float((preds * y + (1 - preds) * (1 - y)).mean()) >= 0.99
     assert log.max_violation <= 0.01 + 1e-9
@@ -351,8 +357,8 @@ def test_exp_grad_monotone_dial():
     grid = [0.3, 0.1, 0.03, 0.01]
     dps = []
     for eps in grid:
-        model, _ = red.exp_grad_train(x, y, a, np.ones(n),
-                                      red.MomentConstraint(red.DEMOGRAPHIC_PARITY, eps))
+        model, _ = seeded_exp_grad(x, y, a, np.ones(n),
+                                   red.MomentConstraint(red.DEMOGRAPHIC_PARITY, eps))
         preds = model.expected_predictions(x)
         dps.append(abs(preds[a == 0].mean() - preds[a == 1].mean()))
     for wide, tight in zip(dps, dps[1:]):
@@ -375,16 +381,16 @@ def test_exp_grad_equalized_odds_reduces_gap():
             out += abs(preds[m & (a == 0)].mean() - preds[m & (a == 1)].mean())
         return out
 
-    fair, _ = red.exp_grad_train(x, y, a, np.ones(n),
-                                 red.MomentConstraint(red.EQUALIZED_ODDS, 0.02))
+    fair, _ = seeded_exp_grad(x, y, a, np.ones(n),
+                              red.MomentConstraint(red.EQUALIZED_ODDS, 0.02))
     assert eod(fair.expected_predictions(x)) < eod(plain.expected_predictions(x)) * 0.5
 
 
 def test_mixture_rate_identity():
     x, y = separable_instance(50, seed=9)
     a = (np.random.default_rng(10).random(50) < 0.4).astype(int)
-    model, _ = red.exp_grad_train(x, y, a, np.ones(50),
-                                  red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.05))
+    model, _ = seeded_exp_grad(x, y, a, np.ones(50),
+                               red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.05))
     expected = model.expected_predictions(x)
     manual = np.zeros(len(x))
     for q, member in zip(model.mix_weights, model.members):
