@@ -24,7 +24,8 @@ from .errors import ConfigError, InsufficientRows, NonFiniteGradient
 from .tabular import Dataset, ScarceSplit
 from .uncertainty import LN2, binary_entropy
 
-# d1 rows scored per MC-dropout call in predict_proxy
+# d1 rows scored per MC-dropout call in predict_proxy, and rows per
+# hidden-layer block in teacher_eval_probs
 _PROXY_CHUNK = 4096
 # most stacked MC-dropout rows (passes x input rows) in one hidden-layer block
 _MC_BLOCK_ROWS = 8192
@@ -441,15 +442,35 @@ def predict_proxy(teacher: nn.MlpParams, d1: Dataset, passes: int,
 def teacher_eval_probs(teacher: nn.MlpParams, ds: Dataset) -> np.ndarray:
     """Deterministic (no-dropout) teacher probabilities; the score source for
     conformal calibration. Bit-identical to the sigmoid of ``nn.forward`` in
-    eval mode (the same product, then bias, then relu, per layer), but each
-    layer works in place and no cache for backward is kept."""
-    a = ds.features
-    for k in range(teacher.n_layers):
-        a = a @ teacher.weights[k]
-        a += teacher.biases[k]
-        if k < teacher.n_layers - 1:
-            np.maximum(a, 0.0, out=a)
-    return nn.sigmoid(a[:, 0])
+    eval mode (the same product, then bias, then relu, per layer), but no
+    cache for backward is kept and only one layer's rows are alive at once:
+
+    - The hidden layers run on blocks of ``_PROXY_CHUNK`` rows, each writing
+      its last hidden layer into one buffer of every row; gemm rounds a row
+      the same whatever the block around it. A one-row product goes to gemv,
+      which rounds differently, so a one-row last block joins the block
+      before it.
+    - The output layer is one product over that buffer: a one-column product
+      goes to gemv, whose rounding depends on a row's position in the matrix.
+    """
+    x = ds.features
+    n, last = len(x), teacher.n_layers - 1
+    if last:
+        hidden = np.empty((n, teacher.weights[last].shape[0]))
+        starts = list(range(0, n, _PROXY_CHUNK))
+        if len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()
+        for start, stop in zip(starts, starts[1:] + [n]):
+            a = x[start:stop]
+            for k in range(last):
+                a = np.matmul(a, teacher.weights[k],
+                              out=hidden[start:stop] if k == last - 1 else None)
+                a += teacher.biases[k]
+                np.maximum(a, 0.0, out=a)
+        x = hidden
+    z = x @ teacher.weights[last]
+    z += teacher.biases[last]
+    return nn.sigmoid(z[:, 0])
 
 
 # --- proxy csv io -------------------------------------------------------------

@@ -377,7 +377,9 @@ def _fit(d1: tabular.Dataset, idx: np.ndarray, a: np.ndarray, w: np.ndarray,
     phase 2 trains a selection (``fig2_study`` makes none and fits its rows
     directly). An ``a`` of -1 (``select``'s vanilla and uncertain) gives the
     unconstrained fit on the rows; any other ``a`` gives exp-grad under
-    ``constraint``, seeded by that fit.
+    ``constraint``, seeded by that fit. A selection that leaves a constraint
+    cell without weight raises DegenerateGroup or DegenerateCell before any
+    fit.
 
     ``fits`` maps a set of training rows (``idx.tobytes()``) to the
     unconstrained fit on them. A fit it lacks is made and stored, so callers
@@ -394,6 +396,9 @@ def _fit(d1: tabular.Dataset, idx: np.ndarray, a: np.ndarray, w: np.ndarray,
                                                       oracle_max_iter=oracle_max_iter)
         return fits[key]
     x, y = d1.features[idx], d1.labels[idx]
+    # a selection with an empty constraint cell fails here, before any
+    # oracle call; exp-grad builds the same small matrix again
+    reduction.constraint_matrix(constraint, y, a, w)
     design = reduction.oracle_design(x)
     if key not in fits:
         fits[key] = reduction.unconstrained_train(x, y, oracle_max_iter=oracle_max_iter,

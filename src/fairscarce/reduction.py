@@ -8,18 +8,26 @@ The reduction alternates (1) a best-response fit against signed per-row costs
 built from the current multipliers with (2) a multiplicative-weights update
 of the multipliers by the observed constraint violations, and returns a
 mixture of the iterates chosen by a duality-gap criterion.
+
+The oracle works on a CSR design (``oracle_design``) with scipy's CSR
+kernel. ``scipy.sparse`` is imported on the first ``oracle_design`` or
+``fit_cost_sensitive`` call, and ``scipy.optimize`` on the first ``linprog``
+call, so a process that only imports the package or runs phase 1 loads
+neither.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import DegenerateCell, DegenerateGroup, NonFiniteCost
 from .tabular import Dataset
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 DEMOGRAPHIC_PARITY = "dp"
 EQUALIZED_ODDS = "eod"
@@ -37,7 +45,7 @@ GAP_TOL = 1e-3
 
 
 # the oracle's CSR design of a set of rows and a CSR copy of its transpose
-OracleDesign = tuple[sparse.csr_array, sparse.csr_array]
+OracleDesign = tuple["csr_array", "csr_array"]
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,10 @@ def oracle_design(x: np.ndarray) -> OracleDesign:
     """The oracle's design for rows ``x``: the features plus an intercept
     column as a CSR matrix, and a CSR copy of its transpose. Built once per
     training call and shared by every oracle call on the same rows."""
+    from scipy.sparse import csr_array
+
     x = np.asarray(x, dtype=float)
-    design = sparse.csr_array(np.column_stack([x, np.ones(len(x))]))
+    design = csr_array(np.column_stack([x, np.ones(len(x))]))
     return design, design.T.tocsr()
 
 
@@ -111,6 +121,8 @@ def fit_cost_sensitive(design: OracleDesign,
     bit-identical to those of a loop that allocates every temporary and
     computes every gradient.
     """
+    from scipy.sparse._sparsetools import csr_matvec
+
     matrix, matrix_t = design
     c = np.asarray(signed_costs, dtype=float)
     if not np.isfinite(c).all():
@@ -216,7 +228,7 @@ class MomentConstraint:
         return [y == 0, y == 1]
 
 
-def _constraint_matrix(constraint: MomentConstraint, y, a, w) -> np.ndarray:
+def constraint_matrix(constraint: MomentConstraint, y, a, w) -> np.ndarray:
     """The signed conditional-rate constraints over proxy-attribute cells as
     one (K, n) matrix: row k is d(g_k)/d(h_i), so ``M @ preds`` gives the
     signed gaps g_k(h), which the constraints read as g_k <= slack, and
@@ -298,7 +310,7 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         raise ValueError("no training rows")
     if (a < 0).any():
         raise ValueError("every row needs a proxy attribute under fairness constraints")
-    cons = _constraint_matrix(constraint, y, a, np.asarray(w, dtype=float))  # (K, n)
+    cons = constraint_matrix(constraint, y, a, np.asarray(w, dtype=float))  # (K, n)
     slack = constraint.slack
     n = len(x)
     base_cost = (1.0 - 2.0 * y) / n  # derivative of expected error wrt h_i

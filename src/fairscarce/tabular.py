@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .configio import parse_kv, read_kv_file
 from .errors import (
@@ -383,18 +382,25 @@ def split_scarce_rows(labels: np.ndarray, sensitive: np.ndarray, ratio: float, s
 # --- dataset cache io --------------------------------------------------------
 # One uncompressed npz archive per Dataset. The feature matrix, mostly one-hot
 # zeros, is stored as its CSR parts ``data``, ``indices``, ``indptr`` and
-# ``shape``; ``sample_ids`` and whichever label / sensitive / masked vectors
-# are present follow under their own names (absent ones are left out).
-# Loading densifies back to the same float64 values (a -0.0 entry comes back
-# as 0.0) and never unpickles.
+# ``shape``, exactly as ``scipy.sparse.csr_array(features)`` would hold them
+# (float64 data; int32 indices and indptr unless a dimension or the nonzero
+# count passes the int32 range; an int64 shape), built with numpy alone;
+# ``sample_ids`` and whichever label / sensitive / masked vectors are present
+# follow under their own names (absent ones are left out). Loading checks
+# that the parts describe a matrix of that shape, with each row's columns
+# increasing, and densifies them back to the same float64 values (a -0.0
+# entry is not stored, so it comes back as 0.0). Nothing is unpickled.
 
 _VECTOR_FIELDS = ("sample_ids", "labels", "sensitive", "masked_labels", "masked_sensitive")
 
 
 def save_dataset(path, ds: Dataset) -> None:
-    csr = sparse.csr_array(ds.features)
-    arrays = {"data": csr.data, "indices": csr.indices, "indptr": csr.indptr,
-              "shape": np.array(csr.shape)}
+    rows, cols = np.nonzero(ds.features)  # row-major, as CSR stores them
+    shape = ds.features.shape
+    index = np.int32 if max(*shape, len(rows)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    arrays = {"data": ds.features[rows, cols], "indices": cols.astype(index),
+              "indptr": indptr.astype(index), "shape": np.array(shape)}
     arrays.update((name, getattr(ds, name)) for name in _VECTOR_FIELDS
                   if getattr(ds, name) is not None)
     # through a handle, so the archive lands at exactly ``path`` (a path
@@ -403,16 +409,44 @@ def save_dataset(path, ds: Dataset) -> None:
         np.savez(fh, **arrays)
 
 
+def _csr_to_dense(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                  shape: np.ndarray) -> np.ndarray:
+    """The float64 matrix of ``shape`` whose row i holds ``data`` at the
+    columns ``indices`` over ``indptr[i]:indptr[i + 1]``; ValueError unless
+    the parts describe such a matrix with each row's columns increasing."""
+    if shape.shape != (2,) or shape.dtype.kind not in "iu" or (shape < 0).any():
+        raise ValueError("shape is not two non-negative integers")
+    n, width = map(int, shape)
+    if any(v.ndim != 1 for v in (data, indices, indptr)):
+        raise ValueError("data, indices and indptr must be vectors")
+    if indices.dtype.kind not in "iu" or indptr.dtype.kind not in "iu":
+        raise ValueError("indices and indptr must be integers")
+    indices, indptr = indices.astype(np.int64), indptr.astype(np.int64)
+    counts = np.diff(indptr)
+    if len(indptr) != n + 1 or indptr[0] != 0 or (counts < 0).any():
+        raise ValueError(f"indptr does not rise from 0 over {n} rows")
+    if indptr[-1] != len(indices) or len(indices) != len(data):
+        raise ValueError("indptr, indices and data disagree on the nonzero count")
+    if len(indices) and not (0 <= indices.min() and indices.max() < width):
+        raise ValueError(f"a column index lies outside [0, {width})")
+    at = np.repeat(np.arange(n) * width, counts) + indices  # flat positions
+    if (np.diff(at) <= 0).any():
+        raise ValueError("a row's column indices do not increase")
+    features = np.zeros((n, width))
+    features.reshape(-1)[at] = data
+    return features
+
+
 def load_dataset(path) -> Dataset:
     try:
         with np.load(path) as archive:
             arrays = {name: archive[name] for name in archive.files}
-        csr = sparse.csr_array((arrays.pop("data"), arrays.pop("indices"), arrays.pop("indptr")),
-                               shape=tuple(arrays.pop("shape")))
-        return Dataset(csr.toarray(), **arrays)
+        features = _csr_to_dense(*(arrays.pop(name) for name in ("data", "indices", "indptr",
+                                                                  "shape")))
+        return Dataset(features, **arrays)
     except (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         # KeyError: a dense-features archive from an earlier version
-        raise ConfigError(f"{path} is not a CSR npz dataset cache; "
+        raise ConfigError(f"{path} is not a CSR npz dataset cache ({exc}); "
                           "rerun train-attr to rebuild the run directory") from exc
 
 

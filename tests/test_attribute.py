@@ -156,11 +156,40 @@ def test_predict_proxy_peak_memory():
 def test_teacher_eval_probs_equal_eval_forward():
     split = two_cluster_split(300, seed=4)
     result = attr.train_attribute_classifier(split, quick_config(epochs=2, hidden=(16, 8)))
-    for ds in (split.d1, split.d2, split.test):
-        logits, _ = nn.forward(result.teacher, ds.features, nn.DropoutPlan(nn.EVAL))
+    cases = [(result.teacher, ds) for ds in (split.d1, split.d2, split.test)]
+    # datasets that end inside, on and one or two rows past the hidden layers'
+    # row blocks (a one-row tail joins the block before it), for nets with
+    # zero, one and two hidden layers; weights scaled so that logits reach
+    # tens, where the probabilities show a one-ulp change in any layer
+    chunk = attr._PROXY_CHUNK
+    rng = np.random.default_rng(9)
+    for n in (1, 2, chunk - 1, chunk, chunk + 1, chunk + 2, 2 * chunk + 1, 2 * chunk + 777):
+        x = rng.normal(size=(n, 100)) * (rng.random((n, 100)) < 0.13)
+        for hidden in ((), (16,), (64, 32)):
+            net = nn.init_mlp([100, *hidden], dropout_rate=0.3, seed=n)
+            net = nn.MlpParams(tuple(8.0 * w for w in net.weights), net.biases, 0.3)
+            cases.append((net, tabular.Dataset(x, np.arange(n))))
+    for teacher, ds in cases:
+        logits, _ = nn.forward(teacher, ds.features, nn.DropoutPlan(nn.EVAL))
         expected = nn.sigmoid(logits)
-        got = attr.teacher_eval_probs(result.teacher, ds)
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        got = attr.teacher_eval_probs(teacher, ds)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), len(ds)
+
+
+def test_teacher_eval_probs_peak_memory():
+    # d1 of the full demo corpus: the 27,351 x 64 and x 32 layer outputs
+    # (20 MB) are never alive at once; one block of the first and a buffer
+    # of the last hidden layer are
+    params = nn.init_mlp([100, 64, 32], dropout_rate=0.3, seed=7)
+    x = (np.random.default_rng(2).random((27351, 100)) < 0.13).astype(float)
+    ds = tabular.Dataset(x, np.arange(27351))
+    tracemalloc.start()
+    try:
+        attr.teacher_eval_probs(params, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20, peak / 2 ** 20
 
 
 def two_cluster_split(n=600, gap=8.0, seed=0):

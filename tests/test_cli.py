@@ -245,11 +245,41 @@ def test_stale_text_dataset_cache_exit_code(demo_run, tmp_path, capsys):
     dense = io.BytesIO()
     np.savez(dense, features=d1.features, sample_ids=d1.sample_ids, labels=d1.labels,
              masked_sensitive=d1.masked_sensitive)
+    with np.load(run / "d1.ds") as archive:
+        parts = {name: archive[name] for name in archive.files}
+    data, indices, indptr, shape = (parts[k] for k in ("data", "indices", "indptr", "shape"))
+
+    def damaged(**changes):
+        out = io.BytesIO()
+        np.savez(out, **{**parts, **changes})
+        return out.getvalue()
+
+    def changed(array, at, value):
+        array = array.copy()
+        array[at] = value
+        return array
+
+    assert indptr[1] >= 2  # row 0 holds two columns to swap
     stale_caches = {
         # the caches earlier versions wrote: line-oriented text, then an npz
         # archive holding the dense feature matrix
         "text": b"fairscarce-dataset 1\nn 1 d 1\nhas 1 0 0 1\n0 1 0 0.5\n",
         "dense npz": dense.getvalue(),
+        # damaged CSR parts: each must be rejected, not crash the process
+        # or load other features
+        "float indices": damaged(indices=indices.astype(float)),
+        "float indptr": damaged(indptr=indptr.astype(float)),
+        "short indptr": damaged(indptr=indptr[:-1]),
+        "indptr from 1": damaged(indptr=changed(indptr, 0, 1)),
+        "decreasing indptr": damaged(indptr=changed(indptr, [1, 2], indptr[[2, 1]])),
+        "indptr past indices": damaged(indptr=changed(indptr, -1, indptr[-1] + 1)),
+        "short data": damaged(data=data[:-1]),
+        "column past width": damaged(indices=changed(indices, 0, shape[1])),
+        "negative column": damaged(indices=changed(indices, 0, -1)),
+        "swapped columns": damaged(indices=changed(indices, [0, 1], indices[[1, 0]])),
+        "three-entry shape": damaged(shape=np.append(shape, 1)),
+        "negative shape": damaged(shape=-shape),
+        "float shape": damaged(shape=shape.astype(float)),
     }
     for kind, content in stale_caches.items():
         (run / "d1.ds").write_bytes(content)
@@ -504,9 +534,10 @@ def test_tuned_sweep_names_one_group_candidates(tmp_path, capsys):
     assert "no tuning candidate could be trained" in err and "one proxy group" in err, err
 
 
-# run in a fresh interpreter: whether scipy.optimize is loaded after the CLI
-# import and phase 1, after an unconstrained cell, and after an exp-grad cell
-LP_IMPORT_PROBE = """
+# run in a fresh interpreter: whether scipy.sparse and scipy.optimize are
+# loaded after the CLI import and phase 1, after an unconstrained cell, and
+# after an exp-grad cell
+SCIPY_IMPORT_PROBE = """
 import sys
 from pathlib import Path
 
@@ -514,17 +545,17 @@ import fairscarce.cli
 from fairscarce import attribute, harness, synthdata
 
 root = Path(sys.argv[1])
-loaded = lambda: "scipy.optimize" in sys.modules
+report = lambda: print(*(name in sys.modules for name in ("scipy.sparse", "scipy.optimize")))
 synthdata.write_corpus(root / "census.csv", 300, seed=1)
 synthdata.write_schema(root / "census.schema")
 artifacts = harness.run_attribute_phase(root / "census.csv", root / "census.schema",
                                         root / "run", seed=1,
                                         train_config=attribute.AttrTrainConfig(seed=1, epochs=2))
-print(loaded())
+report()
 harness.run_cell(artifacts, "vanilla", "dp", 0.0, 0, None, oracle_max_iter=50)
-print(loaded())
+report()
 harness.run_cell(artifacts, "clean", "dp", 0.0, 0, None, iters=2, oracle_max_iter=50)
-print(loaded())
+report()
 """
 
 
@@ -532,7 +563,9 @@ def test_lp_solver_loads_only_when_an_lp_runs(tmp_path):
     src = str(Path(fairscarce.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", LP_IMPORT_PROBE, str(tmp_path)], env=env,
+    done = subprocess.run([sys.executable, "-c", SCIPY_IMPORT_PROBE, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False", "True"]
+    # phase 1 loads neither; the first oracle call loads scipy.sparse, the
+    # first LP scipy.optimize
+    assert done.stdout.splitlines() == ["False False", "True False", "True True"]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from fairscarce import attribute as attr
 from fairscarce import harness, metrics, synthdata, tabular
-from fairscarce.errors import ConfigError, EmptySelection
+from fairscarce.errors import ConfigError, DegenerateGroup, EmptySelection
 from fairscarce.uncertainty import LN2
 
 
@@ -143,6 +144,41 @@ def test_tune_threshold_never_reads_d1_hidden_attribute(small_run):
                           for a in (artifacts, blind))
     assert tuned.threshold == tuned_blind.threshold
     np.testing.assert_array_equal(np.array(tuned.table), np.array(tuned_blind.table))
+
+
+def test_one_group_candidate_makes_no_oracle_call(small_run, monkeypatch):
+    # no proxy group-0 row of this run has an entropy below 0.17, so the
+    # lowest candidates keep one group; each must fail before its
+    # unconstrained fit, not after it
+    _, artifacts = small_run
+    assert artifacts.proxies.u[artifacts.proxies.a_hat == 0].min() > 0.15
+    calls, outcomes = [], []
+    oracle, fit = harness.reduction.fit_cost_sensitive, harness._fit
+
+    def counting_oracle(*args, **kw):
+        calls.append(1)
+        return oracle(*args, **kw)
+
+    def recording_fit(*args):
+        before = len(calls)
+        try:
+            model = fit(*args)
+        except DegenerateGroup:
+            outcomes.append(("one group", len(calls) - before))
+            raise
+        outcomes.append(("trained", len(calls) - before))
+        return model
+
+    monkeypatch.setattr(harness.reduction, "fit_cost_sensitive", counting_oracle)
+    monkeypatch.setattr(harness, "_fit", recording_fit)
+    tuned = harness.tune_threshold(artifacts, (0.1, 0.3), seed=1,
+                                   budget={"iters": 3, "max_rows": 1500, "oracle_max_iter": 150})
+    assert outcomes[:2] == [("one group", 0)] * 2
+    assert [kind for kind, _ in outcomes[-2:]] == ["trained"] * 2
+    assert all(n == 0 if kind == "one group" else n >= 2 for kind, n in outcomes)
+    assert len(calls) == sum(n for _, n in outcomes)
+    assert [math.isnan(acc) for _, acc, _, _ in tuned.table] == [
+        kind == "one group" for kind, _ in outcomes]
 
 
 @pytest.mark.parametrize("lo,hi", [(0.1, LN2), (0.1, 0.43), (0.23, 0.41), (0.2, 0.5),

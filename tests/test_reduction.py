@@ -175,7 +175,7 @@ def test_sparse_oracle_matches_dense_reference(demo_d1):
     a = tabular.oracle_sensitive(demo_d1)
     n = len(y)
     base_cost = (1.0 - 2.0 * y) / n
-    cons = red._constraint_matrix(red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.02),
+    cons = red.constraint_matrix(red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.02),
                                   y, a, np.ones(n))
     signed = base_cost + np.array([0.6, 0.0]) @ cons
     flipped = np.sign(signed) != np.sign(base_cost)
@@ -195,7 +195,7 @@ def demo_costs(d1):
     y = d1.labels.astype(float)
     n = len(y)
     base_cost = (1.0 - 2.0 * y) / n
-    cons = red._constraint_matrix(red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.02),
+    cons = red.constraint_matrix(red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.02),
                                   y, tabular.oracle_sensitive(d1), np.ones(n))
     return base_cost, base_cost + np.array([0.6, 0.0]) @ cons
 
@@ -228,15 +228,18 @@ def test_oracle_matches_reference_fit_on_saturated_rows(demo_d1):
 
 
 def test_csr_kernel_equals_matmul_bit_for_bit():
-    # the oracle calls scipy's private CSR kernel directly; a scipy release
-    # that changes it must fail here, not deep inside a sweep
+    # the oracle calls scipy's private CSR kernel directly, imported as the
+    # oracle imports it; a scipy release that changes it must fail here, not
+    # deep inside a sweep
+    from scipy.sparse._sparsetools import csr_matvec
+
     rng = np.random.default_rng(5)
     dense = rng.normal(size=(300, 40)) * (rng.random((300, 40)) < 0.15)
     dense[7] = 0.0  # a row with no nonzeros
     for matrix in red.oracle_design(dense):
         v = rng.normal(size=matrix.shape[1])
         out = np.zeros(matrix.shape[0])
-        red.csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, v, out)
+        csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, v, out)
         assert out.tobytes() == (matrix @ v).tobytes()
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fairscarce import synthdata, tabular
 from fairscarce.errors import (
@@ -467,28 +468,43 @@ def test_split_scarce_empty_part_raises(ratio, test_fraction, part):
 
 def test_dataset_cache_roundtrip(tmp_path):
     ds = balanced_dataset(38, seed=12)
-    # a one-hot block next to the dense column, so the CSR parts skip zeros
-    ds = tabular.Dataset(np.column_stack([ds.features, np.eye(38)[:, :4]]), ds.sample_ids,
-                         ds.labels, ds.sensitive)
+    # a one-hot block next to the dense column, so the CSR parts skip zeros;
+    # every fifth row all zeros and a -0.0 entry in the rows after them
+    features = np.column_stack([ds.features, np.eye(38)[:, :4]])
+    features[::5] = 0.0
+    features[1::5, 0] = -0.0
+    ds = tabular.Dataset(features, ds.sample_ids, ds.labels, ds.sensitive)
     split = masked_parts(ds, *split_rows(ds, 0.25, 3, 0.2), 0.25)
-    for name, part in (("d1.ds", split.d1), ("d2.ds", split.d2), ("test.ds", split.test)):
+    parts = (("d1.ds", split.d1), ("d2.ds", split.d2), ("test.ds", split.test),
+             ("empty.ds", split.test.take(np.arange(0))))
+    for name, part in parts:
         tabular.save_dataset(tmp_path / name, part)
         with np.load(tmp_path / name) as archive:
-            # features are stored as CSR parts only, never as a dense array
+            # features are stored as CSR parts only, never as a dense array,
+            # and exactly as scipy holds them
             assert "features" not in archive.files
             assert {"data", "indices", "indptr", "shape"} <= set(archive.files)
-            assert len(archive["data"]) == np.count_nonzero(part.features)
+            csr = sparse.csr_array(part.features)
+            for field in ("data", "indices", "indptr"):
+                want, got = getattr(csr, field), archive[field]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+            assert archive["shape"].dtype == np.array(csr.shape).dtype
+            assert tuple(archive["shape"]) == csr.shape
         back = tabular.load_dataset(tmp_path / name)
         assert back.features.dtype == np.float64
-        assert back.features.tobytes() == part.features.tobytes()
+        # -0.0 is not stored, so it comes back as 0.0 (adding 0.0 maps it there)
+        assert back.features.tobytes() == (part.features + 0.0).tobytes()
         np.testing.assert_array_equal(part.sample_ids, back.sample_ids)
         for name in ("labels", "sensitive", "masked_labels", "masked_sensitive"):
             a, b = getattr(part, name), getattr(back, name)
             assert (a is None) == (b is None)
             if a is not None:
                 np.testing.assert_array_equal(a, b)
+    stored = np.concatenate([part.features for _, part in parts])
+    assert not stored.any(axis=1).all() and np.signbit(stored[stored == 0.0]).any()
     # each archive sits at exactly the given path, with no ".npz" appended
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d1.ds", "d2.ds", "test.ds"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d1.ds", "d2.ds", "empty.ds",
+                                                          "test.ds"]
 
 
 def test_prepare_split_pipeline(tmp_path, schema):
