@@ -269,8 +269,9 @@ class RandomizedClassifier:
 
 @dataclass
 class ExpGradLog:
-    """How one ``exp_grad_train`` call went; ``oracle_calls`` counts its own
-    oracle calls, never the caller's seed fit."""
+    """How one ``exp_grad_train`` call went; ``oracle_calls`` counts its
+    fresh oracle calls only: never the caller's seed fit, nor a member taken
+    from that seed because the multipliers cancelled."""
 
     converged: bool
     best_gap: float
@@ -298,10 +299,17 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
 
     The first member is ``start``, required: the single member of
     ``unconstrained_train(x, y, oracle_max_iter)``, the seed of the gap
-    bound. The caller fits it (or reuses a fit on the same rows), so
-    ``log.oracle_calls`` counts exp-grad's own oracle calls only.
+    bound. The caller fits it (or reuses a fit on the same rows).
     ``design``, when given, is ``oracle_design(x)`` built by that caller, so
     one design serves both fits.
+
+    ``constraint_matrix`` emits each gap row followed by its negation, so a
+    multiplier vector whose pairs are equal (``lam[0::2] == lam[1::2]``)
+    adds nothing to the costs in exact arithmetic, and its best response is
+    the unconstrained fit. Such a vector (always the first one, where theta
+    is 0, and a certification against an all-zero LP dual) registers
+    ``start`` again as a member of its own, with no oracle call; any other
+    goes to the oracle. ``log.oracle_calls`` counts those fresh calls.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -328,8 +336,11 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         member_viol.append(cons @ preds)
         return len(members) - 1
 
-    def fit_and_register(costs) -> int:
+    def best_response(lam_vec) -> int:
+        if np.array_equal(lam_vec[0::2], lam_vec[1::2]):
+            return register(start)  # the multipliers cancel: the seed is the fit
         log.oracle_calls += 1
+        costs = base_cost + lam_vec @ cons
         return register(fit_cost_sensitive(design, costs, max_iter=oracle_max_iter))
 
     theta = np.zeros(len(cons))
@@ -372,10 +383,10 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
 
     def consider(mix, lam_vec) -> None:
         """Track the candidate; on a would-converge gap, certify the lower
-        bound with one fresh best response against the candidate's lambda."""
+        bound with one more best response against the candidate's lambda."""
         gap, mix_viol = gap_of(mix, lam_vec)
         if gap < GAP_TOL:
-            fit_and_register(base_cost + lam_vec @ cons)
+            best_response(lam_vec)
             gap, mix_viol = gap_of(np.pad(mix, (0, 1)), lam_vec)
             mix = np.pad(mix, (0, 1))
         if gap < log.best_gap:
@@ -389,7 +400,7 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         lam = BOUND * expt / (math.exp(-theta.max()) + expt.sum())
         lambda_sum += lam
 
-        idx = fit_and_register(base_cost + lam @ cons)
+        idx = best_response(lam)
         chosen.append(idx)
 
         uniform = np.zeros(len(members))

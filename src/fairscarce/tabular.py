@@ -413,7 +413,8 @@ def _csr_to_dense(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
                   shape: np.ndarray) -> np.ndarray:
     """The float64 matrix of ``shape`` whose row i holds ``data`` at the
     columns ``indices`` over ``indptr[i]:indptr[i + 1]``; ValueError unless
-    the parts describe such a matrix with each row's columns increasing."""
+    the parts describe such a matrix with each row's columns increasing, and
+    it can be allocated."""
     if shape.shape != (2,) or shape.dtype.kind not in "iu" or (shape < 0).any():
         raise ValueError("shape is not two non-negative integers")
     n, width = map(int, shape)
@@ -432,7 +433,10 @@ def _csr_to_dense(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
     at = np.repeat(np.arange(n) * width, counts) + indices  # flat positions
     if (np.diff(at) <= 0).any():
         raise ValueError("a row's column indices do not increase")
-    features = np.zeros((n, width))
+    try:
+        features = np.zeros((n, width))
+    except MemoryError as exc:  # a damaged width passes every check above
+        raise ValueError(f"its dense ({n}, {width}) matrix cannot be allocated") from exc
     features.reshape(-1)[at] = data
     return features
 

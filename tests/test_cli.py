@@ -11,7 +11,7 @@ import pytest
 
 import fairscarce
 from fairscarce import cli, errors, harness, tabular
-from fairscarce.errors import DegenerateGroup
+from fairscarce.errors import ConfigError, DegenerateGroup
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +287,29 @@ def test_stale_text_dataset_cache_exit_code(demo_run, tmp_path, capsys):
             assert cli.main(argv) == 2, (kind, argv[0])
             err = capsys.readouterr().err
             assert "d1.ds" in err and "rerun train-attr" in err, (kind, argv[0])
+
+
+def test_unallocatable_dataset_cache_shape_exit_code(demo_run, tmp_path, capsys):
+    # a width edited to 10**12 passes every structural check of the CSR
+    # parts; the dense matrix it asks for (petabytes) cannot be allocated,
+    # which is a damaged cache (exit 2), not a crash
+    run = tmp_path / "run"
+    shutil.copytree(demo_run / "run", run)
+    with np.load(run / "d1.ds") as archive:
+        parts = {name: archive[name] for name in archive.files}
+    rows = int(parts["shape"][0])
+    parts["shape"] = np.array([rows, 10**12], dtype=np.int64)
+    with open(run / "d1.ds", "wb") as out:
+        np.savez(out, **parts)
+    with pytest.raises(ConfigError) as caught:
+        harness.load_run(run)
+    assert "d1.ds" in str(caught.value) and f"({rows}, {10**12})" in str(caught.value)
+    assert cli.main(["train-fair", "--variant", "vanilla", "--run", str(run),
+                     "--out", str(tmp_path / "row.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "d1.ds" in err, err
+    assert f"({rows}, {10**12})" in err and "rerun train-attr" in err, err
+    assert not (tmp_path / "row.csv").exists()
 
 
 def set_cell(path, column, value):

@@ -317,6 +317,44 @@ def test_sweep_shares_one_unconstrained_fit_per_row_set(small_run, tmp_path, mon
     assert len(texts[0].splitlines()) == 1 + 4 * 2 * 2
 
 
+def test_sweep_oracle_calls_equal_logged_calls_plus_unconstrained_fits(small_run, tmp_path,
+                                                                        monkeypatch):
+    # the benchmark's cross-check: every oracle call of a sweep is either one
+    # an exp-grad log counts or a selection's unconstrained fit, made once per
+    # row set; a reused member that no oracle call made must not be counted
+    run_dir, _ = small_run
+    reduction = harness.reduction
+    oracle_calls, logs, unconstrained = [], [], []
+    oracle, exp_grad_train, unconstrained_train = (
+        reduction.fit_cost_sensitive, reduction.exp_grad_train, reduction.unconstrained_train)
+
+    def counting_oracle(*args, **kw):
+        oracle_calls.append(1)
+        return oracle(*args, **kw)
+
+    def logging_exp_grad(*args, **kw):
+        model, log = exp_grad_train(*args, **kw)
+        logs.append(log)
+        return model, log
+
+    def recording_fit(x, y, **kw):
+        unconstrained.append(np.ascontiguousarray(x).tobytes())
+        return unconstrained_train(x, y, **kw)
+
+    monkeypatch.setattr(reduction, "fit_cost_sensitive", counting_oracle)
+    monkeypatch.setattr(reduction, "exp_grad_train", logging_exp_grad)
+    monkeypatch.setattr(reduction, "unconstrained_train", recording_fit)
+    config = harness.SweepConfig(run_dir=str(run_dir), out_dir=str(tmp_path / "sweep"),
+                                 variants=("vanilla", "weighted", "proxy-dnn", "certain"),
+                                 eps_grid=(0.02, 0.1), seeds=2,
+                                 threshold=median_u(small_run[1]),
+                                 exp_grad_iters=3, oracle_max_iter=150)
+    assert harness.run_sweep(config).n_failed == 0
+    assert len(logs) == 3 * 2 * 2
+    assert len(unconstrained) == len(set(unconstrained)) == 2 * 2
+    assert len(oracle_calls) == sum(log.oracle_calls for log in logs) + len(unconstrained)
+
+
 def known_report(accuracy, dp, eop, eod):
     return metrics.FairnessReport(accuracy, dp, eop, eod, None, None)
 

@@ -245,11 +245,13 @@ def test_csr_kernel_equals_matmul_bit_for_bit():
 
 def test_exp_grad_members_equal_fresh_oracle_calls(demo_d1, monkeypatch):
     # exp-grad shares its caller's design across its oracle calls; each
-    # member must equal an oracle call on a design of its own, and the seed
-    # member is the caller's fit, which no oracle call of exp-grad makes
+    # member after the seed is either ``start`` itself, registered where the
+    # multipliers cancel (at t = 0 at least), or the model of a fresh oracle
+    # call, which must equal an oracle call on a design of its own
     x = demo_d1.features
     y = demo_d1.labels
     a = tabular.oracle_sensitive(demo_d1)
+    base_cost = (1.0 - 2.0 * y) / len(y)
     design = red.oracle_design(x)
     start = red.unconstrained_train(x, y, oracle_max_iter=300, design=design).members[0]
     oracle = red.fit_cost_sensitive
@@ -271,8 +273,11 @@ def test_exp_grad_members_equal_fresh_oracle_calls(demo_d1, monkeypatch):
                                       iters=4, oracle_max_iter=300, start=start, design=design)
     monkeypatch.undo()
     assert len(fitted) == log.oracle_calls >= 2
-    assert registered[0] is start
-    assert [id(m) for m in registered[1:]] == [id(m) for m, _, _ in fitted]
+    assert registered[0] is start and registered[1] is start  # the seed, then t = 0
+    assert [id(m) for m in registered[2:] if m is not start] == [id(m) for m, _, _ in fitted]
+    for _, costs, _ in fitted:
+        # a fresh call's multipliers do not cancel: its costs move off the base
+        assert np.abs(costs - base_cost).max() > 1e-6
     for member in mixture.members:
         if member is start:
             continue
@@ -280,6 +285,51 @@ def test_exp_grad_members_equal_fresh_oracle_calls(demo_d1, monkeypatch):
         fresh = oracle(red.oracle_design(x), costs, **kw)
         np.testing.assert_array_equal(member.coef, fresh.coef)
         assert member.intercept == fresh.intercept
+
+
+@pytest.mark.parametrize("kind", [red.DEMOGRAPHIC_PARITY, red.EQUAL_OPPORTUNITY,
+                                  red.EQUALIZED_ODDS])
+def test_cancelling_multipliers_leave_the_seed_fit(demo_d1, kind):
+    # exp-grad takes ``start`` as the best response to multipliers that are
+    # equal in each (gap, -gap) pair; the costs they add are rounding residue
+    # and the oracle's fit on them predicts as the seed on every row
+    x = demo_d1.features
+    y = demo_d1.labels.astype(float)
+    n = len(y)
+    base_cost = (1.0 - 2.0 * y) / n
+    cons = red.constraint_matrix(red.MomentConstraint(kind, 0.02), y,
+                                 tabular.oracle_sensitive(demo_d1), np.ones(n))
+    design = red.oracle_design(x)
+    start = red.fit_cost_sensitive(design, base_cost)
+    first = np.full(len(cons), red.BOUND / (1.0 + len(cons)))  # exp-grad's t = 0 multipliers
+    paired = np.repeat(np.random.default_rng(1).uniform(0.0, 50.0, len(cons) // 2), 2)
+    for lam in (first, paired):
+        residue = lam @ cons
+        assert np.abs(residue).max() <= 1e-15 * np.abs(lam).sum()
+        fit = red.fit_cost_sensitive(design, base_cost + residue)
+        np.testing.assert_array_equal(fit.predict(x), start.predict(x))
+
+
+@pytest.mark.parametrize("instance", ["symmetric", "inactive"])
+def test_feasible_seed_converges_without_oracle_calls(instance):
+    # a seed that meets the slack: the t = 0 best response is the seed, the
+    # hull LP's dual is zero and its certification is the seed again
+    if instance == "symmetric":
+        x = np.array([[1.0], [2.0], [-1.0], [-2.0], [1.5], [2.5], [-1.5], [-2.5]])
+        y = np.array([1, 1, 0, 0, 1, 1, 0, 0])
+        a = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        slack = 0.01
+    else:
+        x, y = separable_instance(80, seed=5)
+        a = (np.random.default_rng(6).random(80) < 0.5).astype(int)
+        slack = 1.0
+    start = red.unconstrained_train(x, y).members[0]
+    model, log = red.exp_grad_train(x, y, a, np.ones(len(y)),
+                                    red.MomentConstraint(red.DEMOGRAPHIC_PARITY, slack),
+                                    start=start)
+    assert log.converged and log.iterations == 1 and log.oracle_calls == 0
+    assert all(member is start for member in model.members)
+    np.testing.assert_array_equal(model.expected_predictions(x), start.predict(x))
 
 
 # --- brute-force oracle for the reduction --------------------------------------
