@@ -11,9 +11,10 @@ mixture of the iterates chosen by a duality-gap criterion.
 
 The oracle works on a CSR design (``oracle_design``) with scipy's CSR
 kernel. ``scipy.sparse`` is imported on the first ``oracle_design`` or
-``fit_cost_sensitive`` call, and ``scipy.optimize`` on the first ``linprog``
-call, so a process that only imports the package or runs phase 1 loads
-neither.
+``fit_cost_sensitive`` call, so a process that only imports the package or
+runs phase 1 does not load it. The hull LP that re-mixes exp-grad's members
+is a small dense simplex in numpy (``linprog``), so no phase-2 run loads
+``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -42,6 +43,9 @@ RIDGE = 1e-3
 ETA = 2.0
 BOUND = 100.0
 GAP_TOL = 1e-3
+# hull LP: the reduced cost below which a column enters and the smallest
+# pivot the ratio test accepts
+LP_TOL = 1e-10
 
 
 # the oracle's CSR design of a set of rows and a CSR copy of its transpose
@@ -62,13 +66,65 @@ class LinearModel:
         return (self.decision(x) >= 0.0).astype(float)
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on its first call: loading
-    ``scipy.optimize`` costs ~27 MB and ~0.3 s, which phase 1 and the
-    unconstrained sweep cells never use."""
-    from scipy.optimize import linprog as scipy_linprog
+def linprog(errors: np.ndarray, viols: np.ndarray,
+            slack: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Exp-grad's hull LP over m members with errors ``errors`` (m,) and
+    signed violations ``viols`` (m, K):
 
-    return scipy_linprog(*args, **kwargs)
+        minimise errors @ q + BOUND * s
+        subject to viols.T @ q - s <= slack (K rows), sum(q) = 1, q, s >= 0.
+
+    Returns the mixture ``q`` and the multipliers ``lam = max(-y[:K], 0)``,
+    where ``y`` are the duals of the K inequality rows, or None when the
+    solve fails: a singular basis (``LinAlgError``), an entering column
+    with no positive pivot (q is bounded and s costs ``BOUND``, so only
+    rounding gets there), or more than 50 * (m + K + 1) pivots.
+
+    A dense revised simplex on the columns (q, s, r), with r the K slack
+    variables of the inequality rows, and K + 1 equality rows. The start
+    basis is feasible, so no phase 1 runs: the cheapest member at weight 1,
+    the slack variables of the K rows, and ``s`` in place of the slack
+    variable of the most violated row when that member breaks the slack.
+    Pivots follow Bland's (1977) rule, which cannot cycle: the entering
+    column is the lowest index whose reduced cost is below ``-LP_TOL``, and
+    of the basic columns tied in the ratio test, the lowest index leaves.
+    Each pivot solves the (K + 1)-square basis with ``np.linalg.solve``.
+    """
+    m, k = viols.shape
+    cols = np.zeros((k + 1, m + 1 + k))
+    cols[:k, :m] = viols.T
+    cols[:k, m] = -1.0
+    cols[:k, m + 1:] = np.eye(k)
+    cols[k, :m] = 1.0
+    rhs = np.append(np.full(k, float(slack)), 1.0)
+    cost = np.concatenate([errors, [BOUND], np.zeros(k)])
+    cheapest = int(np.argmin(errors))
+    basis = np.array([cheapest, *range(m + 1, m + 1 + k)])
+    excess = viols[cheapest] - slack
+    if excess.max() > 0.0:
+        basis[1 + int(np.argmax(excess))] = m
+    try:
+        for _ in range(50 * (m + k + 1)):
+            mat = cols[:, basis]
+            y = np.linalg.solve(mat.T, cost[basis])
+            reduced = cost - y @ cols
+            reduced[basis] = 0.0
+            entering = np.flatnonzero(reduced < -LP_TOL)
+            x_basis = np.linalg.solve(mat, rhs)
+            if len(entering) == 0:
+                x = np.zeros(m + 1 + k)
+                x[basis] = x_basis
+                return np.maximum(x[:m], 0.0), np.maximum(-y[:k], 0.0)
+            step = np.linalg.solve(mat, cols[:, entering[0]])
+            rows = np.flatnonzero(step > LP_TOL)
+            if len(rows) == 0:
+                return None
+            ratios = np.maximum(x_basis[rows], 0.0) / step[rows]
+            tied = rows[ratios == ratios.min()]
+            basis[tied[np.argmin(basis[tied])]] = entering[0]
+    except np.linalg.LinAlgError:
+        return None
+    return None
 
 
 def oracle_design(x: np.ndarray) -> OracleDesign:
@@ -365,21 +421,12 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         return max(l_mid - l_low, l_high - l_mid), mix_viol
 
     def hull_lp() -> tuple[np.ndarray, np.ndarray] | None:
-        """Cheapest mixture of collected members (max violation beyond the
-        slack priced at ``BOUND``) and the dual multipliers of its
-        constraints, which form the lambda of the candidate pair."""
-        errors = np.array(member_err)
-        viols = np.vstack(member_viol)
-        m = len(errors)
-        res = linprog(c=np.concatenate([errors, [BOUND]]),
-                      A_ub=np.column_stack([viols.T, -np.ones(len(cons))]),
-                      b_ub=np.full(len(cons), slack),
-                      A_eq=np.concatenate([np.ones(m), [0.0]])[None, :],
-                      b_eq=[1.0],
-                      bounds=[(0, None)] * m + [(0, None)], method="highs")
-        if not res.success:
-            return None
-        return res.x[:m], np.maximum(-res.ineqlin.marginals, 0.0)
+        """Cheapest mixture of the members collected so far (max violation
+        beyond the slack priced at ``BOUND``) and the multipliers of its
+        constraints, which form the lambda of the candidate pair: the
+        ``linprog`` hull LP, or None when that solve fails, in which case
+        the iteration keeps its uniform candidate."""
+        return linprog(np.array(member_err), np.vstack(member_viol), slack)
 
     def consider(mix, lam_vec) -> None:
         """Track the candidate; on a would-converge gap, certify the lower

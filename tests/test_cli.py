@@ -559,16 +559,20 @@ def test_tuned_sweep_names_one_group_candidates(tmp_path, capsys):
 
 # run in a fresh interpreter: whether scipy.sparse and scipy.optimize are
 # loaded after the CLI import and phase 1, after an unconstrained cell, and
-# after an exp-grad cell
+# after an exp-grad cell, with the count of hull LPs solved so far
 SCIPY_IMPORT_PROBE = """
 import sys
 from pathlib import Path
 
 import fairscarce.cli
-from fairscarce import attribute, harness, synthdata
+from fairscarce import attribute, harness, reduction, synthdata
 
+lp_calls = []
+solve = reduction.linprog
+reduction.linprog = lambda *args: lp_calls.append(1) or solve(*args)
 root = Path(sys.argv[1])
-report = lambda: print(*(name in sys.modules for name in ("scipy.sparse", "scipy.optimize")))
+report = lambda: print(*(name in sys.modules for name in ("scipy.sparse", "scipy.optimize")),
+                       len(lp_calls))
 synthdata.write_corpus(root / "census.csv", 300, seed=1)
 synthdata.write_schema(root / "census.schema")
 artifacts = harness.run_attribute_phase(root / "census.csv", root / "census.schema",
@@ -582,13 +586,15 @@ report()
 """
 
 
-def test_lp_solver_loads_only_when_an_lp_runs(tmp_path):
+def test_phase_two_never_loads_the_lp_module(tmp_path):
     src = str(Path(fairscarce.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", SCIPY_IMPORT_PROBE, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    # phase 1 loads neither; the first oracle call loads scipy.sparse, the
-    # first LP scipy.optimize
-    assert done.stdout.splitlines() == ["False False", "True False", "True True"]
+    # phase 1 loads neither; the first oracle call loads scipy.sparse; the
+    # exp-grad cell solves its hull LPs in numpy and never loads scipy.optimize
+    flags, lp_calls = zip(*(line.rsplit(" ", 1) for line in done.stdout.splitlines()))
+    assert flags == ("False False", "True False", "True False")
+    assert lp_calls[:2] == ("0", "0") and int(lp_calls[2]) > 0

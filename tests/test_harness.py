@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fairscarce import attribute as attr
-from fairscarce import harness, metrics, synthdata, tabular
+from fairscarce import harness, metrics, reduction, synthdata, tabular
 from fairscarce.errors import ConfigError, DegenerateGroup, EmptySelection
 from fairscarce.uncertainty import LN2
 
@@ -78,6 +78,19 @@ def test_run_cell_deterministic(small_run):
     r2 = harness.run_cell(artifacts, "certain", "dp", 0.05, seed=2, threshold=cut,
                           iters=5, oracle_max_iter=200)
     assert r1 == r2
+
+
+def test_knn_imputation_of_all_d1_indexes_to_each_cells_rows(small_run):
+    # a proxy-knn cell imputes its own training rows; imputing all of d1 once
+    # and indexing by those rows must give the same labels on every seed
+    # before the per-cell call can become one call per run
+    _, artifacts = small_run
+    d1, d2 = artifacts.split.d1, artifacts.split.d2
+    whole = reduction.knn_impute(d1, d2, 5)
+    for seed in range(7):
+        rows, _ = harness._d1_train_eval(artifacts, seed)
+        np.testing.assert_array_equal(whole[rows], reduction.knn_impute(d1.take(rows), d2, 5),
+                                      err_msg=f"seed {seed}")
 
 
 def test_constrained_variant_fairer_than_vanilla(small_run):

@@ -332,6 +332,98 @@ def test_feasible_seed_converges_without_oracle_calls(instance):
     np.testing.assert_array_equal(model.expected_predictions(x), start.predict(x))
 
 
+# --- hull LP (reduction.linprog) -----------------------------------------------
+
+def hull_instance(rng, m, k):
+    """Random errors and signed violations shaped like exp-grad's members:
+    each gap column is followed by its negation, as ``constraint_matrix``
+    emits them."""
+    gaps = rng.normal(scale=0.1, size=(m, k // 2))
+    viols = np.empty((m, k))
+    viols[:, 0::2] = gaps
+    viols[:, 1::2] = -gaps
+    return rng.uniform(0.1, 0.5, size=m), viols
+
+
+def assert_hull_optimum(errors, viols, slack):
+    """``red.linprog`` reaches HiGHS's objective, returns a mixture, and its
+    multipliers certify optimality: they are dual feasible and their dual
+    objective equals the primal, however many optimal duals there are."""
+    m, k = viols.shape
+    ref = linprog(c=np.append(errors, red.BOUND),
+                  A_ub=np.column_stack([viols.T, -np.ones(k)]), b_ub=np.full(k, slack),
+                  A_eq=np.append(np.ones(m), 0.0)[None, :], b_eq=[1.0],
+                  bounds=[(0, None)] * (m + 1), method="highs")
+    assert ref.success
+    q, lam = red.linprog(errors, viols, slack)
+    assert q.shape == (m,) and lam.shape == (k,)
+    assert q.min() >= -1e-12 and abs(q.sum() - 1.0) <= 1e-12
+    excess = max(0.0, float((q @ viols - slack).max()))
+    primal = float(errors @ q) + red.BOUND * excess
+    assert abs(primal - ref.fun) <= 1e-12
+    assert lam.min() >= 0.0 and lam.sum() <= red.BOUND + 1e-12
+    dual = float(np.min(errors + (viols - slack) @ lam))
+    assert abs(dual - primal) <= 1e-12
+    return q, excess
+
+
+@pytest.mark.parametrize("slack", [0.0, 0.05])
+@pytest.mark.parametrize("k", [2, 4], ids=["dp", "eod"])
+def test_hull_lp_matches_highs_on_random_hulls(k, slack):
+    rng = np.random.default_rng(17 * k + int(100 * slack))
+    for m in range(1, 61):
+        assert_hull_optimum(*hull_instance(rng, m, k), slack)
+
+
+@pytest.mark.parametrize("k", [2, 4], ids=["dp", "eod"])
+def test_hull_lp_matches_highs_on_degenerate_hulls(k):
+    rng = np.random.default_rng(5)
+    errors, viols = hull_instance(rng, 12, k)
+    # duplicated members: every column appears twice
+    assert_hull_optimum(np.tile(errors, 2), np.tile(viols, (2, 1)), 0.05)
+    # the cheapest member sits exactly at the slack, so the start basis is
+    # degenerate
+    at_slack = viols.copy()
+    cheapest = int(np.argmin(errors))
+    at_slack[cheapest, 0::2] = 0.05
+    at_slack[cheapest, 1::2] = -0.05
+    assert_hull_optimum(errors, at_slack, 0.05)
+    # every gap is at least 0.3, so every mixture breaks the slack: s > 0
+    broken = viols.copy()
+    broken[:, 0::2] = 0.3 + np.abs(viols[:, 0::2])
+    broken[:, 1::2] = -broken[:, 0::2]
+    _, excess = assert_hull_optimum(errors, broken, 0.05)
+    assert excess >= 0.25
+
+
+def test_hull_lp_returns_none_on_a_singular_basis():
+    # an infinite violation on the cheapest member: eliminating it leaves an
+    # exact zero pivot, so the start basis is singular in floating point
+    assert red.linprog(np.array([0.2, 0.4]), np.array([[np.inf, 0.0], [0.1, -0.1]]),
+                       0.0) is None
+
+
+def test_exp_grad_keeps_the_uniform_candidate_when_the_lp_fails(monkeypatch):
+    rng = np.random.default_rng(11)
+    n = 300
+    a = rng.integers(0, 2, size=n)
+    x = rng.normal(size=(n, 3))
+    x[:, 0] += 1.1 * a
+    y = (1.5 * x[:, 0] - 0.8 * x[:, 1] + rng.normal(scale=0.7, size=n) > 0.4).astype(int)
+    calls = []
+    monkeypatch.setattr(red, "linprog", lambda *args: calls.append(args))
+    model, log = seeded_exp_grad(x, y, a, np.ones(n),
+                                 red.MomentConstraint(red.DEMOGRAPHIC_PARITY, 0.01))
+    assert calls  # the LP was tried and failed
+    assert math.isfinite(log.best_gap)
+    weights = model.mix_weights
+    assert weights.min() > 0.0 and weights.sum() == pytest.approx(1.0, abs=1e-12)
+    # a uniform candidate weighs each member by its count among the first t
+    # best responses, for some t <= iterations
+    assert any(np.allclose(weights * t, np.round(weights * t), rtol=0, atol=1e-9)
+               for t in range(1, log.iterations + 1))
+
+
 # --- brute-force oracle for the reduction --------------------------------------
 
 def brute_force_fair_optimum(y, a, eps=0.0):
