@@ -72,8 +72,8 @@ def _cmd_train_fair(args) -> int:
         artifacts.proxies = harness.load_checked_proxies(args.proxies,
                                                          artifacts.split.d1.sample_ids)
     source = harness.parse_uncertainty_source(args.uncertainty_source)
-    report = harness.run_cell(artifacts, args.variant, args.constraint, args.eps,
-                              args.seed, args.H, source)
+    report, _ = harness.run_cell(artifacts, args.variant, args.constraint, args.eps,
+                                 args.seed, args.H, source)
     row = metrics.report_csv_row(report, args.variant, args.seed)
     print(metrics.REPORT_HEADER)
     print(row)

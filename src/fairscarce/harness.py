@@ -25,8 +25,11 @@ is -1 (vanilla, uncertain) gets the unconstrained fit on its rows, any other
 selection exp-grad seeded by that fit. ``_fit`` keeps the unconstrained fits
 in a map keyed by the training rows. A sweep reads a run directory and runs
 its cells one after another through ``run_cell`` with one such map, so each
-distinct set of training rows is fitted once per sweep; ``tune_threshold``
-keeps a map of its own per call, since it trains on a smaller budget.
+distinct set of training rows is fitted once per sweep. ``fig2_study`` runs
+one ``uncertain`` cell per (H, seed), on the training rows with u >= H, the
+same way: one map for the whole study, so H values that keep the same rows
+share a fit. ``tune_threshold`` keeps a map of its own per call, since it
+trains on a smaller budget.
 """
 from __future__ import annotations
 
@@ -374,12 +377,11 @@ def _fit(d1: tabular.Dataset, idx: np.ndarray, a: np.ndarray, w: np.ndarray,
          constraint: reduction.MomentConstraint, iters: int, oracle_max_iter: int,
          fits: dict[bytes, reduction.RandomizedClassifier]) -> reduction.RandomizedClassifier:
     """The model of one selection ``(idx, a, w)`` of d1 rows: the one place
-    phase 2 trains a selection (``fig2_study`` makes none and fits its rows
-    directly). An ``a`` of -1 (``select``'s vanilla and uncertain) gives the
-    unconstrained fit on the rows; any other ``a`` gives exp-grad under
-    ``constraint``, seeded by that fit. A selection that leaves a constraint
-    cell without weight raises DegenerateGroup or DegenerateCell before any
-    fit.
+    phase 2 trains a selection. An ``a`` of -1 (``select``'s vanilla and
+    uncertain) gives the unconstrained fit on the rows; any other ``a`` gives
+    exp-grad under ``constraint``, seeded by that fit. A selection that
+    leaves a constraint cell without weight raises DegenerateGroup or
+    DegenerateCell before any fit.
 
     ``fits`` maps a set of training rows (``idx.tobytes()``) to the
     unconstrained fit on them. A fit it lacks is made and stored, so callers
@@ -413,10 +415,11 @@ def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
              eps_fair: float, seed: int, threshold: float | None,
              source: UncertaintySource = UncertaintySource(),
              iters: int = 50, oracle_max_iter: int = 5000,
-             fits: dict | None = None) -> metrics.FairnessReport:
+             fits: dict | None = None) -> tuple[metrics.FairnessReport, int]:
     """Train one variant on a per-seed 70 percent slice of d1 and score it on
     the held-out 30 percent against the true (masked) sensitive attributes:
-    split, ``select``, ``_fit``, ``_score``. ``fits`` is ``_fit``'s map of
+    split, ``select``, ``_fit``, ``_score``. Returns the report and the
+    number of rows the model trained on. ``fits`` is ``_fit``'s map of
     unconstrained fits; a sweep passes one map to all of its cells, and
     None gives the cell a fresh map of its own."""
     train_rows, eval_rows = _d1_train_eval(artifacts, seed)
@@ -424,7 +427,7 @@ def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
     d1 = artifacts.split.d1
     model = _fit(d1, idx, a, w, reduction.MomentConstraint(constraint_kind, eps_fair),
                  iters, oracle_max_iter, {} if fits is None else fits)
-    return _score(model, d1, eval_rows)
+    return _score(model, d1, eval_rows), len(idx)
 
 
 # --- threshold tuning ----------------------------------------------------------
@@ -440,6 +443,11 @@ class TuneResult:
 _TUNE_VALIDATION_FRACTION = 0.1
 _TUNE_GRID_STEP = 0.05
 _TUNE_EPS_FAIR = 0.01
+# tuning's reduced budget per candidate: exp-grad iterations, a cap on the
+# rows it trains on, and oracle iterations per fit
+_TUNE_ITERS = 10
+_TUNE_MAX_ROWS = 8000
+_TUNE_ORACLE_MAX_ITER = 600
 # why a candidate could not be trained, most telling first: the error raised
 # when every candidate failed is the first of these that occurred
 _TUNE_FAILURES = ((DegenerateGroup, "kept one proxy group only"),
@@ -453,8 +461,8 @@ _CONSTRAINT_GAP = {reduction.DEMOGRAPHIC_PARITY: "dp_diff",
 
 
 def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0.1, LN2),
-                   constraint_kind: str = reduction.DEMOGRAPHIC_PARITY, seed: int = 0,
-                   budget: dict | None = None) -> TuneResult:
+                   constraint_kind: str = reduction.DEMOGRAPHIC_PARITY,
+                   seed: int = 0) -> TuneResult:
     """Pick the uncertainty cutoff for the certain variant: train candidates
     H = lo, lo + 0.05, ..., none above hi, under ``constraint_kind`` on d1's
     training portion minus a validation slice, score (accuracy - the gap
@@ -462,7 +470,8 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
     smallest H). The gap is measured against the slice's proxy attribute
     ``a_hat``: d1's true attribute is hidden in the demographic-scarce
     regime, so choosing H never reads it. The tuning loop runs on a reduced
-    budget: fewer reduction iterations and a row cap, both overridable.
+    budget: ``_TUNE_ITERS`` exp-grad iterations and ``_TUNE_ORACLE_MAX_ITER``
+    oracle iterations on at most ``_TUNE_MAX_ROWS`` rows.
 
     Each candidate trains through ``_fit`` with a fits map of this call's
     own (tuning's budget is not the sweep's). A range that holds no grid
@@ -475,18 +484,15 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
             if h <= hi]
     if not grid:
         raise ConfigError(f"tune range ({lo}, {hi}) holds no candidate H")
-    budget = dict(budget or {})
-    iters = budget.get("iters", 10)
-    max_rows = budget.get("max_rows", 8000)
-    oracle_max_iter = budget.get("oracle_max_iter", 600)
 
     train_rows, _ = _d1_train_eval(artifacts, seed)
     k_val = max(1, int(round(_TUNE_VALIDATION_FRACTION * len(train_rows))))
     order = np.random.default_rng((seed, 131)).permutation(len(train_rows))
     val_rows = np.sort(train_rows[order[:k_val]])
     fit_rows = np.sort(train_rows[order[k_val:]])
-    if len(fit_rows) > max_rows:
-        fit_rows = np.sort(fit_rows[np.random.default_rng((seed, 137)).permutation(len(fit_rows))[:max_rows]])
+    if len(fit_rows) > _TUNE_MAX_ROWS:
+        fit_rows = np.sort(fit_rows[np.random.default_rng((seed, 137)).permutation(
+            len(fit_rows))[:_TUNE_MAX_ROWS]])
 
     d1 = artifacts.split.d1
     d1_val = d1.take(val_rows)
@@ -501,7 +507,7 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
         try:
             idx, a, w = select(artifacts, "certain", fit_rows, h_cand,
                                UncertaintySource("mc-dropout"))
-            model = _fit(d1, idx, a, w, constraint, iters, oracle_max_iter, fits)
+            model = _fit(d1, idx, a, w, constraint, _TUNE_ITERS, _TUNE_ORACLE_MAX_ITER, fits)
         except (EmptySelection, DegenerateGroup, DegenerateCell) as exc:
             # a candidate that keeps no rows, or rows from one group only,
             # simply cannot win the tuning
@@ -690,9 +696,9 @@ def run_sweep(config: SweepConfig,
     for variant, eps, seed in cells:
         error = None
         try:
-            report = run_cell(artifacts, variant, config.constraint, eps, seed, threshold,
-                              config.source, config.exp_grad_iters, config.oracle_max_iter,
-                              fits)
+            report, _ = run_cell(artifacts, variant, config.constraint, eps, seed, threshold,
+                                 config.source, config.exp_grad_iters, config.oracle_max_iter,
+                                 fits)
         except Exception as exc:  # recorded, never fabricated
             error = f"{type(exc).__name__}: {exc}"
         else:
@@ -750,29 +756,26 @@ def run_sweep(config: SweepConfig,
 
 def fig2_study(artifacts: RunArtifacts, out_path,
                h_grid: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
-               seeds: int = 7, base_seed: int = 0,
-               oracle_max_iter: int = 5000) -> list[tuple[float, int, metrics.FairnessReport]]:
-    """Unconstrained models trained on rows with uncertainty >= H, one row of
-    metrics per (H, seed)."""
-    rows_out = []
-    results = []
-    d1 = artifacts.split.d1
-    u = artifacts.proxies.u
+               seeds: int = 7, base_seed: int = 0) -> None:
+    """Write fig2.csv: one row of metrics per (H, seed), from an unconstrained
+    model trained on the seed's training rows whose uncertainty u is >= H.
+    Each row is one ``uncertain`` cell through ``run_cell``, and the cells
+    share one fits map, so H values that keep the same rows share a fit. An
+    H outside [0, ln 2] raises ConfigError before any fit."""
     for h_cut in h_grid:
-        for j in range(seeds):
-            seed = base_seed + j
-            train_rows, eval_rows = _d1_train_eval(artifacts, seed)
-            keep = train_rows[u[train_rows] >= h_cut]
-            if len(keep) == 0:
-                raise EmptySelection(f"H={h_cut} keeps no rows")
-            model = reduction.unconstrained_train(d1.features[keep], d1.labels[keep],
-                                                  oracle_max_iter=oracle_max_iter)
-            report = _score(model, d1, eval_rows)
-            results.append((h_cut, seed, report))
-            rows_out.append(f"{h_cut},{seed},{len(keep)},{repr(report.accuracy)},"
+        if not 0.0 <= h_cut <= LN2:
+            raise ConfigError(f"fig2 H must lie in [0, ln 2], got {h_cut}")
+    fits: dict[bytes, reduction.RandomizedClassifier] = {}
+    rows_out = []
+    for h_cut in h_grid:
+        # uncertain keeps u > threshold; for float64 u, u > the next float below H is u >= H
+        below = float(np.nextafter(h_cut, -np.inf))
+        for seed in range(base_seed, base_seed + seeds):
+            report, n_rows = run_cell(artifacts, "uncertain", reduction.DEMOGRAPHIC_PARITY,
+                                      0.0, seed, below, fits=fits)
+            rows_out.append(f"{h_cut},{seed},{n_rows},{repr(report.accuracy)},"
                             f"{repr(report.dp_diff)},{repr(report.eop_diff)},{repr(report.eod_diff)}")
     _write_csv(out_path, FIG2_HEADER, rows_out)
-    return results
 
 
 # --- table summaries -------------------------------------------------------------

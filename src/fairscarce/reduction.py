@@ -420,14 +420,6 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
         l_high = mix_err + BOUND * max(0.0, float((mix_viol - slack).max()))
         return max(l_mid - l_low, l_high - l_mid), mix_viol
 
-    def hull_lp() -> tuple[np.ndarray, np.ndarray] | None:
-        """Cheapest mixture of the members collected so far (max violation
-        beyond the slack priced at ``BOUND``) and the multipliers of its
-        constraints, which form the lambda of the candidate pair: the
-        ``linprog`` hull LP, or None when that solve fails, in which case
-        the iteration keeps its uniform candidate."""
-        return linprog(np.array(member_err), np.vstack(member_viol), slack)
-
     def consider(mix, lam_vec) -> None:
         """Track the candidate; on a would-converge gap, certify the lower
         bound with one more best response against the candidate's lambda."""
@@ -455,7 +447,11 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
             uniform[i] += 1.0 / len(chosen)
         consider(uniform, lambda_sum / (t + 1))
         if log.best_gap >= GAP_TOL:
-            lp_pair = hull_lp()
+            # the hull LP: the cheapest mixture of the members so far (max
+            # violation beyond the slack priced at BOUND) and its constraints'
+            # multipliers, the candidate's lambda; None (a failed solve) keeps
+            # the uniform candidate alone
+            lp_pair = linprog(np.array(member_err), np.vstack(member_viol), slack)
             if lp_pair is not None:
                 consider(np.pad(lp_pair[0], (0, len(members) - len(lp_pair[0]))), lp_pair[1])
         log.iterations = t + 1

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fairscarce
-from fairscarce import cli, errors, harness, tabular
+from fairscarce import cli, errors, harness, reduction, tabular
 from fairscarce.errors import ConfigError, DegenerateGroup
 
 
@@ -128,6 +128,22 @@ def test_fig2_bad_grid_exit_code(demo_run, capsys):
     rc = cli.main(["fig2", "--run", str(demo_run / "run"), "--grid", "0.1,abc"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_fig2_grid_past_ln2_exits_2_before_any_fit(demo_run, tmp_path, capsys, monkeypatch):
+    # no entropy exceeds ln 2, so an H past it is bad input: it must fail
+    # before the cells of the grid's good values train, and write nothing
+    calls = []
+    oracle = reduction.fit_cost_sensitive
+    monkeypatch.setattr(reduction, "fit_cost_sensitive",
+                        lambda *args, **kw: calls.append(1) or oracle(*args, **kw))
+    out = tmp_path / "fig2.csv"
+    rc = cli.main(["fig2", "--run", str(demo_run / "run"), "--grid", "0.0,0.7",
+                   "--seeds", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "0.7" in err, err
+    assert not out.exists() and calls == []
 
 
 @pytest.mark.parametrize("line", [

@@ -64,8 +64,12 @@ def test_run_cell_variants(small_run):
     _, artifacts = small_run
     cut = median_u(artifacts)  # both sides of the filter stay populated
     for variant in ("vanilla", "clean", "proxy-dnn", "certain", "weighted", "uncertain"):
-        report = harness.run_cell(artifacts, variant, "dp", 0.05, seed=1,
-                                  threshold=cut, iters=8, oracle_max_iter=300)
+        report, n_train = harness.run_cell(artifacts, variant, "dp", 0.05, seed=1,
+                                           threshold=cut, iters=8, oracle_max_iter=300)
+        rows, _ = harness._d1_train_eval(artifacts, 1)
+        kept = {"certain": artifacts.proxies.u[rows] <= cut,
+                "uncertain": artifacts.proxies.u[rows] > cut}
+        assert n_train == (kept[variant].sum() if variant in kept else len(rows))
         assert 0.5 <= report.accuracy <= 1.0
         assert 0.0 <= report.dp_diff <= 1.0
 
@@ -95,9 +99,9 @@ def test_knn_imputation_of_all_d1_indexes_to_each_cells_rows(small_run):
 
 def test_constrained_variant_fairer_than_vanilla(small_run):
     _, artifacts = small_run
-    vanilla = harness.run_cell(artifacts, "vanilla", "dp", 0.01, seed=0, threshold=0.4)
-    clean = harness.run_cell(artifacts, "clean", "dp", 0.01, seed=0, threshold=0.4,
-                             iters=20, oracle_max_iter=800)
+    vanilla, _ = harness.run_cell(artifacts, "vanilla", "dp", 0.01, seed=0, threshold=0.4)
+    clean, _ = harness.run_cell(artifacts, "clean", "dp", 0.01, seed=0, threshold=0.4,
+                                iters=20, oracle_max_iter=800)
     assert clean.dp_diff < vanilla.dp_diff
 
 
@@ -132,18 +136,25 @@ def test_uncertainty_source_parsing():
         harness.parse_uncertainty_source("quantum")
 
 
-def test_tune_threshold_returns_grid_value(small_run):
+@pytest.fixture
+def small_tune_budget(monkeypatch):
+    """Tuning's budget cut to 3 exp-grad iterations and 150 oracle
+    iterations on at most 1,500 rows, so a test tunes in seconds."""
+    monkeypatch.setattr(harness, "_TUNE_ITERS", 3)
+    monkeypatch.setattr(harness, "_TUNE_MAX_ROWS", 1500)
+    monkeypatch.setattr(harness, "_TUNE_ORACLE_MAX_ITER", 150)
+
+
+def test_tune_threshold_returns_grid_value(small_run, small_tune_budget):
     _, artifacts = small_run
-    tuned = harness.tune_threshold(artifacts, (0.2, 0.5), seed=1,
-                                   budget={"iters": 3, "max_rows": 1500,
-                                           "oracle_max_iter": 150})
+    tuned = harness.tune_threshold(artifacts, (0.2, 0.5), seed=1)
     assert 0.2 <= tuned.threshold <= 0.5
     grid = [round(0.2 + 0.05 * i, 10) for i in range(7)]
     assert tuned.threshold in grid
     assert len(tuned.table) == 7
 
 
-def test_tune_threshold_never_reads_d1_hidden_attribute(small_run):
+def test_tune_threshold_never_reads_d1_hidden_attribute(small_run, small_tune_budget):
     # d1's sensitive attribute is hidden in this regime: shuffling it must
     # not move the tuned H or a single score
     _, artifacts = small_run
@@ -152,14 +163,13 @@ def test_tune_threshold_never_reads_d1_hidden_attribute(small_run):
     assert (shuffled != d1.masked_sensitive).any()
     blind = dataclasses.replace(artifacts, split=dataclasses.replace(
         artifacts.split, d1=dataclasses.replace(d1, masked_sensitive=shuffled)))
-    budget = {"iters": 3, "max_rows": 1500, "oracle_max_iter": 150}
-    tuned, tuned_blind = (harness.tune_threshold(a, (0.2, 0.5), seed=1, budget=budget)
+    tuned, tuned_blind = (harness.tune_threshold(a, (0.2, 0.5), seed=1)
                           for a in (artifacts, blind))
     assert tuned.threshold == tuned_blind.threshold
     np.testing.assert_array_equal(np.array(tuned.table), np.array(tuned_blind.table))
 
 
-def test_one_group_candidate_makes_no_oracle_call(small_run, monkeypatch):
+def test_one_group_candidate_makes_no_oracle_call(small_run, small_tune_budget, monkeypatch):
     # no proxy group-0 row of this run has an entropy below 0.17, so the
     # lowest candidates keep one group; each must fail before its
     # unconstrained fit, not after it
@@ -184,8 +194,7 @@ def test_one_group_candidate_makes_no_oracle_call(small_run, monkeypatch):
 
     monkeypatch.setattr(harness.reduction, "fit_cost_sensitive", counting_oracle)
     monkeypatch.setattr(harness, "_fit", recording_fit)
-    tuned = harness.tune_threshold(artifacts, (0.1, 0.3), seed=1,
-                                   budget={"iters": 3, "max_rows": 1500, "oracle_max_iter": 150})
+    tuned = harness.tune_threshold(artifacts, (0.1, 0.3), seed=1)
     assert outcomes[:2] == [("one group", 0)] * 2
     assert [kind for kind, _ in outcomes[-2:]] == ["trained"] * 2
     assert all(n == 0 if kind == "one group" else n >= 2 for kind, n in outcomes)
@@ -409,7 +418,7 @@ def test_pareto_rows_from_known_reports(small_run, tmp_path, monkeypatch, seed_o
         report = KNOWN_REPORTS[variant, eps][seed_order[seed]]
         if report is None:
             raise EmptySelection(f"{variant} variant kept no rows")
-        return report
+        return report, 100
 
     monkeypatch.setattr(harness, "run_cell", known_cell)
     run_dir, _ = small_run
@@ -421,15 +430,92 @@ def test_pareto_rows_from_known_reports(small_run, tmp_path, monkeypatch, seed_o
     assert outcome.pareto_path.read_text().splitlines() == KNOWN_PARETO
 
 
+# fig2.csv of the H grid (0, 0.02, 0.3) over seeds 0 and 1 on the 4,000-row
+# test run, as the study wrote it when it fitted every (H, seed) row itself;
+# no entropy of that run is below 0.02, so H = 0 and 0.02 keep the same rows
+FIG2_LINES = [
+    harness.FIG2_HEADER,
+    "0.0,0,1568,0.8199404761904762,0.1603840682788051,0.32208473940757404,0.3944418311035767",
+    "0.0,1,1568,0.8407738095238095,0.19200800033334722,0.41086587436332767,0.4985851726089417",
+    "0.02,0,1568,0.8199404761904762,0.1603840682788051,0.32208473940757404,0.3944418311035767",
+    "0.02,1,1568,0.8407738095238095,0.19200800033334722,0.41086587436332767,0.4985851726089417",
+    "0.3,0,809,0.8005952380952381,0.05239449976292082,0.09373828271466067,0.10763669628390128",
+    "0.3,1,816,0.8377976190476191,0.16242343430976292,0.32597623089983024,0.39422841215510745",
+]
+
+
 def test_fig2_study_writes_rows(small_run, tmp_path):
     _, artifacts = small_run
+    assert artifacts.proxies.u.min() > 0.02
     out = tmp_path / "fig2.csv"
-    results = harness.fig2_study(artifacts, out, h_grid=(0.0, 0.3), seeds=2,
-                                 oracle_max_iter=200)
-    lines = out.read_text().splitlines()
-    assert lines[0] == harness.FIG2_HEADER
-    assert len(lines) == 1 + 2 * 2
-    assert len(results) == 4
+    harness.fig2_study(artifacts, out, h_grid=(0.0, 0.02, 0.3), seeds=2)
+    assert out.read_text().splitlines() == FIG2_LINES
+
+
+@pytest.fixture
+def capped_fits(monkeypatch):
+    """Unconstrained fits capped at 100 oracle iterations, for fig2 tests
+    that read row counts, not scores."""
+    unconstrained_train = harness.reduction.unconstrained_train
+
+    def capped_fit(x, y, **kw):
+        return unconstrained_train(x, y, **{**kw, "oracle_max_iter": 100})
+
+    monkeypatch.setattr(harness.reduction, "unconstrained_train", capped_fit)
+
+
+def test_fig2_fits_each_row_set_once(small_run, tmp_path, monkeypatch, capped_fits):
+    # the study's cells share one fits map: one oracle call per distinct
+    # (H, seed) row set, whatever the number of H values that keep it
+    _, artifacts = small_run
+    grid = (0.0, 0.02, 0.3, 0.31)
+    u = artifacts.proxies.u
+    row_sets = set()
+    for seed in (4, 5):
+        rows, _ = harness._d1_train_eval(artifacts, seed)
+        row_sets |= {rows[u[rows] >= h].tobytes() for h in grid}
+    assert len(row_sets) < len(grid) * 2
+    calls = []
+    oracle = harness.reduction.fit_cost_sensitive
+
+    def counting_oracle(*args, **kw):
+        calls.append(1)
+        return oracle(*args, **kw)
+
+    monkeypatch.setattr(harness.reduction, "fit_cost_sensitive", counting_oracle)
+    harness.fig2_study(artifacts, tmp_path / "fig2.csv", h_grid=grid, seeds=2, base_seed=4)
+    assert len(calls) == len(row_sets)
+    assert len((tmp_path / "fig2.csv").read_text().splitlines()) == 1 + len(grid) * 2
+
+
+def test_fig2_keeps_rows_whose_entropy_equals_h(small_run, tmp_path, capped_fits):
+    # fig2 trains on u >= H: a row whose entropy is exactly a grid H counts
+    # in that H's n_rows, and the H column still reads H
+    _, artifacts = small_run
+    rows, _ = harness._d1_train_eval(artifacts, 0)
+    u = artifacts.proxies.u.copy()
+    below = rows[u[rows] < 0.3]
+    u[below[np.argmax(u[below])]] = 0.3
+    tied = dataclasses.replace(artifacts, proxies=dataclasses.replace(artifacts.proxies, u=u))
+    out = tmp_path / "fig2.csv"
+    harness.fig2_study(tied, out, h_grid=(0.3,), seeds=1)
+    h, seed, n_rows = out.read_text().splitlines()[1].split(",")[:3]
+    assert (h, seed) == ("0.3", "0")
+    assert int(n_rows) == (u[rows] >= 0.3).sum() == (artifacts.proxies.u[rows] >= 0.3).sum() + 1
+
+
+@pytest.mark.parametrize("bad", [-0.1, LN2 + 1e-9, math.nan])
+def test_fig2_rejects_h_outside_the_entropy_range_before_any_fit(small_run, tmp_path,
+                                                                 monkeypatch, bad):
+    _, artifacts = small_run
+
+    def no_fit(*args, **kw):
+        raise AssertionError("fig2 trained a model before checking its grid")
+
+    monkeypatch.setattr(harness.reduction, "fit_cost_sensitive", no_fit)
+    with pytest.raises(ConfigError, match="ln 2"):
+        harness.fig2_study(artifacts, tmp_path / "fig2.csv", h_grid=(0.0, bad), seeds=1)
+    assert not (tmp_path / "fig2.csv").exists()
 
 
 def test_table_summary(small_run, tmp_path):
