@@ -9,6 +9,9 @@ and the uncertainty cutoff ramp up over early epochs.
 Training returns both networks as plain ``nn.MlpParams`` values
 (``AttrTrainResult``); scoring (``predict_proxy``, ``teacher_eval_probs``)
 takes the teacher alone, and ``save_checkpoint`` takes the two networks.
+Every dropout-free pass, in training and in scoring, goes through
+``nn.eval_logits``; ``nn.value_and_grad`` runs the student's forwards that
+gradients flow through.
 """
 from __future__ import annotations
 
@@ -24,8 +27,7 @@ from .errors import ConfigError, InsufficientRows, NonFiniteGradient
 from .tabular import Dataset, ScarceSplit
 from .uncertainty import LN2, binary_entropy
 
-# d1 rows scored per MC-dropout call in predict_proxy, and rows per
-# hidden-layer block in teacher_eval_probs
+# d1 rows scored per MC-dropout call in predict_proxy
 _PROXY_CHUNK = 4096
 # most stacked MC-dropout rows (passes x input rows) in one hidden-layer block
 _MC_BLOCK_ROWS = 8192
@@ -222,8 +224,7 @@ def mc_dropout_predict(params: nn.MlpParams, x: np.ndarray, passes: int, seed: i
     if passes < 1:
         raise ValueError("need at least one pass")
     if params.dropout_rate == 0.0:
-        logits, _ = nn.forward(params, x, nn.DropoutPlan(nn.EVAL))
-        p = nn.sigmoid(logits)
+        p = nn.sigmoid(nn.eval_logits(params, x))
     else:
         p = _mc_probs_f32(params, x, passes, seed, counter, scratch)
     return p, binary_entropy(p)
@@ -373,12 +374,11 @@ def train_attribute_classifier(split: ScarceSplit,
         for start in range(0, len(order), config.batch_size):
             rows = order[start:start + config.batch_size]
             xb, lab_mask, targets = gather(rows)
-            spec_ce = nn.LossSpec("cross_entropy", targets=targets, labeled_mask=lab_mask)
-            ce_loss, grads = nn.value_and_grad(student, xb, spec_ce,
-                                               nn.DropoutPlan(nn.TRAIN, config.seed + 13, step))
+            ce_loss, grads = nn.value_and_grad(student, xb, (config.seed + 13, step),
+                                               nn.cross_entropy_loss, targets, lab_mask)
             loss = ce_loss
             if lam > 0.0:
-                teacher_logits, _ = nn.forward(teacher, xb, nn.DropoutPlan(nn.EVAL))
+                teacher_logits = nn.eval_logits(teacher, xb)
                 if r_cut >= LN2:
                     # entropy never exceeds ln 2, so the cutoff admits every
                     # row and the MC scoring pass can be skipped
@@ -389,15 +389,11 @@ def train_attribute_classifier(split: ScarceSplit,
                                                     scratch=scratch)
                     cons_mask = u_batch <= r_cut
                     unc_sum += float(u_batch.mean())
-                spec_cons = nn.LossSpec("consistency", teacher_logits=teacher_logits,
-                                        consistency_mask=cons_mask)
-                cons_loss, cons_grads = nn.value_and_grad(student, xb, spec_cons,
-                                                          nn.DropoutPlan(nn.EVAL))
+                cons_loss, cons_grads = nn.value_and_grad(student, xb, None, nn.consistency_loss,
+                                                          teacher_logits, cons_mask)
                 loss += lam * cons_loss
                 cons_sum += cons_loss
-                grads = nn.Gradients(
-                    tuple(a + lam * b for a, b in zip(grads.weights, cons_grads.weights)),
-                    tuple(a + lam * b for a, b in zip(grads.biases, cons_grads.biases)))
+                grads = tuple(a + lam * b for a, b in zip(grads, cons_grads))
             if not math.isfinite(loss):
                 raise NonFiniteGradient(f"non-finite loss at epoch {epoch}")
             adam, student = nn.adam_step(adam, student, grads)
@@ -408,7 +404,7 @@ def train_attribute_classifier(split: ScarceSplit,
             n_batches += 1
             sup_sum += ce_loss
 
-        val_logits, _ = nn.forward(teacher, x_val, nn.DropoutPlan(nn.EVAL))
+        val_logits = nn.eval_logits(teacher, x_val)
         val_acc = float(((val_logits >= 0.0).astype(int) == a_val).mean())
         log.append(EpochLog(epoch, sup_sum / max(n_batches, 1), cons_sum / max(n_batches, 1),
                             lam, r_cut, unc_sum / max(n_batches, 1), val_acc))
@@ -440,37 +436,10 @@ def predict_proxy(teacher: nn.MlpParams, d1: Dataset, passes: int,
 
 
 def teacher_eval_probs(teacher: nn.MlpParams, ds: Dataset) -> np.ndarray:
-    """Deterministic (no-dropout) teacher probabilities; the score source for
-    conformal calibration. Bit-identical to the sigmoid of ``nn.forward`` in
-    eval mode (the same product, then bias, then relu, per layer), but no
-    cache for backward is kept and only one layer's rows are alive at once:
-
-    - The hidden layers run on blocks of ``_PROXY_CHUNK`` rows, each writing
-      its last hidden layer into one buffer of every row; gemm rounds a row
-      the same whatever the block around it. A one-row product goes to gemv,
-      which rounds differently, so a one-row last block joins the block
-      before it.
-    - The output layer is one product over that buffer: a one-column product
-      goes to gemv, whose rounding depends on a row's position in the matrix.
-    """
-    x = ds.features
-    n, last = len(x), teacher.n_layers - 1
-    if last:
-        hidden = np.empty((n, teacher.weights[last].shape[0]))
-        starts = list(range(0, n, _PROXY_CHUNK))
-        if len(starts) > 1 and n - starts[-1] == 1:
-            starts.pop()
-        for start, stop in zip(starts, starts[1:] + [n]):
-            a = x[start:stop]
-            for k in range(last):
-                a = np.matmul(a, teacher.weights[k],
-                              out=hidden[start:stop] if k == last - 1 else None)
-                a += teacher.biases[k]
-                np.maximum(a, 0.0, out=a)
-        x = hidden
-    z = x @ teacher.weights[last]
-    z += teacher.biases[last]
-    return nn.sigmoid(z[:, 0])
+    """Deterministic (no-dropout) teacher probabilities of every row of
+    ``ds``, from ``nn.eval_logits``; the score source for conformal
+    calibration."""
+    return nn.sigmoid(nn.eval_logits(teacher, ds.features))
 
 
 # --- proxy csv io -------------------------------------------------------------

@@ -312,9 +312,9 @@ def certain_mask(artifacts: RunArtifacts, source: UncertaintySource,
     if source.kind == "mc-dropout":
         return artifacts.proxies.u <= threshold
     if source.kind == "conformal":
-        cal = uncertainty.conformal_calibrate(artifacts.calib_probs,
-                                              artifacts.calib_truth, source.epsilon)
-        sets = uncertainty.conformal_sets(cal, artifacts.d1_eval_probs,
+        q_hat = uncertainty.conformal_calibrate(artifacts.calib_probs,
+                                                artifacts.calib_truth, source.epsilon)
+        sets = uncertainty.conformal_sets(q_hat, artifacts.d1_eval_probs,
                                           artifacts.split.d1.sample_ids)
         return np.array([s.certain for s in sets], dtype=bool)
     if source.kind == "confidence":
@@ -761,10 +761,17 @@ def fig2_study(artifacts: RunArtifacts, out_path,
     model trained on the seed's training rows whose uncertainty u is >= H.
     Each row is one ``uncertain`` cell through ``run_cell``, and the cells
     share one fits map, so H values that keep the same rows share a fit. An
-    H outside [0, ln 2] raises ConfigError before any fit."""
+    H outside [0, ln 2] raises ConfigError, and an H above every u of a
+    seed's training rows raises EmptySelection, both before any fit."""
     for h_cut in h_grid:
         if not 0.0 <= h_cut <= LN2:
             raise ConfigError(f"fig2 H must lie in [0, ln 2], got {h_cut}")
+    for seed in range(base_seed, base_seed + seeds):
+        top = float(artifacts.proxies.u[_d1_train_eval(artifacts, seed)[0]].max())
+        for h_cut in h_grid:
+            if h_cut > top:
+                raise EmptySelection(f"fig2 H {h_cut} keeps no training row of seed {seed}: "
+                                     f"its largest u is {top!r}")
     fits: dict[bytes, reduction.RandomizedClassifier] = {}
     rows_out = []
     for h_cut in h_grid:

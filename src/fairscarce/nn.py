@@ -2,21 +2,25 @@
 inverted dropout, analytic backprop, and bias-corrected Adam.
 
 Everything is float64 and functional: operations return new parameter /
-optimizer-state values instead of mutating. Stochastic forward passes draw
-their dropout masks from (seed, counter) only, so any pass can be replayed
-exactly by reusing the same plan.
+optimizer-state values instead of mutating. A forward pass takes
+``dropout``: a (seed, counter) pair draws its keep-masks from that pair
+alone, so passing the same pair replays a pass exactly, and None runs the
+network without dropout. ``forward`` keeps the per-layer records backward
+needs and serves ``value_and_grad``; ``eval_logits`` is the dropout-free
+forward that keeps none. Gradients are flat tuples in ``(*weights,
+*biases)`` order, the order ``AdamState`` keeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteGradient, ShapeMismatch
 
-TRAIN = "train"
-EVAL = "eval"
+# rows per hidden-layer block in eval_logits
+EVAL_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -52,28 +56,6 @@ class MlpParams:
 
 
 @dataclass(frozen=True)
-class DropoutPlan:
-    """Which masks a forward pass uses.
-
-    ``train`` draws Bernoulli keep-masks as a pure function of
-    (seed, counter); ``eval`` applies none. The caller advances the counter
-    between steps, so replaying a pass is just reusing the same plan.
-    """
-
-    mode: str = EVAL
-    seed: int = 0
-    counter: int = 0
-
-    def __post_init__(self):
-        if self.mode not in (TRAIN, EVAL):
-            raise ValueError(f"unknown dropout mode {self.mode!r}")
-
-    @property
-    def stochastic(self) -> bool:
-        return self.mode == TRAIN
-
-
-@dataclass(frozen=True)
 class ForwardCache:
     """Per-layer records needed by backward: layer inputs, pre-activations,
     and the (already scaled) dropout masks applied to hidden activations."""
@@ -81,39 +63,6 @@ class ForwardCache:
     inputs: tuple[np.ndarray, ...]
     preacts: tuple[np.ndarray, ...]
     masks: tuple[np.ndarray | None, ...]
-
-
-@dataclass(frozen=True)
-class Gradients:
-    """Loss gradients, one array per parameter tensor of an MlpParams."""
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """What loss to differentiate on a batch.
-
-    ``cross_entropy`` averages the stable binary cross-entropy over the rows
-    selected by ``labeled_mask`` (all rows when None). ``consistency`` sums
-    squared logit differences to ``teacher_logits`` over ``consistency_mask``
-    rows (all rows when None) and divides by the batch size.
-    """
-
-    kind: str
-    targets: np.ndarray | None = None
-    labeled_mask: np.ndarray | None = None
-    teacher_logits: np.ndarray | None = None
-    consistency_mask: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("cross_entropy", "consistency"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "cross_entropy" and self.targets is None:
-            raise ValueError("cross-entropy loss needs targets")
-        if self.kind == "consistency" and self.teacher_logits is None:
-            raise ValueError("consistency loss needs teacher logits")
 
 
 def init_mlp(layer_dims: Sequence[int], dropout_rate: float = 0.0, seed: int = 0) -> MlpParams:
@@ -134,13 +83,15 @@ def init_mlp(layer_dims: Sequence[int], dropout_rate: float = 0.0, seed: int = 0
     return MlpParams(tuple(weights), tuple(biases), dropout_rate)
 
 
-def _layer_masks(params: MlpParams, n_rows: int, plan: DropoutPlan) -> list[np.ndarray | None]:
-    """Scaled keep-masks for every hidden layer, or None when dropout is off."""
+def _layer_masks(params: MlpParams, n_rows: int,
+                 dropout: tuple[int, int] | None) -> list[np.ndarray | None]:
+    """Scaled keep-masks for every hidden layer, drawn from the (seed,
+    counter) pair ``dropout``; all None when dropout is None or off."""
     n_hidden = params.n_layers - 1
     p = params.dropout_rate
-    if not plan.stochastic or p == 0.0 or n_hidden == 0:
+    if dropout is None or p == 0.0 or n_hidden == 0:
         return [None] * n_hidden
-    rng = np.random.default_rng((plan.seed, plan.counter))
+    rng = np.random.default_rng(dropout)
     keep = 1.0 - p
     masks = []
     for k in range(n_hidden):
@@ -149,12 +100,18 @@ def _layer_masks(params: MlpParams, n_rows: int, plan: DropoutPlan) -> list[np.n
     return masks
 
 
-def forward(params: MlpParams, x: np.ndarray, plan: DropoutPlan) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a batch; returns (logits, cache for backward)."""
+def _batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ShapeMismatch(f"batch has {x.shape} but network expects (*, {params.in_dim})")
-    masks = _layer_masks(params, x.shape[0], plan)
+    return x
+
+
+def forward(params: MlpParams, x: np.ndarray,
+            dropout: tuple[int, int] | None) -> tuple[np.ndarray, ForwardCache]:
+    """Run the network on a batch; returns (logits, cache for backward)."""
+    x = _batch(params, x)
+    masks = _layer_masks(params, x.shape[0], dropout)
     inputs, preacts = [], []
     a = x
     for k in range(params.n_layers):
@@ -168,6 +125,39 @@ def forward(params: MlpParams, x: np.ndarray, plan: DropoutPlan) -> tuple[np.nda
     logits = preacts[-1][:, 0]
     cache = ForwardCache(tuple(inputs), tuple(preacts), tuple(masks))
     return logits, cache
+
+
+def eval_logits(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """The logits of ``forward`` without dropout, bit for bit (the same
+    product, then bias, then relu, per layer), but no cache for backward is
+    kept and only one block of a layer's rows is alive at once:
+
+    - The hidden layers run on blocks of ``EVAL_BLOCK_ROWS`` rows, each
+      writing its last hidden layer into one buffer of every row; gemm
+      rounds a row the same whatever the block around it. A one-row product
+      goes to gemv, which rounds differently, so a one-row last block joins
+      the block before it.
+    - The output layer is one product over that buffer: a one-column product
+      goes to gemv, whose rounding depends on a row's position in the matrix.
+    """
+    x = _batch(params, x)
+    n, last = len(x), params.n_layers - 1
+    if last:
+        hidden = np.empty((n, params.weights[last].shape[0]))
+        starts = list(range(0, n, EVAL_BLOCK_ROWS))
+        if len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()
+        for start, stop in zip(starts, starts[1:] + [n]):
+            a = x[start:stop]
+            for k in range(last):
+                a = np.matmul(a, params.weights[k],
+                              out=hidden[start:stop] if k == last - 1 else None)
+                a += params.biases[k]
+                np.maximum(a, 0.0, out=a)
+        x = hidden
+    z = x @ params.weights[last]
+    z += params.biases[last]
+    return z[:, 0]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -193,32 +183,43 @@ def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(per_row.mean())
 
 
-def _loss_and_logit_grad(logits: np.ndarray, spec: LossSpec) -> tuple[float, np.ndarray]:
+def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray,
+                       mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """The binary cross-entropy averaged over the ``mask`` rows (all rows
+    when None), and its gradient in the logits."""
     n = len(logits)
-    loss = 0.0
+    rows = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     dz = np.zeros(n)
-    if spec.kind == "cross_entropy":
-        rows = np.ones(n, dtype=bool) if spec.labeled_mask is None else np.asarray(spec.labeled_mask, dtype=bool)
-        m = int(rows.sum())
-        if m > 0:
-            t = np.asarray(spec.targets, dtype=float)
-            if t.shape != logits.shape:
-                raise ShapeMismatch("targets must match batch length")
-            loss = binary_cross_entropy(logits[rows], t[rows])
-            dz[rows] += (sigmoid(logits[rows]) - t[rows]) / m
-    else:
-        rows = np.ones(n, dtype=bool) if spec.consistency_mask is None else np.asarray(spec.consistency_mask, dtype=bool)
-        if rows.any():
-            h = np.asarray(spec.teacher_logits, dtype=float)
-            if h.shape != logits.shape:
-                raise ShapeMismatch("teacher logits must match batch length")
-            diff = logits[rows] - h[rows]
-            loss = float(np.square(diff).sum() / n)
-            dz[rows] += 2.0 * diff / n
-    return loss, dz
+    m = int(rows.sum())
+    if m == 0:
+        return 0.0, dz
+    t = np.asarray(targets, dtype=float)
+    if t.shape != logits.shape:
+        raise ShapeMismatch("targets must match batch length")
+    dz[rows] += (sigmoid(logits[rows]) - t[rows]) / m
+    return binary_cross_entropy(logits[rows], t[rows]), dz
 
 
-def _backward(params: MlpParams, cache: ForwardCache, dz_out: np.ndarray) -> Gradients:
+def consistency_loss(logits: np.ndarray, teacher_logits: np.ndarray,
+                     mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Squared differences to ``teacher_logits`` summed over the ``mask``
+    rows (all rows when None) and divided by the batch size, and its
+    gradient in the logits."""
+    n = len(logits)
+    rows = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    dz = np.zeros(n)
+    if not rows.any():
+        return 0.0, dz
+    h = np.asarray(teacher_logits, dtype=float)
+    if h.shape != logits.shape:
+        raise ShapeMismatch("teacher logits must match batch length")
+    diff = logits[rows] - h[rows]
+    dz[rows] += 2.0 * diff / n
+    return float(np.square(diff).sum() / n), dz
+
+
+def _backward(params: MlpParams, cache: ForwardCache,
+              dz_out: np.ndarray) -> tuple[np.ndarray, ...]:
     delta = dz_out[:, None]
     d_weights: list[np.ndarray] = [None] * params.n_layers  # type: ignore[list-item]
     d_biases: list[np.ndarray] = [None] * params.n_layers  # type: ignore[list-item]
@@ -230,16 +231,17 @@ def _backward(params: MlpParams, cache: ForwardCache, dz_out: np.ndarray) -> Gra
             if cache.masks[k - 1] is not None:
                 da = da * cache.masks[k - 1]
             delta = da * (cache.preacts[k - 1] > 0)
-    return Gradients(tuple(d_weights), tuple(d_biases))
+    return (*d_weights, *d_biases)
 
 
-def value_and_grad(
-    params: MlpParams, x: np.ndarray, spec: LossSpec, plan: DropoutPlan
-) -> tuple[float, Gradients]:
-    """Loss and its exact gradient for the forward pass defined by ``plan``."""
-    logits, cache = forward(params, x, plan)
-    loss, dz = _loss_and_logit_grad(logits, spec)
-    return loss, _backward(params, cache, dz)
+def value_and_grad(params: MlpParams, x: np.ndarray, dropout: tuple[int, int] | None,
+                   loss: Callable[..., tuple[float, np.ndarray]],
+                   *loss_args) -> tuple[float, tuple[np.ndarray, ...]]:
+    """``loss(logits, *loss_args)`` on the forward pass that ``dropout``
+    defines, and its exact gradient in ``(*weights, *biases)`` order."""
+    logits, cache = forward(params, x, dropout)
+    value, dz = loss(logits, *loss_args)
+    return value, _backward(params, cache, dz)
 
 
 BETA1 = 0.9
@@ -264,12 +266,16 @@ def init_adam(params: MlpParams, lr: float = 1e-3) -> AdamState:
                      tuple(np.zeros_like(p) for p in tensors), t=0, lr=lr)
 
 
-def adam_step(state: AdamState, params: MlpParams, g: Gradients) -> tuple[AdamState, MlpParams]:
-    """One bias-corrected Adam update; returns the new state and parameters."""
-    grads = (*g.weights, *g.biases)
+def adam_step(state: AdamState, params: MlpParams,
+              grads: tuple[np.ndarray, ...]) -> tuple[AdamState, MlpParams]:
+    """One bias-corrected Adam update by the gradients ``grads``, one per
+    parameter tensor in ``(*weights, *biases)`` order; returns the new state
+    and parameters."""
     for arr in grads:
         if not np.isfinite(arr).all():
             raise NonFiniteGradient("gradient contains NaN or infinity")
+    if len(grads) != len(state.m):
+        raise ShapeMismatch(f"{len(grads)} gradients for {len(state.m)} parameter tensors")
     t = state.t + 1
     corr1 = 1.0 - BETA1 ** t
     corr2 = 1.0 - BETA2 ** t

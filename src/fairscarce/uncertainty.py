@@ -24,21 +24,11 @@ def binary_entropy(p) -> np.ndarray | float:
     return float(out) if np.isscalar(p) or out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ConformalCalibrator:
-    """Split-conformal threshold for binary prediction sets.
-
-    ``q_hat`` is the ceil((n+1)(1-eps))/n empirical quantile of the
-    calibration nonconformity scores (1 minus true-class probability),
-    clamped to [0, 1].
-    """
-
-    epsilon: float
-    q_hat: float
-    calibration_size: int
-
-
-def conformal_calibrate(probs: Sequence[float], truths: Sequence[int], epsilon: float) -> ConformalCalibrator:
+def conformal_calibrate(probs: Sequence[float], truths: Sequence[int], epsilon: float) -> float:
+    """Split-conformal threshold ``q_hat`` for binary prediction sets: the
+    ceil((n+1)(1-eps))/n empirical quantile of the n calibration
+    nonconformity scores (1 minus true-class probability), clamped to
+    [0, 1]."""
     p = np.asarray(probs, dtype=float)
     a = np.asarray(truths, dtype=int)
     if p.size == 0:
@@ -55,7 +45,7 @@ def conformal_calibrate(probs: Sequence[float], truths: Sequence[int], epsilon: 
     else:
         q_hat = float(np.sort(scores)[rank - 1])
         q_hat = min(max(q_hat, 0.0), 1.0)
-    return ConformalCalibrator(epsilon, q_hat, n)
+    return q_hat
 
 
 @dataclass(frozen=True)
@@ -70,20 +60,20 @@ class PredictionSet:
         return len(self.members) == 1
 
 
-def conformal_set(cal: ConformalCalibrator, p_group: float, sample_id: int) -> PredictionSet:
-    """Label a enters the set iff its score 1 - p(a) is within the threshold,
-    where p(1) = p_group and p(0) = 1 - p_group."""
+def conformal_set(q_hat: float, p_group: float, sample_id: int) -> PredictionSet:
+    """Label a enters the set iff its score 1 - p(a) is within the threshold
+    ``q_hat``, where p(1) = p_group and p(0) = 1 - p_group."""
     members = set()
-    if 1.0 - p_group <= cal.q_hat:
+    if 1.0 - p_group <= q_hat:
         members.add(1)
-    if p_group <= cal.q_hat:
+    if p_group <= q_hat:
         members.add(0)
     return PredictionSet(int(sample_id), frozenset(members))
 
 
-def conformal_sets(cal: ConformalCalibrator, p_groups: Sequence[float],
+def conformal_sets(q_hat: float, p_groups: Sequence[float],
                    sample_ids: Sequence[int]) -> list[PredictionSet]:
-    return [conformal_set(cal, p, i) for p, i in zip(p_groups, sample_ids)]
+    return [conformal_set(q_hat, p, i) for p, i in zip(p_groups, sample_ids)]
 
 
 def confidence_band_filter(probs: Sequence[float], tau: float) -> np.ndarray:

@@ -59,7 +59,7 @@ def test_mc_dropout_zero_rate_matches_eval():
     params = nn.init_mlp([4, 8], dropout_rate=0.0, seed=3)
     x = np.random.default_rng(4).normal(size=(6, 4))
     p, u = attr.mc_dropout_predict(params, x, passes=5, seed=9)
-    logits, _ = nn.forward(params, x, nn.DropoutPlan(nn.EVAL))
+    logits, _ = nn.forward(params, x, None)
     np.testing.assert_allclose(p, nn.sigmoid(logits))
     assert np.all((u >= 0) & (u <= LN2 + 1e-12))
 
@@ -161,7 +161,7 @@ def test_teacher_eval_probs_equal_eval_forward():
     # row blocks (a one-row tail joins the block before it), for nets with
     # zero, one and two hidden layers; weights scaled so that logits reach
     # tens, where the probabilities show a one-ulp change in any layer
-    chunk = attr._PROXY_CHUNK
+    chunk = nn.EVAL_BLOCK_ROWS
     rng = np.random.default_rng(9)
     for n in (1, 2, chunk - 1, chunk, chunk + 1, chunk + 2, 2 * chunk + 1, 2 * chunk + 777):
         x = rng.normal(size=(n, 100)) * (rng.random((n, 100)) < 0.13)
@@ -170,7 +170,7 @@ def test_teacher_eval_probs_equal_eval_forward():
             net = nn.MlpParams(tuple(8.0 * w for w in net.weights), net.biases, 0.3)
             cases.append((net, tabular.Dataset(x, np.arange(n))))
     for teacher, ds in cases:
-        logits, _ = nn.forward(teacher, ds.features, nn.DropoutPlan(nn.EVAL))
+        logits, _ = nn.forward(teacher, ds.features, None)
         expected = nn.sigmoid(logits)
         got = attr.teacher_eval_probs(teacher, ds)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), len(ds)
@@ -230,7 +230,7 @@ def test_train_separable_attribute_data():
                                                                 patience=60))
     # the early-stop slice has only ~14 rows; the real bar is the test set
     assert result.log[-1].val_accuracy >= 0.9
-    logits, _ = nn.forward(result.teacher, split.test.features, nn.DropoutPlan(nn.EVAL))
+    logits, _ = nn.forward(result.teacher, split.test.features, None)
     acc = ((logits >= 0) == tabular.oracle_sensitive(split.test)).mean()
     assert acc >= 0.99
 
@@ -269,13 +269,13 @@ def test_train_determinism():
         np.testing.assert_array_equal(getattr(p1, name), getattr(p2, name), err_msg=name)
 
 
-def test_lambda_zero_matches_plain_supervised_trajectory():
-    split = two_cluster_split(300)
-    cfg = quick_config(epochs=3, min_epochs=3, lambda_max=0.0,
-                       val_fraction=0.1, calib_fraction=0.1)
-    result = attr.train_attribute_classifier(split, cfg)
-
-    # reference: plain supervised cross-entropy over the identical batch stream
+def reference_trajectory(split, cfg):
+    """The student and teacher after ``cfg.epochs`` epochs of the trainer's
+    batch stream, written out on a stacked copy of the batches: cross-entropy
+    on the dropout-noised student, and for lambda > 0 the consistency term
+    toward teacher logits from ``nn.forward``, on the rows that
+    ``mc_dropout_predict`` gates. The cutoff must stay below ln 2, so that
+    the gate runs at every step."""
     d1, d2 = split.d1, split.d2
     rng = np.random.default_rng(cfg.seed)
     val_idx, calib_idx, train_idx = attr._carve(
@@ -289,26 +289,52 @@ def test_lambda_zero_matches_plain_supervised_trajectory():
 
     dims = [x_all.shape[1], *cfg.hidden]
     student = nn.init_mlp(dims, cfg.dropout_rate, seed=cfg.seed)
+    teacher = student
     adam = nn.init_adam(student, lr=cfg.lr)
     order_rng = np.random.default_rng((cfg.seed, 1))
     step = 0
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
+        lam = attr.RampSchedule(cfg.lambda_max, cfg.ramp_epochs).value(epoch)
+        r_cut = attr.RampSchedule(cfg.r_max, cfg.ramp_epochs).value(epoch)
+        assert r_cut < LN2
         order = order_rng.permutation(len(x_all))
         for start in range(0, len(order), cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
-            spec = nn.LossSpec("cross_entropy", targets=targets[rows],
-                               labeled_mask=labeled[rows])
-            _, grads = nn.value_and_grad(student, x_all[rows], spec,
-                                         nn.DropoutPlan(nn.TRAIN, cfg.seed + 13, step))
+            xb = x_all[rows]
+            _, grads = nn.value_and_grad(student, xb, (cfg.seed + 13, step),
+                                         nn.cross_entropy_loss, targets[rows], labeled[rows])
+            if lam > 0.0:
+                teacher_logits, _ = nn.forward(teacher, xb, None)
+                _, u = attr.mc_dropout_predict(teacher, xb, cfg.mc_passes,
+                                               seed=cfg.seed + 7919, counter=step)
+                _, cons = nn.value_and_grad(student, xb, None, nn.consistency_loss,
+                                            teacher_logits, u <= r_cut)
+                grads = tuple(g + lam * c for g, c in zip(grads, cons))
             adam, student = nn.adam_step(adam, student, grads)
+            teacher = attr.ema_update(teacher, student,
+                                      min(1.0 - 1.0 / (step + 1), cfg.ema_decay))
             step += 1
+    return student, teacher
 
-    # the returned student is the plateau student, so its trajectory must
-    # match the plain supervised reference bit for bit
-    for w1, w2 in zip(result.student.weights, student.weights):
-        np.testing.assert_array_equal(w1, w2)
-    for b1, b2 in zip(result.student.biases, student.biases):
-        np.testing.assert_array_equal(b1, b2)
+
+def test_lambda_zero_matches_plain_supervised_trajectory():
+    # lambda 0 is plain supervised cross-entropy; lambda 0.5 adds the
+    # consistency term, whose teacher logits the trainer takes from
+    # nn.eval_logits and the reference from nn.forward, gated at a fixed
+    # cutoff of 0.6 nats (no ramp) that keeps some rows in every epoch
+    split = two_cluster_split(300)
+    for lambda_max, ramp in ((0.0, {}), (0.5, {"r_max": 0.6, "ramp_epochs": 0})):
+        cfg = quick_config(epochs=3, min_epochs=3, lambda_max=lambda_max,
+                           val_fraction=0.1, calib_fraction=0.1, **ramp)
+        result = attr.train_attribute_classifier(split, cfg)
+        if lambda_max:
+            assert all(entry.loss_consistency > 0.0 for entry in result.log)
+        student, teacher = reference_trajectory(split, cfg)
+        # the returned networks are the plateau networks, so their
+        # trajectories must match the reference bit for bit
+        for got, want in ((result.student, student), (result.teacher, teacher)):
+            for a, b in zip((*got.weights, *got.biases), (*want.weights, *want.biases)):
+                assert a.tobytes() == b.tobytes(), lambda_max
 
 
 def test_predict_proxy_contracts():

@@ -12,6 +12,7 @@ import pytest
 import fairscarce
 from fairscarce import cli, errors, harness, reduction, tabular
 from fairscarce.errors import ConfigError, DegenerateGroup
+from fairscarce.uncertainty import LN2
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,27 @@ def test_fig2_grid_past_ln2_exits_2_before_any_fit(demo_run, tmp_path, capsys, m
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "0.7" in err, err
+    assert not out.exists() and calls == []
+
+
+def test_fig2_h_above_every_entropy_exits_1_before_any_fit(demo_run, tmp_path, capsys,
+                                                         monkeypatch):
+    # H = ln 2 lies in range but above every training row's entropy, so its
+    # cells keep no row: fig2 fails before the H = 0 cells train, naming H
+    # and the seed, and writes nothing
+    u = harness.load_run(demo_run / "run").proxies.u
+    assert u.max() < LN2
+    calls = []
+    oracle = reduction.fit_cost_sensitive
+    monkeypatch.setattr(reduction, "fit_cost_sensitive",
+                        lambda *args, **kw: calls.append(1) or oracle(*args, **kw))
+    out = tmp_path / "fig2.csv"
+    rc = cli.main(["fig2", "--run", str(demo_run / "run"), "--grid", f"0.0,{LN2!r}",
+                   "--seeds", "1", "--seed", "3", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fig2 H 0.6931471805599453 keeps no training row of "
+                          "seed 3"), err
     assert not out.exists() and calls == []
 
 

@@ -7,29 +7,27 @@ from fairscarce import nn
 from fairscarce.errors import NonFiniteGradient, ShapeMismatch
 
 
-def weighted_value_and_grad(params, x, terms, plan):
-    """Sum of ``weight * loss`` over (LossSpec, weight) terms and its
-    gradient, added up term by term the way the trainer combines its
+def weighted_value_and_grad(params, x, terms, dropout):
+    """Sum of ``weight * loss`` over (loss, loss arguments, weight) terms and
+    its gradient, added up term by term the way the trainer combines its
     cross-entropy and consistency gradients."""
     total = 0.0
-    dw = [np.zeros_like(w) for w in params.weights]
-    db = [np.zeros_like(b) for b in params.biases]
-    for spec, weight in terms:
-        loss, g = nn.value_and_grad(params, x, spec, plan)
-        total += weight * loss
-        for k in range(params.n_layers):
-            dw[k] += weight * g.weights[k]
-            db[k] += weight * g.biases[k]
-    return total, nn.Gradients(tuple(dw), tuple(db))
+    grads = [np.zeros_like(p) for p in (*params.weights, *params.biases)]
+    for loss, args, weight in terms:
+        value, g = nn.value_and_grad(params, x, dropout, loss, *args)
+        total += weight * value
+        for k, arr in enumerate(g):
+            grads[k] += weight * arr
+    return total, tuple(grads)
 
 
-def finite_difference_grad(params, x, terms, plan, h=1e-5):
+def finite_difference_grad(params, x, terms, dropout, h=1e-5):
     """Central-difference gradient oracle, independent of backprop. Uses the
-    same dropout plan for every evaluation so the perturbed losses see
+    same dropout pair for every evaluation so the perturbed losses see
     identical masks."""
 
     def loss_at(p):
-        return weighted_value_and_grad(p, x, terms, plan)[0]
+        return weighted_value_and_grad(p, x, terms, dropout)[0]
 
     def perturb(arrays, layer, idx, delta):
         out = [a.copy() for a in arrays]
@@ -51,12 +49,12 @@ def finite_difference_grad(params, x, terms, plan, h=1e-5):
             dn = nn.MlpParams(params.weights, perturb(params.biases, k, idx, -h), params.dropout_rate)
             db[idx] = (loss_at(up) - loss_at(dn)) / (2 * h)
         dbs.append(db)
-    return nn.Gradients(tuple(dws), tuple(dbs))
+    return (*dws, *dbs)
 
 
 def max_relative_error(analytic, numeric):
     worst = 0.0
-    for a, n in zip((*analytic.weights, *analytic.biases), (*numeric.weights, *numeric.biases)):
+    for a, n in zip(analytic, numeric):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-3)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
@@ -78,21 +76,21 @@ def random_net_and_batch(rng, with_dropout=False):
 
 
 def random_terms(rng, n, kind):
-    """(LossSpec, weight) terms; ``combined`` is cross-entropy plus a random
-    multiple of the consistency loss."""
+    """(loss, loss arguments, weight) terms; ``combined`` is cross-entropy
+    plus a random multiple of the consistency loss."""
     targets = rng.integers(0, 2, size=n).astype(float)
     teacher = rng.normal(size=n)
     labeled = rng.random(n) < 0.6
     cons = rng.random(n) < 0.6
     if not labeled.any():
         labeled[0] = True
-    ce = nn.LossSpec("cross_entropy", targets=targets, labeled_mask=labeled)
-    consistency = nn.LossSpec("consistency", teacher_logits=teacher, consistency_mask=cons)
+    ce = (nn.cross_entropy_loss, (targets, labeled))
+    consistency = (nn.consistency_loss, (teacher, cons))
     if kind == "cross_entropy":
-        return [(ce, 1.0)]
+        return [(*ce, 1.0)]
     if kind == "consistency":
-        return [(consistency, 1.0)]
-    return [(ce, 1.0), (consistency, float(rng.uniform(0.1, 2.0)))]
+        return [(*consistency, 1.0)]
+    return [(*ce, 1.0), (*consistency, float(rng.uniform(0.1, 2.0)))]
 
 
 @pytest.mark.parametrize("kind", ["cross_entropy", "consistency", "combined"])
@@ -100,44 +98,42 @@ def test_grad_matches_finite_differences(kind):
     rng = np.random.default_rng(7)
     for trial in range(12):
         params, x, n = random_net_and_batch(rng, with_dropout=(trial % 3 == 0))
-        plan = nn.DropoutPlan(nn.TRAIN if params.dropout_rate else nn.EVAL, seed=trial, counter=5)
+        dropout = (trial, 5) if params.dropout_rate else None
         terms = random_terms(rng, n, kind)
-        _, analytic = weighted_value_and_grad(params, x, terms, plan)
-        numeric = finite_difference_grad(params, x, terms, plan)
+        _, analytic = weighted_value_and_grad(params, x, terms, dropout)
+        numeric = finite_difference_grad(params, x, terms, dropout)
         assert max_relative_error(analytic, numeric) < 1e-4
 
 
 def test_forward_zero_weights_gives_half_probability():
     params = nn.MlpParams((np.zeros((3, 4)), np.zeros((4, 1))),
                           (np.zeros(4), np.zeros(1)))
-    logits, _ = nn.forward(params, np.random.default_rng(0).normal(size=(5, 3)),
-                           nn.DropoutPlan(nn.EVAL))
+    logits, _ = nn.forward(params, np.random.default_rng(0).normal(size=(5, 3)), None)
     assert np.all(logits == 0.0)
     assert np.allclose(nn.sigmoid(logits), 0.5)
 
 
 def test_forward_single_linear_layer_hand_value():
     params = nn.MlpParams((np.array([[2.0]]),), (np.array([1.0]),))
-    logits, _ = nn.forward(params, np.array([[3.0]]), nn.DropoutPlan(nn.EVAL))
+    logits, _ = nn.forward(params, np.array([[3.0]]), None)
     assert logits[0] == pytest.approx(7.0)
 
 
 def test_train_mode_with_zero_dropout_equals_eval():
     params = nn.init_mlp([4, 8, 8], dropout_rate=0.0, seed=1)
     x = np.random.default_rng(2).normal(size=(6, 4))
-    lg_train, _ = nn.forward(params, x, nn.DropoutPlan(nn.TRAIN, seed=3))
-    lg_ev, _ = nn.forward(params, x, nn.DropoutPlan(nn.EVAL))
+    lg_train, _ = nn.forward(params, x, (3, 0))
+    lg_ev, _ = nn.forward(params, x, None)
     np.testing.assert_array_equal(lg_train, lg_ev)
 
 
 def test_mask_sequence_is_pure_function_of_seed_and_counter():
     params = nn.init_mlp([4, 8], dropout_rate=0.4, seed=1)
     x = np.random.default_rng(2).normal(size=(6, 4))
-    plan = nn.DropoutPlan(nn.TRAIN, seed=9, counter=3)
-    a, _ = nn.forward(params, x, plan)
-    b, _ = nn.forward(params, x, plan)
+    a, _ = nn.forward(params, x, (9, 3))
+    b, _ = nn.forward(params, x, (9, 3))
     np.testing.assert_array_equal(a, b)
-    c, _ = nn.forward(params, x, nn.DropoutPlan(nn.TRAIN, seed=9, counter=4))
+    c, _ = nn.forward(params, x, (9, 4))
     assert not np.array_equal(a, c)
 
 
@@ -151,11 +147,11 @@ def test_dropout_expectation_matches_eval_on_linear_regime():
         dropout_rate=0.5,
     )
     x = np.abs(rng.normal(size=(4, 3))) + 0.1
-    eval_logits, _ = nn.forward(params, x, nn.DropoutPlan(nn.EVAL))
+    eval_logits, _ = nn.forward(params, x, None)
     total = np.zeros(4)
     draws = 10_000
     for i in range(draws):
-        lg, _ = nn.forward(params, x, nn.DropoutPlan(nn.TRAIN, seed=11, counter=i))
+        lg, _ = nn.forward(params, x, (11, i))
         total += lg
     assert np.max(np.abs(total / draws - eval_logits) / np.abs(eval_logits)) < 0.02
 
@@ -172,9 +168,8 @@ def consistency(student, teacher, mask):
     """Consistency loss of the logits ``student``, through a one-weight
     identity network whose logits are its inputs."""
     identity = nn.MlpParams((np.array([[1.0]]),), (np.array([0.0]),))
-    spec = nn.LossSpec("consistency", teacher_logits=teacher, consistency_mask=mask)
     x = np.asarray(student, dtype=float)[:, None]
-    return nn.value_and_grad(identity, x, spec, nn.DropoutPlan(nn.EVAL))[0]
+    return nn.value_and_grad(identity, x, None, nn.consistency_loss, teacher, mask)[0]
 
 
 def test_consistency_loss_values():
@@ -197,13 +192,11 @@ def test_loss_positivity_and_minima():
 def test_grad_zero_at_stationary_points():
     params = nn.init_mlp([3, 5], seed=0)
     x = np.random.default_rng(1).normal(size=(4, 3))
-    plan = nn.DropoutPlan(nn.EVAL)
-    logits, _ = nn.forward(params, x, plan)
+    logits, _ = nn.forward(params, x, None)
     # consistency against identical teacher logits, all rows masked
-    spec = nn.LossSpec("consistency", teacher_logits=logits,
-                       consistency_mask=np.ones(4, dtype=bool))
-    _, g = nn.value_and_grad(params, x, spec, plan)
-    for arr in (*g.weights, *g.biases):
+    _, g = nn.value_and_grad(params, x, None, nn.consistency_loss, logits,
+                             np.ones(4, dtype=bool))
+    for arr in g:
         np.testing.assert_allclose(arr, 0.0, atol=1e-12)
 
 
@@ -212,17 +205,15 @@ def test_cross_entropy_grad_zero_when_predictions_saturate_to_targets():
     # so the output-layer gradient vanishes numerically.
     params = nn.MlpParams((np.array([[40.0]]),), (np.array([0.0]),))
     x = np.array([[1.0], [-1.0]])
-    spec = nn.LossSpec("cross_entropy", targets=np.array([1.0, 0.0]))
-    _, g = nn.value_and_grad(params, x, spec, nn.DropoutPlan(nn.EVAL))
-    for arr in (*g.weights, *g.biases):
+    _, g = nn.value_and_grad(params, x, None, nn.cross_entropy_loss, np.array([1.0, 0.0]))
+    for arr in g:
         np.testing.assert_allclose(arr, 0.0, atol=1e-12)
 
 
 def test_adam_zero_gradient_is_fixed_point():
     params = nn.init_mlp([3, 4], seed=2)
     state = nn.init_adam(params)
-    zero = nn.Gradients(tuple(np.zeros_like(w) for w in params.weights),
-                        tuple(np.zeros_like(b) for b in params.biases))
+    zero = tuple(np.zeros_like(p) for p in (*params.weights, *params.biases))
     state2, params2 = nn.adam_step(state, params, zero)
     assert state2.t == 1
     for a, b in zip(params.weights, params2.weights):
@@ -233,7 +224,7 @@ def test_adam_first_step_magnitude_matches_hand_computation():
     # one scalar parameter, g=10: m_hat=g, v_hat=g^2, step = lr*g/(|g|+eps)
     params = nn.MlpParams((np.array([[0.0]]),), (np.array([0.0]),))
     state = nn.init_adam(params, lr=0.001)
-    g = nn.Gradients((np.array([[10.0]]),), (np.array([0.0]),))
+    g = (np.array([[10.0]]), np.array([0.0]))
     _, params2 = nn.adam_step(state, params, g)
     assert params2.weights[0][0, 0] == pytest.approx(-0.001, rel=1e-6)
 
@@ -241,8 +232,8 @@ def test_adam_first_step_magnitude_matches_hand_computation():
 def test_adam_determinism():
     params = nn.init_mlp([3, 4], seed=2)
     state = nn.init_adam(params)
-    g = nn.Gradients(tuple(np.full_like(w, 0.3) for w in params.weights),
-                     tuple(np.full_like(b, -0.2) for b in params.biases))
+    g = (*(np.full_like(w, 0.3) for w in params.weights),
+         *(np.full_like(b, -0.2) for b in params.biases))
     out1 = nn.adam_step(state, params, g)
     out2 = nn.adam_step(state, params, g)
     for a, b in zip(out1[1].weights, out2[1].weights):
@@ -252,8 +243,8 @@ def test_adam_determinism():
 def test_adam_rejects_non_finite_gradient():
     params = nn.init_mlp([2, 3], seed=0)
     state = nn.init_adam(params)
-    bad = nn.Gradients(tuple(np.full_like(w, np.nan) for w in params.weights),
-                       tuple(np.zeros_like(b) for b in params.biases))
+    bad = (*(np.full_like(w, np.nan) for w in params.weights),
+           *(np.zeros_like(b) for b in params.biases))
     with pytest.raises(NonFiniteGradient):
         nn.adam_step(state, params, bad)
 
@@ -264,10 +255,13 @@ def test_adam_checks_finiteness_before_shapes():
     wrong_bias = (np.zeros(4),) + tuple(np.zeros_like(b) for b in params.biases[1:])
     weights = tuple(np.zeros_like(w) for w in params.weights)
     with pytest.raises(ShapeMismatch):
-        nn.adam_step(state, params, nn.Gradients(weights, wrong_bias))
+        nn.adam_step(state, params, (*weights, *wrong_bias))
     nan_weights = (np.full_like(params.weights[0], np.nan),) + weights[1:]
     with pytest.raises(NonFiniteGradient):
-        nn.adam_step(state, params, nn.Gradients(nan_weights, wrong_bias))
+        nn.adam_step(state, params, (*nan_weights, *wrong_bias))
+    # a flat tuple short of one tensor
+    with pytest.raises(ShapeMismatch):
+        nn.adam_step(state, params, weights + tuple(np.zeros_like(b) for b in params.biases[1:]))
 
 
 def test_adam_trajectory_matches_reference_bit_for_bit():
@@ -281,9 +275,7 @@ def test_adam_trajectory_matches_reference_bit_for_bit():
     rng = np.random.default_rng(17)
     for t in range(1, 7):
         grads = [rng.normal(scale=10.0 ** rng.integers(-4, 2), size=p.shape) for p in ref_p]
-        n = params.n_layers
-        state, params = nn.adam_step(state, params, nn.Gradients(tuple(grads[:n]),
-                                                                 tuple(grads[n:])))
+        state, params = nn.adam_step(state, params, tuple(grads))
         corr1 = 1.0 - 0.9 ** t
         corr2 = 1.0 - 0.999 ** t
         for k, g in enumerate(grads):
@@ -302,5 +294,9 @@ def test_adam_trajectory_matches_reference_bit_for_bit():
 def test_forward_shape_mismatch():
     params = nn.init_mlp([3, 4], seed=0)
     with pytest.raises(ShapeMismatch):
-        nn.forward(params, np.zeros((2, 5)), nn.DropoutPlan(nn.EVAL))
+        nn.forward(params, np.zeros((2, 5)), None)
+    with pytest.raises(ShapeMismatch):
+        nn.eval_logits(params, np.zeros((2, 5)))
+    with pytest.raises(ShapeMismatch):
+        nn.eval_logits(params, np.zeros(3))
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairscarce import attribute, harness, reduction, tabular
+from fairscarce import attribute, harness, nn, reduction, tabular
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -32,6 +32,18 @@ def test_traced_functions_exist(monkeypatch):
     for module_name, func_name in tracer.WRAPPED:
         module = importlib.import_module(f"fairscarce.{module_name}")
         assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
+
+
+def test_value_and_grad_runs_one_module_forward(monkeypatch):
+    # value_and_grad reaches forward through the module global, once per
+    # call: the traced attr_phase counts nn.forward_calls from that
+    calls = []
+    forward = nn.forward
+    monkeypatch.setattr(nn, "forward", lambda *args: calls.append(1) or forward(*args))
+    params = nn.init_mlp([3, 4], dropout_rate=0.3, seed=0)
+    x = np.random.default_rng(1).normal(size=(5, 3))
+    nn.value_and_grad(params, x, (0, 0), nn.cross_entropy_loss, np.ones(5))
+    assert calls == [1]
 
 
 def test_benchmark_configs_build(monkeypatch, tmp_path):
