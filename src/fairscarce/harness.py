@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -335,7 +336,8 @@ def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: f
     if variant == "clean":
         return rows, tabular.oracle_sensitive(d1)[rows], ones
     if variant == "proxy-knn":
-        return rows, reduction.knn_impute(d1.take(rows), artifacts.split.d2, k=5), ones
+        d2 = artifacts.split.d2
+        return rows, reduction.knn_impute(d1.features[rows], d2.features, d2.sensitive, k=5), ones
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     a_hat, u = artifacts.proxies.a_hat, artifacts.proxies.u
@@ -368,9 +370,9 @@ def _score(model: reduction.RandomizedClassifier, d1: tabular.Dataset,
            eval_rows: np.ndarray) -> metrics.FairnessReport:
     """``model`` scored on the d1 rows ``eval_rows`` against their true
     (masked) sensitive attributes."""
-    d1_eval = d1.take(eval_rows)
-    preds = model.expected_predictions(d1_eval.features)
-    return metrics.evaluate_report(preds, d1_eval.labels, tabular.oracle_sensitive(d1_eval))
+    preds = model.expected_predictions(d1.features[eval_rows])
+    return metrics.evaluate_report(preds, d1.labels[eval_rows],
+                                   tabular.oracle_sensitive(d1)[eval_rows])
 
 
 def _fit(d1: tabular.Dataset, idx: np.ndarray, a: np.ndarray, w: np.ndarray,
@@ -495,7 +497,7 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
             len(fit_rows))[:_TUNE_MAX_ROWS]])
 
     d1 = artifacts.split.d1
-    d1_val = d1.take(val_rows)
+    val_x, val_labels = d1.features[val_rows], d1.labels[val_rows]
     val_proxies = artifacts.proxies.a_hat[val_rows]
 
     constraint = reduction.MomentConstraint(constraint_kind, _TUNE_EPS_FAIR)
@@ -514,8 +516,8 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
             failures[type(exc)] += 1
             table.append((h_cand, math.nan, math.nan, -math.inf))
             continue
-        preds = model.expected_predictions(d1_val.features)
-        report = metrics.evaluate_report(preds, d1_val.labels, val_proxies)
+        preds = model.expected_predictions(val_x)
+        report = metrics.evaluate_report(preds, val_labels, val_proxies)
         gap = getattr(report, _CONSTRAINT_GAP[constraint_kind])
         objective = report.accuracy - gap
         table.append((h_cand, report.accuracy, gap, objective))
@@ -662,7 +664,8 @@ def run_sweep(config: SweepConfig,
     map of unconstrained fits (``run_cell``'s ``fits``), so each distinct fit
     runs once per sweep and the outputs equal those of cells run one by one.
     A cell that raises is recorded as failed, with its error, in the
-    manifest."""
+    manifest. ``progress`` gets one line per finished cell, in cell order:
+    its number, variant, slack, seed, status and seconds."""
     out = Path(config.out_dir)
     say = progress or (lambda _msg: None)
     artifacts = load_run(config.run_dir)
@@ -693,8 +696,9 @@ def run_sweep(config: SweepConfig,
     result_rows = []
     cell_status = []
     grouped: dict[tuple[str, float], list[metrics.FairnessReport]] = {}
-    for variant, eps, seed in cells:
+    for number, (variant, eps, seed) in enumerate(cells, start=1):
         error = None
+        started = time.perf_counter()
         try:
             report, _ = run_cell(artifacts, variant, config.constraint, eps, seed, threshold,
                                  config.source, config.exp_grad_iters, config.oracle_max_iter,
@@ -707,9 +711,11 @@ def run_sweep(config: SweepConfig,
                 f"{config.source.describe()},{repr(report.accuracy)},{repr(report.dp_diff)},"
                 f"{repr(report.eop_diff)},{repr(report.eod_diff)}")
             grouped.setdefault((variant, eps), []).append(report)
+        status = "ok" if error is None else "failed"
         cell_status.append({"variant": variant, "eps_fair": eps, "seed": seed,
-                            "status": "ok" if error is None else "failed",
-                            "error": error})
+                            "status": status, "error": error})
+        say(f"cell {number}/{len(cells)} {variant} eps={eps} seed={seed}: {status} in "
+            f"{time.perf_counter() - started:.2f} s" + ("" if error is None else f" ({error})"))
     _write_csv(out / "results.csv", RESULTS_HEADER, result_rows)
 
     # per variant and gap, the (median accuracy, median gap) point of each

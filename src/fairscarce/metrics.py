@@ -48,16 +48,6 @@ def alpha_j(preds, labels, sensitive, j: int) -> float:
     return float(abs(rates[0] - rates[1]))
 
 
-def equalized_odds_diff(preds, labels, sensitive) -> float:
-    """alpha_0 + alpha_1."""
-    return alpha_j(preds, labels, sensitive, 0) + alpha_j(preds, labels, sensitive, 1)
-
-
-def equal_opportunity_diff(preds, labels, sensitive) -> float:
-    """alpha_1 alone."""
-    return alpha_j(preds, labels, sensitive, 1)
-
-
 @dataclass(frozen=True)
 class GroupCounts:
     """Possibly fractional confusion counts for one group (fractional when
@@ -96,12 +86,14 @@ def _group_counts(p, y, a, grp) -> GroupCounts:
 
 def evaluate_report(preds, labels, sensitive) -> FairnessReport:
     """Accuracy plus all three gap metrics, with the per-group counts they
-    were computed from."""
+    were computed from: dp, eop = alpha_1 and eod = alpha_0 + alpha_1. An
+    empty group raises DegenerateGroup; failing that, an empty Y=1 cell and
+    then an empty Y=0 cell raise DegenerateCell."""
     p, y, a = _as_arrays(preds, labels, sensitive)
     accuracy = float((p * y + (1.0 - p) * (1.0 - y)).mean())
     dp = demographic_parity_diff(p, a)
-    eop = equal_opportunity_diff(p, y, a)
-    eod = equalized_odds_diff(p, y, a)
+    eop = alpha_j(p, y, a, 1)
+    eod = alpha_j(p, y, a, 0) + eop
     return FairnessReport(accuracy, dp, eop, eod,
                           _group_counts(p, y, a, 0), _group_counts(p, y, a, 1))
 

@@ -1,8 +1,10 @@
 """Fair classification by reduction: a cost-sensitive logistic-regression
 oracle inside an exponentiated-gradient saddle-point loop, plus the
-nearest-neighbor imputation baseline. Training takes plain arrays: features
-``x``, labels ``y``, the attribute ``a`` each fairness constraint reads and
-the weight ``w`` of each row's constraint terms.
+nearest-neighbor imputation baseline. Every entry point takes plain arrays:
+training takes features ``x``, labels ``y``, the attribute ``a`` each
+fairness constraint reads and the weight ``w`` of each row's constraint
+terms, and imputation (``knn_impute``) the rows to label and the reference
+rows' features and attributes.
 
 The reduction alternates (1) a best-response fit against signed per-row costs
 built from the current multipliers with (2) a multiplicative-weights update
@@ -25,7 +27,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateCell, DegenerateGroup, NonFiniteCost
-from .tabular import Dataset
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
@@ -481,24 +482,25 @@ def unconstrained_train(x: np.ndarray, y: np.ndarray, oracle_max_iter: int = 500
     return RandomizedClassifier((model,), np.array([1.0]))
 
 
-def knn_impute(d1: Dataset, d2: Dataset, k: int) -> np.ndarray:
-    """Majority sensitive value among each d1 row's k Euclidean-nearest d2
-    rows; ties resolve to 1."""
-    if not 1 <= k <= len(d2):
-        raise ValueError("k must lie in [1, |d2|]")
-    if d2.sensitive is None:
-        raise ValueError("d2 must carry sensitive attributes")
-    ref = d2.features
-    ref_norm2 = np.einsum("ij,ij->i", ref, ref)
-    out = np.empty(len(d1), dtype=int)
-    chunk = max(1, int(2_000_000 // max(len(d2), 1)))
-    for start in range(0, len(d1), chunk):
-        block = d1.features[start:start + chunk]
-        d2dist = ref_norm2[None, :] - 2.0 * (block @ ref.T)  # + ||x||^2, constant per row
-        if k < len(d2):
-            nearest = np.argpartition(d2dist, k - 1, axis=1)[:, :k]
+def knn_impute(x: np.ndarray, ref_x: np.ndarray, ref_a: np.ndarray, k: int) -> np.ndarray:
+    """Majority attribute among each row of ``x``'s k Euclidean-nearest
+    reference rows, whose features are ``ref_x`` and attributes (0 or 1)
+    ``ref_a``; ties resolve to 1. ``x`` is taken in chunks of about two
+    million distances each."""
+    if not 1 <= k <= len(ref_x):
+        raise ValueError("k must lie in [1, len(ref_x)]")
+    if np.shape(ref_a) != (len(ref_x),):
+        raise ValueError("ref_a must hold one attribute per reference row")
+    ref_norm2 = np.einsum("ij,ij->i", ref_x, ref_x)
+    out = np.empty(len(x), dtype=int)
+    chunk = max(1, 2_000_000 // len(ref_x))
+    for start in range(0, len(x), chunk):
+        block = x[start:start + chunk]
+        dist = ref_norm2[None, :] - 2.0 * (block @ ref_x.T)  # + ||x||^2, constant per row
+        if k < len(ref_x):
+            nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
         else:
-            nearest = np.broadcast_to(np.arange(len(d2)), (len(block), len(d2)))
-        votes = d2.sensitive[nearest].sum(axis=1)
+            nearest = np.broadcast_to(np.arange(len(ref_x)), (len(block), len(ref_x)))
+        votes = ref_a[nearest].sum(axis=1)
         out[start:start + len(block)] = (2 * votes >= k).astype(int)
     return out

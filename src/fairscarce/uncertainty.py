@@ -60,20 +60,15 @@ class PredictionSet:
         return len(self.members) == 1
 
 
-def conformal_set(q_hat: float, p_group: float, sample_id: int) -> PredictionSet:
-    """Label a enters the set iff its score 1 - p(a) is within the threshold
-    ``q_hat``, where p(1) = p_group and p(0) = 1 - p_group."""
-    members = set()
-    if 1.0 - p_group <= q_hat:
-        members.add(1)
-    if p_group <= q_hat:
-        members.add(0)
-    return PredictionSet(int(sample_id), frozenset(members))
-
-
 def conformal_sets(q_hat: float, p_groups: Sequence[float],
                    sample_ids: Sequence[int]) -> list[PredictionSet]:
-    return [conformal_set(q_hat, p, i) for p, i in zip(p_groups, sample_ids)]
+    """The split-conformal prediction set of each sample ``sample_ids[i]``:
+    label a enters it iff its score 1 - p(a) is within the threshold
+    ``q_hat``, where p(1) = ``p_groups[i]`` and p(0) = 1 - p(1)."""
+    p = np.asarray(p_groups, dtype=float)
+    sets = (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1}))
+    codes = 2 * (1.0 - p <= q_hat) + (p <= q_hat)
+    return [PredictionSet(int(i), sets[c]) for i, c in zip(sample_ids, codes.tolist())]
 
 
 def confidence_band_filter(probs: Sequence[float], tau: float) -> np.ndarray:

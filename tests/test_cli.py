@@ -576,6 +576,24 @@ def test_sweep_failed_cell_exit_code(demo_run, tmp_path, capsys):
         "EmptySelection: uncertain variant kept no rows"]
 
 
+def test_sweep_prints_one_line_per_cell(demo_run, tmp_path, capsys):
+    # H above ln 2 leaves the uncertain variant no row, so its cells fail
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"run_dir = {demo_run / 'run'}\nout_dir = {tmp_path / 'out'}\n"
+                   "variants = vanilla,uncertain\neps_grid = 0.1\nseeds = 2\nH = 0.7\n"
+                   "oracle_max_iter = 150\n", encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("cell ")]
+    cells = [("vanilla", 0, "ok"), ("vanilla", 1, "ok"),
+             ("uncertain", 0, "failed"), ("uncertain", 1, "failed")]
+    assert len(lines) == len(cells), lines
+    for n, (line, (variant, seed, status)) in enumerate(zip(lines, cells), start=1):
+        head = f"cell {n}/4 {variant} eps=0.1 seed={seed}: {status} in "
+        assert line.startswith(head), line
+        seconds, unit = line[len(head):].split(" ")[:2]
+        assert float(seconds) >= 0.0 and unit == "s", line
+
+
 def test_tuned_sweep_names_one_group_candidates(tmp_path, capsys):
     # a weak attribute model: every certain training slice holds one proxy
     # group only, so no tuning candidate can be trained under dp

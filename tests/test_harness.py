@@ -89,12 +89,13 @@ def test_knn_imputation_of_all_d1_indexes_to_each_cells_rows(small_run):
     # and indexing by those rows must give the same labels on every seed
     # before the per-cell call can become one call per run
     _, artifacts = small_run
-    d1, d2 = artifacts.split.d1, artifacts.split.d2
-    whole = reduction.knn_impute(d1, d2, 5)
+    x, d2 = artifacts.split.d1.features, artifacts.split.d2
+    whole = reduction.knn_impute(x, d2.features, d2.sensitive, 5)
     for seed in range(7):
         rows, _ = harness._d1_train_eval(artifacts, seed)
-        np.testing.assert_array_equal(whole[rows], reduction.knn_impute(d1.take(rows), d2, 5),
-                                      err_msg=f"seed {seed}")
+        np.testing.assert_array_equal(
+            whole[rows], reduction.knn_impute(x[rows], d2.features, d2.sensitive, 5),
+            err_msg=f"seed {seed}")
 
 
 def test_constrained_variant_fairer_than_vanilla(small_run):

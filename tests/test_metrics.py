@@ -33,6 +33,11 @@ def oracle_alpha(preds, labels, sensitive, j):
     return abs(r0 - r1)
 
 
+def alpha_sum(preds, labels, sensitive):
+    """alpha_0 + alpha_1, the equalized-odds gap."""
+    return sum(metrics.alpha_j(preds, labels, sensitive, j) for j in (0, 1))
+
+
 def test_dp_hand_cases():
     assert metrics.demographic_parity_diff([1, 1, 0, 0], [0, 0, 1, 1]) == pytest.approx(1.0)
     assert metrics.demographic_parity_diff([1, 0, 1, 0], [0, 0, 1, 1]) == pytest.approx(0.0)
@@ -53,7 +58,7 @@ def test_alpha_constant_classifier():
     ones = [1, 1, 1, 1]
     assert metrics.alpha_j(ones, labels, sens, 0) == 0.0
     assert metrics.alpha_j(ones, labels, sens, 1) == 0.0
-    assert metrics.equalized_odds_diff(ones, labels, sens) == 0.0
+    assert alpha_sum(ones, labels, sens) == 0.0
 
 
 def test_perfect_classifier_zero_gaps():
@@ -71,6 +76,20 @@ def test_degenerate_errors():
         metrics.demographic_parity_diff([1, 0], [0, 0])
     with pytest.raises(DegenerateCell):
         metrics.alpha_j([1, 0], [1, 1], [0, 1], 0)
+
+
+@pytest.mark.parametrize("labels,sens,error,names", [
+    # group 1 is empty, and so is every (A=1, Y) cell
+    ([1, 0, 1], [0, 0, 0], DegenerateGroup, "group 1"),
+    # (A=0, Y=1) and (A=1, Y=0) are both empty
+    ([0, 1], [0, 1], DegenerateCell, "A=0, Y=1"),
+    ([1, 1, 0], [0, 1, 0], DegenerateCell, "A=1, Y=0"),
+])
+def test_report_error_order(labels, sens, error, names):
+    # an empty group is named before any empty cell, and an empty Y=1 cell
+    # before an empty Y=0 cell
+    with pytest.raises(error, match=names):
+        metrics.evaluate_report([1] * len(labels), labels, sens)
 
 
 def random_instance(rng, n):
@@ -91,7 +110,11 @@ def test_metrics_match_enumeration_oracle():
         a1 = oracle_alpha(preds, labels, sens, 1)
         assert metrics.alpha_j(preds, labels, sens, 0) == pytest.approx(a0)
         assert metrics.alpha_j(preds, labels, sens, 1) == pytest.approx(a1)
-        assert metrics.equalized_odds_diff(preds, labels, sens) == pytest.approx(a0 + a1)
+        assert alpha_sum(preds, labels, sens) == pytest.approx(a0 + a1)
+        report = metrics.evaluate_report(preds, labels, sens)
+        assert report.dp_diff == pytest.approx(oracle_dp(preds, sens))
+        assert report.eop_diff == pytest.approx(a1)
+        assert report.eod_diff == pytest.approx(a0 + a1)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 12 - 1), st.integers(min_value=0, max_value=10_000))
@@ -101,8 +124,8 @@ def test_group_relabel_and_complement_symmetry(bits, seed):
     dp = metrics.demographic_parity_diff(preds, sens)
     assert metrics.demographic_parity_diff(preds, 1 - sens) == pytest.approx(dp)
     assert metrics.demographic_parity_diff(1 - preds, sens) == pytest.approx(dp)
-    eod = metrics.equalized_odds_diff(preds, labels, sens)
-    assert metrics.equalized_odds_diff(preds, labels, 1 - sens) == pytest.approx(eod)
+    eod = alpha_sum(preds, labels, sens)
+    assert alpha_sum(preds, labels, 1 - sens) == pytest.approx(eod)
 
 
 def test_ranges_and_eod_dominates_eop():

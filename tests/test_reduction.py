@@ -663,14 +663,33 @@ def test_select_every_variant_and_source_on_unsorted_ids():
 
 
 def test_knn_impute_rules():
-    d2 = tabular.Dataset(np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]]),
-                         np.arange(3), sensitive=np.array([1, 1, 0]))
-    d1 = tabular.Dataset(np.array([[0.0, 0.0], [4.9, 4.9]]), np.array([10, 11]))
-    np.testing.assert_array_equal(red.knn_impute(d1, d2, k=1), [1, 0])
+    ref_x = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
+    ref_a = np.array([1, 1, 0])
+    x = np.array([[0.0, 0.0], [4.9, 4.9]])
+    np.testing.assert_array_equal(red.knn_impute(x, ref_x, ref_a, k=1), [1, 0])
     # k=3 majority {1,1,0} -> 1 for anything
-    np.testing.assert_array_equal(red.knn_impute(d1, d2, k=3), [1, 1])
+    np.testing.assert_array_equal(red.knn_impute(x, ref_x, ref_a, k=3), [1, 1])
     # k=2 tie {1,0} resolves to 1
-    d2_tie = tabular.Dataset(np.array([[0.0, 0.0], [0.2, 0.0]]), np.arange(2),
-                             sensitive=np.array([1, 0]))
-    probe = tabular.Dataset(np.array([[0.1, 0.0]]), np.array([0]))
-    np.testing.assert_array_equal(red.knn_impute(probe, d2_tie, k=2), [1])
+    tie_x, tie_a = np.array([[0.0, 0.0], [0.2, 0.0]]), np.array([1, 0])
+    np.testing.assert_array_equal(red.knn_impute(np.array([[0.1, 0.0]]), tie_x, tie_a, k=2), [1])
+
+
+def test_knn_impute_matches_brute_force_across_chunks():
+    # knn_impute scores x in chunks of 2_000_000 // len(ref_x) rows; these
+    # sizes give three chunks, the last one partial. Continuous random
+    # features leave no two reference rows at the same distance from a row.
+    rng = np.random.default_rng(11)
+    ref_x = rng.normal(size=(4000, 4))
+    ref_a = rng.integers(0, 2, size=len(ref_x))
+    x = rng.normal(size=(1200, 4))
+    assert 2 < len(x) / (2_000_000 // len(ref_x)) < 3
+    ks = (1, 4, 5, len(ref_x))
+    want = {k: [] for k in ks}
+    for row in x:
+        order = np.argsort(((ref_x - row) ** 2).sum(axis=1))
+        for k in ks:
+            votes = int(ref_a[order[:k]].sum())
+            want[k].append(1 if 2 * votes >= k else 0)
+    for k in ks:
+        np.testing.assert_array_equal(red.knn_impute(x, ref_x, ref_a, k), want[k],
+                                      err_msg=f"k={k}")

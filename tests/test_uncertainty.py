@@ -49,9 +49,9 @@ def test_conformal_calibrate_empty():
 
 
 def test_conformal_set_hand_cases():
-    assert unc.conformal_set(0.4, 0.7, 1).members == frozenset({1})
-    assert unc.conformal_set(1.0, 0.3, 2).members == frozenset({0, 1})
-    assert unc.conformal_set(0.2, 0.5, 3).members == frozenset()
+    assert unc.conformal_sets(0.4, [0.7], [1])[0].members == frozenset({1})
+    assert unc.conformal_sets(1.0, [0.3], [2])[0].members == frozenset({0, 1})
+    assert unc.conformal_sets(0.2, [0.5], [3])[0].members == frozenset()
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
@@ -65,7 +65,8 @@ def test_set_size_monotone_in_epsilon(probs, ncal):
     tight = unc.conformal_calibrate(cal_probs, truths, epsilon=0.05)
     assert tight >= loose
     for p, i in zip(probs, ids):
-        assert unc.conformal_set(loose, p, i).members <= unc.conformal_set(tight, p, i).members
+        assert (unc.conformal_sets(loose, [p], [i])[0].members
+                <= unc.conformal_sets(tight, [p], [i])[0].members)
 
 
 def test_confidence_band_filter_endpoints():
