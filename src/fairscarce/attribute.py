@@ -8,7 +8,9 @@ and the uncertainty cutoff ramp up over early epochs.
 
 Training returns both networks as plain ``nn.MlpParams`` values
 (``AttrTrainResult``); scoring (``predict_proxy``, ``teacher_eval_probs``)
-takes the teacher alone, and ``save_checkpoint`` takes the two networks.
+takes the teacher alone. ``save_checkpoint`` keeps the teacher and the d2
+calibration rows, the inputs phase 2 derives its conformal scores from, and
+``load_checkpoint`` reads them back.
 Every dropout-free pass, in training and in scoring, goes through
 ``nn.eval_logits``; ``nn.value_and_grad`` runs the student's forwards that
 gradients flow through.
@@ -16,6 +18,7 @@ gradients flow through.
 from __future__ import annotations
 
 import math
+import zipfile
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -23,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, InsufficientRows, NonFiniteGradient
+from .errors import ConfigError, InsufficientRows, NonFiniteGradient, ShapeMismatch
 from .tabular import Dataset, ScarceSplit
 from .uncertainty import LN2, binary_entropy
 
@@ -459,16 +462,34 @@ def save_proxies(path, proxies: Proxies) -> None:
 
 # --- checkpoint ---------------------------------------------------------------
 
-def save_checkpoint(path, student: nn.MlpParams, teacher: nn.MlpParams) -> None:
-    """Write the trained networks as one uncompressed npz archive at exactly
-    ``path``: ``student_w{k}``, ``student_b{k}``, ``teacher_w{k}`` and
-    ``teacher_b{k}`` per layer k, plus the scalar ``dropout_rate``. The
-    arrays round-trip bit-exactly through ``np.load``. Nothing in the package
-    reads the file back: phase 2 works off the proxies and conformal inputs."""
-    arrays = {"dropout_rate": np.float64(student.dropout_rate)}
-    for role, params in (("student", student), ("teacher", teacher)):
-        for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-            arrays[f"{role}_w{k}"] = w
-            arrays[f"{role}_b{k}"] = b
+def save_checkpoint(path, teacher: nn.MlpParams, calib_rows: np.ndarray) -> None:
+    """Write what phase 2 derives its conformal inputs from as one
+    uncompressed npz archive at exactly ``path``: the teacher as
+    ``teacher_w{k}`` and ``teacher_b{k}`` per layer k plus the scalar
+    ``dropout_rate``, and ``calib_rows``, the sorted d2 row indices of the
+    conformal calibration slice. ``load_checkpoint`` reads it back."""
+    arrays = {"dropout_rate": np.float64(teacher.dropout_rate), "calib_rows": calib_rows}
+    for k, (w, b) in enumerate(zip(teacher.weights, teacher.biases)):
+        arrays[f"teacher_w{k}"] = w
+        arrays[f"teacher_b{k}"] = b
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def load_checkpoint(path) -> tuple[nn.MlpParams, np.ndarray]:
+    """The teacher and calibration rows that ``save_checkpoint`` wrote at
+    ``path``, bit-exact and read without unpickling. A file that is no such
+    archive, a missing array, and weights that ``nn.MlpParams`` rejects (not
+    finite, or not chaining into one logit) raise ConfigError naming it."""
+    try:
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        layers = range(sum(name.startswith("teacher_w") for name in arrays))
+        teacher = nn.MlpParams(tuple(arrays[f"teacher_w{k}"] for k in layers),
+                               tuple(arrays[f"teacher_b{k}"] for k in layers),
+                               float(arrays["dropout_rate"]))
+        return teacher, arrays["calib_rows"]
+    except (KeyError, OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile,
+            ShapeMismatch) as exc:
+        raise ConfigError(f"{path} is not a phase-1 checkpoint ({type(exc).__name__}: "
+                          f"{exc}); rerun train-attr") from None

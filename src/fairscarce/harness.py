@@ -5,19 +5,17 @@ the CSV artifacts every table and figure is built from.
 A run directory produced by the attribute phase holds, one file each:
 
   d1.ds, d2.ds, test.ds   the encoded split, npz (CSR features + vectors)
-  attr_checkpoint.npz     student and teacher weights, npz; never read back
+  attr_checkpoint.npz     teacher weights and d2's calibration rows, npz
   proxies.csv             sample_id, a_hat, p_group, u of every d1 row
-  calibration.csv         teacher eval probability and true attribute of the
-                          conformal calibration slice of d2, by ascending id
-  d1_eval_probs.csv       teacher eval probability of every d1 row
   attr_log.csv            per-epoch training log
   attr_summary.json       the phase-1 configuration and summary numbers
 
-proxies.csv and d1_eval_probs.csv list d1's rows in d1 row order, which
-``tabular.split_scarce_rows`` makes ascending sample id. Every later command
+proxies.csv lists d1's rows in d1 row order, which
+``tabular.split_scarce_rows`` makes ascending sample id; ``conformal_inputs``
+derives phase 2's conformal inputs from the checkpoint. Every later command
 (train-fair, sweep, fig2, table) works off that directory; ``load_run`` reads
-and checks all of it except the checkpoint and the log, so a missing or
-damaged file is a ConfigError that names it.
+and checks all of it except the log, so a missing or damaged file is a
+ConfigError that names it.
 Run directories from earlier versions must be rebuilt with train-attr.
 
 Phase 2 trains through one helper, ``_fit``: a selection whose attribute
@@ -44,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import attribute as attr
-from . import metrics, reduction, tabular, uncertainty
+from . import metrics, nn, reduction, tabular, uncertainty
 from .configio import read_kv_file
 from .errors import ConfigError, DegenerateCell, DegenerateGroup, EmptySelection
 from .uncertainty import LN2
@@ -55,6 +53,11 @@ PARETO_HEADER = ("variant,metric,eps_fair,accuracy_median,unfairness_median,"
                  "accuracy_min,accuracy_max")
 FIG2_HEADER = "H,seed,n_rows,accuracy,dp,eop,eod"
 _TRAIN_FRACTION = 0.7  # share of d1 each seed trains on; the rest evaluates
+# each part of a run directory's split and the vectors its role needs: d1's
+# training labels and evaluation attribute, d2's attribute for phase 1,
+# proxy-knn and conformal calibration, and test's labels and attribute
+_PART_VECTORS = {"d1": ("labels", "masked_sensitive"), "d2": ("sensitive",),
+                 "test": ("labels", "sensitive")}
 
 
 # --- run directory -----------------------------------------------------------
@@ -65,10 +68,21 @@ class RunArtifacts:
 
     split: tabular.ScarceSplit
     proxies: attr.Proxies  # d1 row order
-    calib_probs: np.ndarray
-    calib_truth: np.ndarray
+    # conformal inputs, derived from the checkpoint by ``conformal_inputs``
+    calib_probs: np.ndarray  # teacher eval probability of d2's calibration rows
+    calib_truth: np.ndarray  # their true attribute
     d1_eval_probs: np.ndarray  # teacher eval probability of every d1 row, d1 row order
     config: dict
+
+
+def conformal_inputs(teacher: nn.MlpParams, split: tabular.ScarceSplit,
+                     calib_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(calib_probs, calib_truth, d1_eval_probs)``: the teacher's
+    eval-mode probabilities on the d2 rows ``calib_rows`` and their true
+    attribute, and its eval-mode probabilities on every d1 row."""
+    calib = split.d2.take(calib_rows)
+    return (attr.teacher_eval_probs(teacher, calib), calib.sensitive,
+            attr.teacher_eval_probs(teacher, split.d1))
 
 
 def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
@@ -96,17 +110,10 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
 
     proxies = attr.predict_proxy(teacher, split.d1, cfg.mc_passes, seed=seed + 4099)
 
-    # conformal inputs: eval-mode teacher probabilities on the reserved
-    # calibration slice of d2 and on d1
-    calib_ds = split.d2.take(result.calib_rows)
-    calib_probs = attr.teacher_eval_probs(teacher, calib_ds)
-    calib_truth = calib_ds.sensitive
-    d1_eval_probs = attr.teacher_eval_probs(teacher, split.d1)
-
     tabular.save_dataset(out / "d1.ds", split.d1)
     tabular.save_dataset(out / "d2.ds", split.d2)
     tabular.save_dataset(out / "test.ds", split.test)
-    attr.save_checkpoint(out / "attr_checkpoint.npz", result.student, teacher)
+    attr.save_checkpoint(out / "attr_checkpoint.npz", teacher, result.calib_rows)
     attr.save_proxies(out / "proxies.csv", proxies)
     with open(out / "attr_log.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch,loss_supervised,loss_consistency,lambda,r,mean_batch_u,val_accuracy\n")
@@ -114,12 +121,6 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
             fh.write(f"{row.epoch},{repr(row.loss_supervised)},{repr(row.loss_consistency)},"
                      f"{repr(row.lambda_value)},{repr(row.r_value)},"
                      f"{repr(row.mean_batch_uncertainty)},{repr(row.val_accuracy)}\n")
-    _write_csv(out / "calibration.csv", "sample_id,p_eval,a_true",
-               [f"{int(i)},{repr(float(p))},{int(a)}"
-                for i, p, a in zip(calib_ds.sample_ids, calib_probs, calib_truth)])
-    _write_csv(out / "d1_eval_probs.csv", "sample_id,p_eval",
-               [f"{int(i)},{repr(float(p))}"
-                for i, p in zip(split.d1.sample_ids, d1_eval_probs)])
 
     import platform
 
@@ -145,8 +146,8 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
     with open(out / "attr_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return RunArtifacts(split, proxies, calib_probs, calib_truth.copy(),
-                        d1_eval_probs, summary)
+    return RunArtifacts(split, proxies, *conformal_inputs(teacher, split, result.calib_rows),
+                        summary)
 
 
 def _bad_rows(path, bad: np.ndarray, what: str) -> None:
@@ -156,100 +157,83 @@ def _bad_rows(path, bad: np.ndarray, what: str) -> None:
         raise ConfigError(f"{path}: data row {int(np.argmax(bad)) + 1}: {what}")
 
 
-def _read_columns(path: Path, header: str, kinds: Sequence[type]) -> list[np.ndarray]:
-    """The columns of one of phase 1's small CSV files, parsed as ``int`` or
-    ``float`` each by ``np.loadtxt`` (its floats are ``float()``'s). A file
-    that cannot be read, or a wrong header, cell count or number, raises
-    ConfigError naming the file."""
+def load_checked_proxies(path, d1_ids: np.ndarray) -> attr.Proxies:
+    """A proxies.csv file, checked: the header ``attr.PROXY_HEADER``,
+    numbers (parsed by ``np.loadtxt``, whose floats are ``float()``'s),
+    ``p_group`` in [0, 1], ``u`` in [0, ln 2] (to 1e-12 for rounding),
+    ``a_hat`` equal to ``p_group >= 0.5``, and one row per d1 sample id
+    ``d1_ids`` in d1 row order. A file that cannot be read or a bad file
+    raises ConfigError naming it."""
+    path = Path(path)
     try:
         first, _, body = path.read_text().partition("\n")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from None
-    if first != header:
-        raise ConfigError(f"{path}: header is not {header!r}")
-    if not body:
-        return [np.empty(0, dtype=kind) for kind in kinds]
+    if first != attr.PROXY_HEADER:
+        raise ConfigError(f"{path}: header is not {attr.PROXY_HEADER!r}")
+    columns = list(zip(attr.PROXY_HEADER.split(","), (int, int, float, float)))
     try:
-        table = np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=1,
-                           dtype=[(str(j), kind) for j, kind in enumerate(kinds)])
+        # an empty body is no rows, which np.loadtxt would warn about
+        table = (np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=1,
+                            dtype=columns) if body else np.empty(0, dtype=columns))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return [np.ascontiguousarray(table[str(j)]) for j in range(len(kinds))]
-
-
-def _require_d1_rows(path, ids: np.ndarray, d1_ids: np.ndarray) -> None:
-    """Raise ConfigError naming ``path`` unless its ``ids`` list d1's sample
-    ids ``d1_ids`` in d1 row order."""
-    if np.array_equal(ids, d1_ids):
-        return
-    n = min(len(ids), len(d1_ids))
-    at = n if np.array_equal(ids[:n], d1_ids[:n]) else int(np.argmax(ids[:n] != d1_ids[:n]))
-    first = (f"first without a matching row: sample id {d1_ids[at]}"
-             if at < len(d1_ids) else "rows past d1's last")
-    raise ConfigError(f"{path}: {len(ids)} rows do not list the {len(d1_ids)} d1 "
-                      f"sample ids in d1 row order ({first})")
-
-
-def load_checked_proxies(path, d1_ids: np.ndarray) -> attr.Proxies:
-    """A proxies.csv file, checked: numbers, ``p_group`` in [0, 1], ``u`` in
-    [0, ln 2] (to 1e-12 for rounding), ``a_hat`` equal to ``p_group >= 0.5``,
-    and one row per d1 sample id ``d1_ids`` in d1 row order. A bad file
-    raises ConfigError naming it."""
-    path = Path(path)
-    sample_id, a_hat, p, u = _read_columns(path, attr.PROXY_HEADER, (int, int, float, float))
+    sample_id, a_hat, p, u = (np.ascontiguousarray(table[name]) for name, _ in columns)
     _bad_rows(path, ~((p >= 0.0) & (p <= 1.0)), "p_group is not a number in [0, 1]")
     _bad_rows(path, ~((u >= 0.0) & (u <= LN2 + 1e-12)), "u is not a number in [0, ln 2]")
     _bad_rows(path, a_hat != (p >= 0.5), "a_hat is not p_group >= 0.5 as 0 or 1")
-    _require_d1_rows(path, sample_id, d1_ids)
+    if not np.array_equal(sample_id, d1_ids):
+        n = min(len(sample_id), len(d1_ids))
+        at = (n if np.array_equal(sample_id[:n], d1_ids[:n])
+              else int(np.argmax(sample_id[:n] != d1_ids[:n])))
+        first = (f"first without a matching row: sample id {d1_ids[at]}"
+                 if at < len(d1_ids) else "rows past d1's last")
+        raise ConfigError(f"{path}: {len(sample_id)} rows do not list the {len(d1_ids)} d1 "
+                          f"sample ids in d1 row order ({first})")
     return attr.Proxies(sample_id, a_hat, p, u)
 
 
 def load_run(run_dir) -> RunArtifacts:
     """Read a run directory written by ``run_attribute_phase`` (all of it
-    but the checkpoint and the log). A missing or damaged file raises
-    ConfigError naming it: a summary without a ``ratio`` in (0, 1), a bad
-    proxies file (``load_checked_proxies``), a calibration row whose id is
-    not a d2 sample id or not above the id before, whose probability is not
-    in [0, 1] or whose attribute is not 0 or 1, or conformal scores that are
-    not in [0, 1] or do not list d1's sample ids in d1 row order."""
+    but the log) and derive the conformal inputs from its checkpoint. A
+    missing or damaged file raises ConfigError naming it: a summary that is
+    not a JSON object, a part without a 0/1 vector its role needs, a bad
+    proxies file (``load_checked_proxies``), or a checkpoint that
+    ``attr.load_checkpoint`` rejects, whose teacher does not read d1's
+    feature width, or whose calibration rows are not strictly ascending d2
+    row indices, one or more."""
     run = Path(run_dir)
     for name in ("attr_summary.json", "d1.ds", "d2.ds", "test.ds", "proxies.csv",
-                 "calibration.csv", "d1_eval_probs.csv"):
+                 "attr_checkpoint.npz"):
         if not (run / name).is_file():
             raise ConfigError(f"{run / name}: missing from the run directory; rerun train-attr")
     summary_path = run / "attr_summary.json"
     try:
         config = json.loads(summary_path.read_text())
-        ratio = float(config["ratio"])
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"{summary_path}: needs a number under 'ratio' "
-                          f"({type(exc).__name__}: {exc})") from None
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"{summary_path}: ratio {ratio} is not in (0, 1)")
-    split = tabular.ScarceSplit(
-        tabular.load_dataset(run / "d1.ds"),
-        tabular.load_dataset(run / "d2.ds"),
-        tabular.load_dataset(run / "test.ds"),
-        group_labeled_ratio=ratio,
-    )
-    d1_ids = split.d1.sample_ids
-    proxies = load_checked_proxies(run / "proxies.csv", d1_ids)
-    calib_path = run / "calibration.csv"
-    calib_ids, calib_probs, calib_truth = _read_columns(
-        calib_path, "sample_id,p_eval,a_true", (int, float, int))
-    _bad_rows(calib_path, ~np.isin(calib_ids, split.d2.sample_ids),
-              "sample_id is not a d2 sample id")
-    _bad_rows(calib_path, np.diff(calib_ids, prepend=calib_ids[:1] - 1) <= 0,
-              "sample_id does not ascend")
-    _bad_rows(calib_path, ~((calib_probs >= 0.0) & (calib_probs <= 1.0)),
-              "p_eval is not a number in [0, 1]")
-    _bad_rows(calib_path, (calib_truth != 0) & (calib_truth != 1), "a_true is not 0 or 1")
-    scores_path = run / "d1_eval_probs.csv"
-    score_ids, d1_probs = _read_columns(scores_path, "sample_id,p_eval", (int, float))
-    _require_d1_rows(scores_path, score_ids, d1_ids)
-    _bad_rows(scores_path, ~((d1_probs >= 0.0) & (d1_probs <= 1.0)),
-              "p_eval is not a number in [0, 1]")
-    return RunArtifacts(split, proxies, calib_probs, calib_truth, d1_probs, config)
+    except ValueError as exc:
+        raise ConfigError(f"{summary_path}: not JSON ({exc})") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"{summary_path}: not a JSON object")
+    split = tabular.ScarceSplit(*(tabular.load_dataset(run / f"{part}.ds")
+                                  for part in _PART_VECTORS))
+    for part, vectors in _PART_VECTORS.items():
+        for vector in vectors:
+            values = getattr(getattr(split, part), vector)
+            if values is None or not ((values == 0) | (values == 1)).all():
+                raise ConfigError(f"{run / part}.ds: no 0/1 {vector} vector; rerun train-attr")
+    proxies = load_checked_proxies(run / "proxies.csv", split.d1.sample_ids)
+    checkpoint = run / "attr_checkpoint.npz"
+    teacher, calib_rows = attr.load_checkpoint(checkpoint)
+    if teacher.in_dim != split.d1.features.shape[1]:
+        raise ConfigError(f"{checkpoint}: the teacher reads {teacher.in_dim} features, "
+                          f"d1 holds {split.d1.features.shape[1]}")
+    n_d2 = len(split.d2)
+    if not (calib_rows.ndim == 1 and calib_rows.dtype.kind in "iu" and len(calib_rows)
+            and calib_rows[0] >= 0 and calib_rows[-1] < n_d2
+            and (calib_rows[1:] > calib_rows[:-1]).all()):
+        raise ConfigError(f"{checkpoint}: calib_rows are not d2 row indices in "
+                          f"[0, {n_d2}), one or more in strictly ascending order")
+    return RunArtifacts(split, proxies, *conformal_inputs(teacher, split, calib_rows), config)
 
 
 def _write_csv(path, header: str, rows: Sequence[str]) -> None:

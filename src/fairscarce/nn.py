@@ -19,8 +19,10 @@ import numpy as np
 
 from .errors import NonFiniteGradient, ShapeMismatch
 
-# rows per hidden-layer block in eval_logits
-EVAL_BLOCK_ROWS = 4096
+# rows per hidden-layer block in eval_logits: a block's 64-wide first layer
+# takes 1 MB; a 2 MB block freed in load_run raises glibc's dynamic mmap
+# threshold, which added 2.2 MB to the benchmark's fair_sweep peak RSS
+EVAL_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)

@@ -299,17 +299,16 @@ class ScarceSplit:
     d1: Dataset
     d2: Dataset
     test: Dataset
-    group_labeled_ratio: float
 
     @classmethod
-    def of(cls, d1: Dataset, d2: Dataset, test: Dataset, ratio: float) -> "ScarceSplit":
+    def of(cls, d1: Dataset, d2: Dataset, test: Dataset) -> "ScarceSplit":
         """The split of three fully labelled parts: d1's sensitive vector and
         d2's labels move to their masked fields."""
         return cls(Dataset(d1.features, d1.sample_ids, labels=d1.labels,
                            masked_sensitive=d1.sensitive),
                    Dataset(d2.features, d2.sample_ids, sensitive=d2.sensitive,
                            masked_labels=d2.labels),
-                   test, ratio)
+                   test)
 
 
 def _strata(labels: np.ndarray, sensitive: np.ndarray) -> list[np.ndarray]:
@@ -467,4 +466,4 @@ def prepare_split(csv_path, schema: Schema, ratio: float, test_fraction: float,
     d1_rows, d2_rows, test_rows = split_scarce_rows(y, a, ratio, seed, test_fraction)
     d1, d2, test = encode(table, np.concatenate((d1_rows, d2_rows)), schema,
                           (d1_rows, d2_rows, test_rows))
-    return ScarceSplit.of(d1, d2, test, ratio), table.n_dropped
+    return ScarceSplit.of(d1, d2, test), table.n_dropped

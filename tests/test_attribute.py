@@ -201,7 +201,7 @@ def two_cluster_split(n=600, gap=8.0, seed=0):
     ds = tabular.Dataset(x, np.arange(n), labels=y, sensitive=a)
     d1, d2, test = (ds.take(rows) for rows in
                     tabular.split_scarce_rows(y, a, ratio=0.3, seed=seed, test_fraction=0.2))
-    return tabular.ScarceSplit.of(d1, d2, test, 0.3)
+    return tabular.ScarceSplit.of(d1, d2, test)
 
 
 def quick_config(**kw):
@@ -250,7 +250,7 @@ def test_d2_too_small_to_carve(n_d2):
     with pytest.raises(InsufficientRows, match=f"d2 holds {n_d2} rows"):
         attr.require_d2_slices(n_d2, cfg)
     split = two_cluster_split(300)
-    small = tabular.ScarceSplit(split.d1, split.d2.take(np.arange(n_d2)), split.test, 0.3)
+    small = tabular.ScarceSplit(split.d1, split.d2.take(np.arange(n_d2)), split.test)
     with pytest.raises(InsufficientRows):
         attr.train_attribute_classifier(small, cfg)
     attr.require_d2_slices(6, cfg)
@@ -376,23 +376,24 @@ def test_checkpoint_roundtrip(tmp_path):
     split = two_cluster_split(150, seed=8)
     result = attr.train_attribute_classifier(split, quick_config(epochs=2))
     path = tmp_path / "attr_checkpoint.npz"
-    attr.save_checkpoint(path, result.student, result.teacher)
-    # the archive sits at exactly the given path and loads without pickles
+    attr.save_checkpoint(path, result.teacher, result.calib_rows)
+    # the archive sits at exactly the given path and holds the teacher and
+    # the calibration rows only
     assert [p.name for p in tmp_path.iterdir()] == ["attr_checkpoint.npz"]
     with np.load(path) as archive:
-        back = {name: archive[name] for name in archive.files}
-    expected = {"dropout_rate": np.float64(result.student.dropout_rate)}
-    for role in ("student", "teacher"):
-        params = getattr(result, role)
-        for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-            expected[f"{role}_w{k}"] = w
-            expected[f"{role}_b{k}"] = b
-    assert sorted(back) == sorted(expected)
-    assert back["dropout_rate"] == result.student.dropout_rate > 0.0
-    for name, value in expected.items():
-        assert back[name].dtype == np.float64 and back[name].shape == np.shape(value), name
+        assert sorted(archive.files) == sorted(
+            ["dropout_rate", "calib_rows",
+             *(f"teacher_{kind}{k}" for kind in "wb" for k in range(result.teacher.n_layers))])
+    teacher, calib_rows = attr.load_checkpoint(path)
+    assert teacher.dropout_rate == result.teacher.dropout_rate > 0.0
+    assert teacher.n_layers == result.teacher.n_layers
+    pairs = [(calib_rows, result.calib_rows),
+             *zip((*teacher.weights, *teacher.biases),
+                  (*result.teacher.weights, *result.teacher.biases))]
+    for got, want in pairs:
         # bit-exact, signed zeros included
-        assert back[name].tobytes() == np.asarray(value).tobytes(), name
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_proxy_csv_roundtrip(tmp_path):

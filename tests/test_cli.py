@@ -359,15 +359,13 @@ def set_cell(path, column, value):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def drop_ratio(path):
-    summary = json.loads(path.read_text())
-    del summary["ratio"]
-    path.write_text(json.dumps(summary), encoding="utf-8")
+def not_json(path):
+    path.write_text("{not json", encoding="utf-8")
 
 
 def truncate(path):
-    text = path.read_text()
-    path.write_text(text[:len(text) // 2], encoding="utf-8")
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
 
 
 def swap_first_rows(path):
@@ -376,21 +374,37 @@ def swap_first_rows(path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def calibration_id_from_d1(path):
-    # a calibration slice that is not this run's d2: its first id is d1's
-    d1_id = (path.parent / "d1_eval_probs.csv").read_text().splitlines()[1].split(",")[0]
-    set_cell(path, 0, lambda _: d1_id)
+def edit_archive(edit):
+    """A damage that rewrites an npz archive with ``edit`` applied to its
+    arrays (a dict it changes in place)."""
+    def damage(path):
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        edit(arrays)
+        with open(path, "wb") as out:
+            np.savez(out, **arrays)
+    return damage
+
+
+def set_array(name, value):
+    return edit_archive(lambda arrays: arrays.update({name: value(arrays[name])}))
+
+
+def with_entry(index, value):
+    def change(array):
+        array[index] = value
+        return array
+    return change
 
 
 RUN_FILES = ("attr_summary.json", "d1.ds", "d2.ds", "test.ds", "proxies.csv",
-             "calibration.csv", "d1_eval_probs.csv")
+             "attr_checkpoint.npz")
+CHECKPOINT = "attr_checkpoint.npz"
 
 
 # probe: the file it damages and how
 DAMAGED_RUN_FILES = {
-    "eval-probs-truncated": ("d1_eval_probs.csv", truncate),
-    "calibration-not-number": ("calibration.csv", lambda p: set_cell(p, 1, lambda _: "abc")),
-    "summary-without-ratio": ("attr_summary.json", drop_ratio),
+    "summary-not-json": ("attr_summary.json", not_json),
     "u-not-number": ("proxies.csv", lambda p: set_cell(p, 3, lambda _: "high")),
     "u-nan": ("proxies.csv", lambda p: set_cell(p, 3, lambda _: "nan")),
     "u-above-ln2": ("proxies.csv", lambda p: set_cell(p, 3, lambda _: "0.7")),
@@ -399,9 +413,21 @@ DAMAGED_RUN_FILES = {
     "a_hat-not-binary": ("proxies.csv", lambda p: set_cell(p, 1, lambda _: "7")),
     "a_hat-flipped": ("proxies.csv", lambda p: set_cell(p, 1, lambda a: str(1 - int(a)))),
     "proxies-out-of-d1-order": ("proxies.csv", swap_first_rows),
-    "eval-probs-out-of-d1-order": ("d1_eval_probs.csv", swap_first_rows),
-    "calibration-id-not-in-d2": ("calibration.csv", calibration_id_from_d1),
-    "calibration-ids-descending": ("calibration.csv", swap_first_rows),
+    # conformal calibration reads d2's attribute as its truth, where a value
+    # other than 0 or 1 would count as 0
+    "d2-attribute-not-binary": ("d2.ds", set_array("sensitive", with_entry(0, 7))),
+    "checkpoint-not-an-archive": (CHECKPOINT, lambda p: p.write_text("teacher", "utf-8")),
+    "checkpoint-truncated": (CHECKPOINT, truncate),
+    "checkpoint-layer-missing": (CHECKPOINT, edit_archive(lambda a: a.pop("teacher_b1"))),
+    "checkpoint-weight-nan": (CHECKPOINT, set_array("teacher_w1", with_entry((0, 0), np.nan))),
+    "checkpoint-layers-do-not-chain": (CHECKPOINT, set_array("teacher_w1", lambda w: w[1:])),
+    "checkpoint-width-not-d1": (CHECKPOINT, set_array("teacher_w0", lambda w: w[1:])),
+    "calib-rows-empty": (CHECKPOINT, set_array("calib_rows", lambda r: r[:0])),
+    "calib-rows-descending": (CHECKPOINT, set_array("calib_rows", lambda r: r[::-1].copy())),
+    "calib-rows-repeated": (CHECKPOINT, set_array("calib_rows",
+                                                  lambda r: np.concatenate((r[:1], r[:-1])))),
+    "calib-rows-negative": (CHECKPOINT, set_array("calib_rows", with_entry(0, -1))),
+    "calib-rows-past-d2": (CHECKPOINT, set_array("calib_rows", with_entry(-1, 10**9))),
     **{f"{name}-missing": (name, Path.unlink) for name in RUN_FILES},
 }
 
@@ -428,6 +454,22 @@ def test_damaged_run_dir_exit_code(demo_run, tmp_path, capsys, probe):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and name in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("part,vector", [("d1", "labels"), ("d1", "masked_sensitive"),
+                                         ("d2", "sensitive"), ("test", "labels"),
+                                         ("test", "sensitive")])
+def test_run_dir_part_without_vector_exit_code(demo_run, tmp_path, capsys, part, vector):
+    # each part must carry the vectors its role needs; a d2 without its
+    # attribute would otherwise fail inside the proxy-knn cell (exit 1)
+    run = tmp_path / "run"
+    shutil.copytree(demo_run / "run", run)
+    edit_archive(lambda arrays: arrays.pop(vector))(run / f"{part}.ds")
+    assert cli.main(["train-fair", "--variant", "proxy-knn", "--run", str(run),
+                     "--out", str(tmp_path / "row.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{part}.ds" in err and vector in err, err
+    assert not (tmp_path / "row.csv").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--ratio", "1.5"), ("--ratio", "0"),

@@ -69,7 +69,7 @@ def test_benchmark_reads_proxies(monkeypatch):
                          masked_sensitive=np.array([1, 0, 0, 1]))
     proxies = attribute.Proxies(d1.sample_ids, np.array([1, 0, 1, 1]),
                                 np.array([0.9, 0.2, 0.6, 0.7]), np.array([0.1, 0.3, 0.5, 0.6]))
-    artifacts = harness.RunArtifacts(tabular.ScarceSplit(d1, d1, d1, 0.2), proxies,
+    artifacts = harness.RunArtifacts(tabular.ScarceSplit(d1, d1, d1), proxies,
                                      np.empty(0), np.empty(0), np.empty(0), {})
     assert [(r.sample_id, r.a_hat, r.p_group, r.u) for r in proxies] == [
         (0, 1, 0.9, 0.1), (10, 0, 0.2, 0.3), (20, 1, 0.6, 0.5), (30, 1, 0.7, 0.6)]

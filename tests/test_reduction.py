@@ -557,7 +557,7 @@ def tiny_artifacts(records, d1=None, d2=None, d1_eval_probs=(), calib=((), ())):
         rng = np.random.default_rng(1)
         d1 = tabular.Dataset(rng.normal(size=(len(records), 2)), np.arange(len(records)),
                              labels=rng.integers(0, 2, size=len(records)))
-    split = tabular.ScarceSplit(d1, d2, d1, 0.2)
+    split = tabular.ScarceSplit(d1, d2, d1)
     ids, a_hat, u = zip(*records)
     proxies = attr.Proxies(np.array(ids), np.array(a_hat), np.full(len(records), 0.5),
                            np.array(u, dtype=float))

@@ -162,7 +162,7 @@ def encode_all(table, fitting_rows, schema):
     return tabular.encode(table, fitting_rows, schema, [np.arange(table.n_rows)])[0]
 
 
-def masked_parts(ds, d1_rows, d2_rows, test_rows, ratio):
+def masked_parts(ds, d1_rows, d2_rows, test_rows):
     """The split that takes each part's rows from ``ds`` and hides d1's
     sensitive vector and d2's labels."""
     d1, d2 = ds.take(d1_rows), ds.take(d2_rows)
@@ -171,7 +171,7 @@ def masked_parts(ds, d1_rows, d2_rows, test_rows, ratio):
                         masked_sensitive=d1.sensitive),
         tabular.Dataset(d2.features, d2.sample_ids, sensitive=d2.sensitive,
                         masked_labels=d2.labels),
-        ds.take(test_rows), ratio)
+        ds.take(test_rows))
 
 
 def reference_prepare_split(path, schema, ratio, test_fraction, seed, strict=True):
@@ -186,7 +186,7 @@ def reference_prepare_split(path, schema, ratio, test_fraction, seed, strict=Tru
     mask[tabular.stratified_holdout(y, a, test_fraction, seed)] = False
     ds = reference_encode(table, np.flatnonzero(mask), schema)
     rows = tabular.split_scarce_rows(ds.labels, ds.sensitive, ratio, seed, test_fraction)
-    return masked_parts(ds, *rows, ratio)
+    return masked_parts(ds, *rows)
 
 
 def age_feature(table, fitting_rows, schema):
@@ -291,7 +291,6 @@ def assert_splits_identical(got, want):
             if a is not None:
                 assert a.dtype == b.dtype and a.shape == b.shape, f"{part}.{name}"
                 assert a.tobytes() == b.tobytes(), f"{part}.{name}"
-    assert got.group_labeled_ratio == want.group_labeled_ratio
 
 
 def test_prepare_split_matches_rowwise_reference_on_demo_corpus(tmp_path):
@@ -385,7 +384,8 @@ def test_split_scarce_masking(tmp_path):
     assert split.d1.sensitive is None and split.d1.labels is not None
     assert split.d2.labels is None and split.d2.sensitive is not None
     assert split.test.labels is not None and split.test.sensitive is not None
-    assert split.group_labeled_ratio == 0.2
+    # the ratio is d2's share of the rows outside test
+    assert len(split.d2) == round(0.2 * (len(split.d1) + len(split.d2)))
     # masked truth is still reachable for evaluation
     table = tabular.load_csv(tmp_path / "census.csv", schema)
     y = np.array([t == ">50K" for t in table.column("income")], dtype=int)
@@ -443,11 +443,11 @@ def test_split_scarce_matches_copy_of_remainder_reference():
                         masked_sensitive=d1.sensitive),
         tabular.Dataset(d2.features, d2.sample_ids, sensitive=d2.sensitive,
                         masked_labels=d2.labels),
-        ds.take(np.flatnonzero(~mask)), ratio)
-    got = masked_parts(ds, *split_rows(ds, ratio, seed, test_fraction), ratio)
+        ds.take(np.flatnonzero(~mask)))
+    got = masked_parts(ds, *split_rows(ds, ratio, seed, test_fraction))
     assert_splits_identical(got, want)
     d1, d2, test = (ds.take(rows) for rows in split_rows(ds, ratio, seed, test_fraction))
-    assert_splits_identical(tabular.ScarceSplit.of(d1, d2, test, ratio), want)
+    assert_splits_identical(tabular.ScarceSplit.of(d1, d2, test), want)
 
 
 def test_split_scarce_empty_cell_raises():
@@ -474,7 +474,7 @@ def test_dataset_cache_roundtrip(tmp_path):
     features[::5] = 0.0
     features[1::5, 0] = -0.0
     ds = tabular.Dataset(features, ds.sample_ids, ds.labels, ds.sensitive)
-    split = masked_parts(ds, *split_rows(ds, 0.25, 3, 0.2), 0.25)
+    split = masked_parts(ds, *split_rows(ds, 0.25, 3, 0.2))
     parts = (("d1.ds", split.d1), ("d2.ds", split.d2), ("test.ds", split.test),
              ("empty.ds", split.test.take(np.arange(0))))
     for name, part in parts:
