@@ -18,7 +18,6 @@ gradients flow through.
 from __future__ import annotations
 
 import math
-import zipfile
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .errors import ConfigError, InsufficientRows, NonFiniteGradient, ShapeMismatch
-from .tabular import Dataset, ScarceSplit
+from .tabular import Dataset, ScarceSplit, read_npz
 from .uncertainty import LN2, binary_entropy
 
 # d1 rows scored per MC-dropout call in predict_proxy
@@ -275,10 +274,9 @@ class EpochLog:
 
 @dataclass
 class AttrTrainResult:
-    """The networks at the last epoch run, the per-epoch log, and the sorted
+    """The teacher at the last epoch run, the per-epoch log, and the sorted
     d2 row indices reserved for conformal calibration."""
 
-    student: nn.MlpParams
     teacher: nn.MlpParams
     log: list[EpochLog]
     calib_rows: np.ndarray
@@ -325,7 +323,7 @@ def train_attribute_classifier(split: ScarceSplit,
     disjoint slice is reserved for conformal calibration. A d2 too small to
     give each slice a row raises InsufficientRows.
 
-    Returns the student and teacher after the last epoch run, the per-epoch
+    Returns the teacher after the last epoch run, the per-epoch
     log, the sorted d2 row indices of the calibration slice, and the epoch of
     the best validation accuracy."""
     d1, d2 = split.d1, split.d2
@@ -419,9 +417,9 @@ def train_attribute_classifier(split: ScarceSplit,
             if stale >= config.patience and epoch + 1 >= config.min_epochs:
                 break
 
-    # the plateau networks are returned (not the best-accuracy snapshot):
+    # the plateau teacher is returned (not the best-accuracy snapshot):
     # the consistency term keeps sharpening logits after accuracy levels off
-    return AttrTrainResult(student, teacher, log, calib_idx, best_epoch)
+    return AttrTrainResult(teacher, log, calib_idx, best_epoch)
 
 
 def predict_proxy(teacher: nn.MlpParams, d1: Dataset, passes: int,
@@ -481,15 +479,13 @@ def load_checkpoint(path) -> tuple[nn.MlpParams, np.ndarray]:
     ``path``, bit-exact and read without unpickling. A file that is no such
     archive, a missing array, and weights that ``nn.MlpParams`` rejects (not
     finite, or not chaining into one logit) raise ConfigError naming it."""
+    arrays = read_npz(path, "a phase-1 checkpoint")
     try:
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
         layers = range(sum(name.startswith("teacher_w") for name in arrays))
         teacher = nn.MlpParams(tuple(arrays[f"teacher_w{k}"] for k in layers),
                                tuple(arrays[f"teacher_b{k}"] for k in layers),
                                float(arrays["dropout_rate"]))
         return teacher, arrays["calib_rows"]
-    except (KeyError, OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile,
-            ShapeMismatch) as exc:
+    except (KeyError, ValueError, TypeError, ShapeMismatch) as exc:
         raise ConfigError(f"{path} is not a phase-1 checkpoint ({type(exc).__name__}: "
                           f"{exc}); rerun train-attr") from None

@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, attribute, harness, metrics, reduction, synthdata
+from . import __version__, attribute, harness, metrics, synthdata
 from .errors import ConfigError, FairscarceError
 
 
@@ -67,11 +67,11 @@ def _cmd_train_fair(args) -> int:
     _require_at_least("--eps", args.eps, 0.0)
     _require_at_least("--H", args.H, 0.0)
     _require_at_least("--seed", args.seed, 0)
+    source = harness.parse_uncertainty_source(args.uncertainty_source)
     artifacts = harness.load_run(args.run)
     if args.proxies:
         artifacts.proxies = harness.load_checked_proxies(args.proxies,
                                                          artifacts.split.d1.sample_ids)
-    source = harness.parse_uncertainty_source(args.uncertainty_source)
     report, _ = harness.run_cell(artifacts, args.variant, args.constraint, args.eps,
                                  args.seed, args.H, source)
     row = metrics.report_csv_row(report, args.variant, args.seed)
@@ -147,16 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-fair", help="train one fair-phase model")
     p.add_argument("--variant", required=True, choices=harness.VARIANTS)
-    p.add_argument("--constraint", default="dp",
-                   choices=[reduction.DEMOGRAPHIC_PARITY, reduction.EQUALIZED_ODDS,
-                            reduction.EQUAL_OPPORTUNITY])
+    p.add_argument("--constraint", default="dp", choices=metrics.GAPS)
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--H", type=float, default=0.3)
     p.add_argument("--proxies", default=None,
                    help="proxy csv listing the run's d1 rows in d1 row order "
                         "(defaults to the run directory's proxies.csv)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--uncertainty-source", default="mc-dropout")
+    p.add_argument("--uncertainty-source", default="mc-dropout",
+                   help=f"which rows count as certain: {harness.SOURCE_FORMS}")
     p.add_argument("--run", required=True, help="run directory from train-attr")
     p.add_argument("--out", default=None, help="write the report row to this file")
     p.set_defaults(func=_cmd_train_fair)

@@ -5,10 +5,11 @@ An error's class alone decides what it means to the command line:
 contents, a corpus or a schema) and exit 2; every other ``FairscarceError``
 means the run itself failed and exits 1.
 
-Callers tell only five classes apart: the CLI catches ``ConfigError`` and
-``FairscarceError``, and threshold tuning skips a candidate that raises
-``EmptySelection``, ``DegenerateGroup`` or ``DegenerateCell``. The other
-classes name the failure in messages and tests.
+Callers tell only six classes apart: the CLI catches ``ConfigError`` and
+``FairscarceError``, ``attribute.load_checkpoint`` reads a ``ShapeMismatch``
+of the stored weights as a damaged checkpoint, and threshold tuning skips a
+candidate that raises ``EmptySelection``, ``DegenerateGroup`` or
+``DegenerateCell``. The other classes name the failure in messages and tests.
 """
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -245,48 +246,50 @@ def _write_csv(path, header: str, rows: Sequence[str]) -> None:
 
 # --- uncertainty sources -------------------------------------------------------
 
+# the spellings of an uncertainty source, one per kind; ``describe`` writes them
+SOURCE_FORMS = "mc-dropout, conformal(<epsilon in (0, 1)>) or confidence(<tau in [0.5, 1]>)"
+_LEVELLED_SOURCE = re.compile(r"(conformal|confidence)\(((?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+                              r"(?:[eE][+-]?[0-9]+)?)\)")
+
+
 @dataclass(frozen=True)
 class UncertaintySource:
     """How phase 2 decides which rows count as reliably labeled.
 
-    kind 'mc-dropout' thresholds the proxy entropy at H; 'conformal' builds
-    split-conformal sets at its epsilon and calls singletons certain;
-    'confidence' applies the probability band at its tau.
+    kind 'mc-dropout' thresholds the proxy entropy at H and has no level;
+    'conformal' builds split-conformal sets at miscoverage level epsilon and
+    calls singletons certain; 'confidence' applies the probability band at
+    tau. ``level`` is that epsilon or tau. A level out of its range raises
+    ConfigError here, not per cell, so a bad value fails the config instead
+    of every sweep cell that uses it.
     """
 
     kind: str = "mc-dropout"
-    epsilon: float = 0.1
-    tau: float = 0.9
+    level: float | None = None
+
+    def __post_init__(self):
+        level = self.level
+        in_range = {"mc-dropout": level is None,
+                    "conformal": level is not None and 0.0 < level < 1.0,
+                    "confidence": level is not None and 0.5 <= level <= 1.0}
+        if not in_range.get(self.kind, False):
+            raise ConfigError(f"uncertainty source {self.describe()!r} is none of "
+                              f"{SOURCE_FORMS}")
 
     def describe(self) -> str:
-        if self.kind == "conformal":
-            return f"conformal({self.epsilon})"
-        if self.kind == "confidence":
-            return f"confidence({self.tau})"
-        return self.kind
+        return self.kind if self.level is None else f"{self.kind}({self.level})"
 
 
 def parse_uncertainty_source(text: str) -> UncertaintySource:
-    text = text.strip()
-    if text in ("mc-dropout", "mc_dropout", "mc"):
-        return UncertaintySource("mc-dropout")
-    for kind, param in (("conformal", "epsilon"), ("confidence", "tau")):
-        if text.startswith(kind):
-            inner = text[len(kind):].strip("()")
-            if not inner:
-                return UncertaintySource(kind)
-            try:
-                value = float(inner)
-            except ValueError:
-                break
-            # checked here, not per cell, so a bad value fails the config
-            # instead of every sweep cell that uses it
-            if kind == "conformal" and not 0.0 < value < 1.0:
-                raise ConfigError(f"conformal epsilon must lie in (0, 1), got {inner}")
-            if kind == "confidence" and not 0.5 <= value <= 1.0:
-                raise ConfigError(f"confidence tau must lie in [0.5, 1], got {inner}")
-            return UncertaintySource(kind, **{param: value})
-    raise ConfigError(f"unknown uncertainty source {text!r}")
+    """The source ``text`` spells: exactly ``mc-dropout``, ``conformal(e)``
+    or ``confidence(t)`` for a number e or t in the kind's range, as
+    ``describe`` writes it. Anything else raises ConfigError."""
+    if text == "mc-dropout":
+        return UncertaintySource()
+    match = _LEVELLED_SOURCE.fullmatch(text)
+    if match is None:
+        raise ConfigError(f"unknown uncertainty source {text!r}; expected {SOURCE_FORMS}")
+    return UncertaintySource(match[1], float(match[2]))
 
 
 def certain_mask(artifacts: RunArtifacts, source: UncertaintySource,
@@ -298,13 +301,11 @@ def certain_mask(artifacts: RunArtifacts, source: UncertaintySource,
         return artifacts.proxies.u <= threshold
     if source.kind == "conformal":
         q_hat = uncertainty.conformal_calibrate(artifacts.calib_probs,
-                                                artifacts.calib_truth, source.epsilon)
+                                                artifacts.calib_truth, source.level)
         sets = uncertainty.conformal_sets(q_hat, artifacts.d1_eval_probs,
                                           artifacts.split.d1.sample_ids)
         return np.array([s.certain for s in sets], dtype=bool)
-    if source.kind == "confidence":
-        return uncertainty.confidence_band_filter(artifacts.d1_eval_probs, source.tau)
-    raise ConfigError(f"unknown uncertainty source kind {source.kind!r}")
+    return uncertainty.confidence_band_filter(artifacts.d1_eval_probs, source.level)
 
 
 def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: float | None,
@@ -424,10 +425,11 @@ class TuneResult:
     table: list[tuple[float, float, float, float]]  # H, accuracy, proxy gap, objective
 
 
-# threshold tuning: share of the training rows held out to score candidates,
-# spacing of the H grid, and the slack every candidate is trained at
+# threshold tuning: the candidate H values (steps of 0.05 from 0.1, none
+# above ln 2), the share of the training rows held out to score them, and the
+# slack every candidate is trained at
+TUNE_GRID = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65)
 _TUNE_VALIDATION_FRACTION = 0.1
-_TUNE_GRID_STEP = 0.05
 _TUNE_EPS_FAIR = 0.01
 # tuning's reduced budget per candidate: exp-grad iterations, a cap on the
 # rows it trains on, and oracle iterations per fit
@@ -439,18 +441,12 @@ _TUNE_ORACLE_MAX_ITER = 600
 _TUNE_FAILURES = ((DegenerateGroup, "kept one proxy group only"),
                   (DegenerateCell, "left a (group, label) cell empty"),
                   (EmptySelection, "kept no rows"))
-# the gap each constraint bounds, as a FairnessReport field, in pareto.csv's
-# metric order
-_CONSTRAINT_GAP = {reduction.DEMOGRAPHIC_PARITY: "dp_diff",
-                   reduction.EQUAL_OPPORTUNITY: "eop_diff",
-                   reduction.EQUALIZED_ODDS: "eod_diff"}
 
 
-def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0.1, LN2),
-                   constraint_kind: str = reduction.DEMOGRAPHIC_PARITY,
+def tune_threshold(artifacts: RunArtifacts, constraint_kind: str = reduction.DEMOGRAPHIC_PARITY,
                    seed: int = 0) -> TuneResult:
-    """Pick the uncertainty cutoff for the certain variant: train candidates
-    H = lo, lo + 0.05, ..., none above hi, under ``constraint_kind`` on d1's
+    """Pick the uncertainty cutoff for the certain variant: train a
+    candidate for each H of ``TUNE_GRID`` under ``constraint_kind`` on d1's
     training portion minus a validation slice, score (accuracy - the gap
     that constraint bounds) on that slice, return the argmax (ties to the
     smallest H). The gap is measured against the slice's proxy attribute
@@ -460,17 +456,8 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
     oracle iterations on at most ``_TUNE_MAX_ROWS`` rows.
 
     Each candidate trains through ``_fit`` with a fits map of this call's
-    own (tuning's budget is not the sweep's). A range that holds no grid
-    value raises ConfigError; when no candidate can be trained, the error
-    names how many failed for each reason."""
-    lo, hi = tune_range
-    # steps of _TUNE_GRID_STEP from lo, up to the last one that does not pass hi
-    n_steps = int(round((hi - lo) / _TUNE_GRID_STEP))
-    grid = [h for h in (round(lo + i * _TUNE_GRID_STEP, 10) for i in range(n_steps + 1))
-            if h <= hi]
-    if not grid:
-        raise ConfigError(f"tune range ({lo}, {hi}) holds no candidate H")
-
+    own (tuning's budget is not the sweep's). When no candidate can be
+    trained, the error names how many failed for each reason."""
     train_rows, _ = _d1_train_eval(artifacts, seed)
     k_val = max(1, int(round(_TUNE_VALIDATION_FRACTION * len(train_rows))))
     order = np.random.default_rng((seed, 131)).permutation(len(train_rows))
@@ -489,10 +476,9 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
     table = []
     failures: Counter = Counter()
     best_h, best_obj = None, -math.inf
-    for h_cand in grid:
+    for h_cand in TUNE_GRID:
         try:
-            idx, a, w = select(artifacts, "certain", fit_rows, h_cand,
-                               UncertaintySource("mc-dropout"))
+            idx, a, w = select(artifacts, "certain", fit_rows, h_cand, UncertaintySource())
             model = _fit(d1, idx, a, w, constraint, _TUNE_ITERS, _TUNE_ORACLE_MAX_ITER, fits)
         except (EmptySelection, DegenerateGroup, DegenerateCell) as exc:
             # a candidate that keeps no rows, or rows from one group only,
@@ -502,7 +488,7 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
             continue
         preds = model.expected_predictions(val_x)
         report = metrics.evaluate_report(preds, val_labels, val_proxies)
-        gap = getattr(report, _CONSTRAINT_GAP[constraint_kind])
+        gap = getattr(report, constraint_kind)
         objective = report.accuracy - gap
         table.append((h_cand, report.accuracy, gap, objective))
         if objective > best_obj + 1e-12:
@@ -510,7 +496,7 @@ def tune_threshold(artifacts: RunArtifacts, tune_range: tuple[float, float] = (0
     if best_h is None:
         reasons = [(kind, what) for kind, what in _TUNE_FAILURES if failures[kind]]
         counts = ", ".join(f"{failures[kind]} {what}" for kind, what in reasons)
-        raise reasons[0][0](f"no tuning candidate could be trained: of {len(grid)}, {counts}")
+        raise reasons[0][0](f"no tuning candidate could be trained: of {len(TUNE_GRID)}, {counts}")
     return TuneResult(best_h, table)
 
 
@@ -547,8 +533,6 @@ class SweepConfig:
     seeds: int = 7
     base_seed: int = 0
     threshold: float | None = None  # fixed H; None means tune (mc-dropout only)
-    tune_lo: float = 0.1
-    tune_hi: float = LN2
     source: UncertaintySource = UncertaintySource()
     exp_grad_iters: int = 50
     oracle_max_iter: int = 5000
@@ -568,7 +552,7 @@ class SweepConfig:
             raise ConfigError(f"exp_grad_iters must be >= 1, got {self.exp_grad_iters}")
         if self.oracle_max_iter < 1:
             raise ConfigError(f"oracle_max_iter must be >= 1, got {self.oracle_max_iter}")
-        if self.constraint not in _CONSTRAINT_GAP:
+        if self.constraint not in metrics.GAPS:
             raise ConfigError(f"unknown constraint {self.constraint!r}")
         if not all(math.isfinite(eps) and eps >= 0 for eps in self.eps_grid):
             raise ConfigError(f"eps_grid values must be finite and >= 0, got {self.eps_grid}")
@@ -576,12 +560,6 @@ class SweepConfig:
         if self.threshold is not None and not (math.isfinite(self.threshold)
                                                and self.threshold >= 0):
             raise ConfigError(f"H must be a finite number >= 0, got {self.threshold}")
-        # the entropy scale tops out at ln 2, so a nominal 0.7 upper end
-        # (a common way to say "no upper cut") clamps to it
-        self.tune_hi = min(self.tune_hi, LN2)
-        if not 0 < self.tune_lo <= self.tune_hi:
-            raise ConfigError(f"tune range must lie within (0, ln 2], got "
-                              f"tune_lo {self.tune_lo} and tune_hi {self.tune_hi}")
         if not self.eps_grid:
             self.eps_grid = tuple(round(float(v), 12) for v in
                                   np.geomspace(0.001, 0.3, 12))
@@ -602,12 +580,10 @@ _SWEEP_KEYS = {"run_dir": ("run_dir", str), "out_dir": ("out_dir", str),
                "variants": ("variants", str), "constraint": ("constraint", str),
                "eps_grid": ("eps_grid", float), "seeds": ("seeds", int),
                "base_seed": ("base_seed", int), "H": ("threshold", float),
-               "tune_lo": ("tune_lo", float), "tune_hi": ("tune_hi", float),
                "uncertainty_source": ("source", parse_uncertainty_source),
                "exp_grad_iters": ("exp_grad_iters", int),
                "oracle_max_iter": ("oracle_max_iter", int)}
 _LIST_KEYS = ("variants", "eps_grid")
-_PHASE1_KEYS = ("data", "schema", "ratio", "test_fraction")
 
 
 def parse_sweep_config(path) -> SweepConfig:
@@ -616,9 +592,6 @@ def parse_sweep_config(path) -> SweepConfig:
     ConfigError."""
     fields = {}
     for key, text in read_kv_file(path).items():
-        if key in _PHASE1_KEYS:
-            raise ConfigError(f"{key}: a sweep reads a run directory; run train-attr "
-                              "with this setting first and set run_dir to its --out")
         if key not in _SWEEP_KEYS:
             raise ConfigError(f"unknown sweep key {key!r}; known keys: {', '.join(_SWEEP_KEYS)}")
         name, parse = _SWEEP_KEYS[key]
@@ -664,8 +637,7 @@ def run_sweep(config: SweepConfig,
     threshold = config.threshold
     if tuned:
         say("tuning uncertainty threshold")
-        tuning = tune_threshold(artifacts, (config.tune_lo, config.tune_hi),
-                                config.constraint, seed=config.base_seed)
+        tuning = tune_threshold(artifacts, config.constraint, seed=config.base_seed)
         threshold = tuning.threshold
         _write_csv(out / "tuning.csv", f"H,accuracy,{config.constraint}_proxy,objective",
                    [f"{h},{repr(a)},{repr(g)},{repr(o)}" for h, a, g, o in tuning.table])
@@ -692,8 +664,8 @@ def run_sweep(config: SweepConfig,
         else:
             result_rows.append(
                 f"{variant},{config.constraint},{repr(eps)},{seed},{h_text},"
-                f"{config.source.describe()},{repr(report.accuracy)},{repr(report.dp_diff)},"
-                f"{repr(report.eop_diff)},{repr(report.eod_diff)}")
+                f"{config.source.describe()},{repr(report.accuracy)},{repr(report.dp)},"
+                f"{repr(report.eop)},{repr(report.eod)}")
             grouped.setdefault((variant, eps), []).append(report)
         status = "ok" if error is None else "failed"
         cell_status.append({"variant": variant, "eps_fair": eps, "seed": seed,
@@ -706,7 +678,7 @@ def run_sweep(config: SweepConfig,
     # slack with results, written when no other such point dominates it
     pareto_rows = []
     for variant in config.variants:
-        for metric_name, gap in _CONSTRAINT_GAP.items():
+        for gap in metrics.GAPS:
             points = []
             for eps in config.eps_grid:
                 reports = grouped.get((variant, eps))
@@ -717,7 +689,7 @@ def run_sweep(config: SweepConfig,
                                    accs[0], accs[-1]))
             if points:
                 front = set(pareto_front([p[1:3] for p in points]))
-                pareto_rows += [",".join([variant, metric_name, *map(repr, p)])
+                pareto_rows += [",".join([variant, gap, *map(repr, p)])
                                 for p in points if p[1:3] in front]
     _write_csv(out / "pareto.csv", PARETO_HEADER, pareto_rows)
 
@@ -771,13 +743,13 @@ def fig2_study(artifacts: RunArtifacts, out_path,
             report, n_rows = run_cell(artifacts, "uncertain", reduction.DEMOGRAPHIC_PARITY,
                                       0.0, seed, below, fits=fits)
             rows_out.append(f"{h_cut},{seed},{n_rows},{repr(report.accuracy)},"
-                            f"{repr(report.dp_diff)},{repr(report.eop_diff)},{repr(report.eod_diff)}")
+                            f"{repr(report.dp)},{repr(report.eop)},{repr(report.eod)}")
     _write_csv(out_path, FIG2_HEADER, rows_out)
 
 
 # --- table summaries -------------------------------------------------------------
 
-_SUMMARY_METRICS = ("accuracy", "dp", "eop", "eod")
+_SUMMARY_METRICS = ("accuracy", *metrics.GAPS)
 
 
 def table_summary(results_csv) -> list[str]:
@@ -808,8 +780,8 @@ def table_summary(results_csv) -> list[str]:
             groups[key] = []
             order.append(key)
         groups[key].append(values)
-    out = ["variant,eps_fair,n_runs,accuracy_mean,accuracy_std,dp_mean,dp_std,"
-           "eop_mean,eop_std,eod_mean,eod_std"]
+    stats = [f"{name}_{stat}" for name in _SUMMARY_METRICS for stat in ("mean", "std")]
+    out = [",".join(["variant", "eps_fair", "n_runs", *stats])]
     for key in order:
         arr = np.array(groups[key])
         cells = [key[0], key[1], str(len(arr))]

@@ -23,31 +23,6 @@ def _as_arrays(*vecs):
     return arrs
 
 
-def demographic_parity_diff(preds, sensitive) -> float:
-    """|E[pred | A=0] - E[pred | A=1]|."""
-    p, a = _as_arrays(preds, sensitive)
-    rates = []
-    for grp in (0, 1):
-        mask = a == grp
-        if not mask.any():
-            raise DegenerateGroup(f"group {grp} is empty")
-        rates.append(p[mask].mean())
-    return float(abs(rates[0] - rates[1]))
-
-
-def alpha_j(preds, labels, sensitive, j: int) -> float:
-    """|E[pred | A=0, Y=j] - E[pred | A=1, Y=j]|: the TPR gap for j=1,
-    the FPR gap for j=0."""
-    p, y, a = _as_arrays(preds, labels, sensitive)
-    rates = []
-    for grp in (0, 1):
-        mask = (a == grp) & (y == j)
-        if not mask.any():
-            raise DegenerateCell(f"cell (A={grp}, Y={j}) is empty")
-        rates.append(p[mask].mean())
-    return float(abs(rates[0] - rates[1]))
-
-
 @dataclass(frozen=True)
 class GroupCounts:
     """Possibly fractional confusion counts for one group (fractional when
@@ -61,21 +36,28 @@ class GroupCounts:
     tn: float
 
 
+# the gaps a report holds, each named by the constraint kind that bounds it
+# (reduction's kinds) and by its results column, in pareto.csv's metric order
+GAPS = ("dp", "eop", "eod")
+
+
 @dataclass(frozen=True)
 class FairnessReport:
+    """Accuracy and the gap each constraint kind bounds, named by that kind,
+    with the per-group counts they were computed from."""
+
     accuracy: float
-    dp_diff: float
-    eop_diff: float
-    eod_diff: float
+    dp: float
+    eop: float
+    eod: float
     group0: GroupCounts
     group1: GroupCounts
 
 
-def _group_counts(p, y, a, grp) -> GroupCounts:
-    mask = a == grp
-    pm, ym = p[mask], y[mask]
+def _group_counts(pm, ym) -> GroupCounts:
+    """The counts of one group from its predictions ``pm`` and labels ``ym``."""
     return GroupCounts(
-        n=float(mask.sum()),
+        n=float(len(pm)),
         positives=float(pm.sum()),
         tp=float((pm * ym).sum()),
         fp=float((pm * (1 - ym)).sum()),
@@ -85,17 +67,31 @@ def _group_counts(p, y, a, grp) -> GroupCounts:
 
 
 def evaluate_report(preds, labels, sensitive) -> FairnessReport:
-    """Accuracy plus all three gap metrics, with the per-group counts they
-    were computed from: dp, eop = alpha_1 and eod = alpha_0 + alpha_1. An
-    empty group raises DegenerateGroup; failing that, an empty Y=1 cell and
-    then an empty Y=0 cell raise DegenerateCell."""
+    """Accuracy plus all three gaps between the groups A=0 and A=1: dp of
+    E[pred | A], eop of E[pred | A, Y=1] (the TPR gap), and eod, the eop gap
+    plus that of E[pred | A, Y=0] (the FPR gap). An empty group raises
+    DegenerateGroup; failing that, an empty Y=1 cell and then an empty Y=0
+    cell raise DegenerateCell."""
     p, y, a = _as_arrays(preds, labels, sensitive)
     accuracy = float((p * y + (1.0 - p) * (1.0 - y)).mean())
-    dp = demographic_parity_diff(p, a)
-    eop = alpha_j(p, y, a, 1)
-    eod = alpha_j(p, y, a, 0) + eop
-    return FairnessReport(accuracy, dp, eop, eod,
-                          _group_counts(p, y, a, 0), _group_counts(p, y, a, 1))
+    # per group: its predictions and labels, and its predictions on Y=1 and
+    # on Y=0 rows
+    groups = []
+    for grp in (0, 1):
+        pm, ym = p[a == grp], y[a == grp]
+        groups.append((pm, ym, pm[ym == 1], pm[ym == 0]))
+    for grp, (pm, *_) in enumerate(groups):
+        if not len(pm):
+            raise DegenerateGroup(f"group {grp} is empty")
+    for j, at in ((1, 2), (0, 3)):
+        for grp, parts in enumerate(groups):
+            if not len(parts[at]):
+                raise DegenerateCell(f"cell (A={grp}, Y={j}) is empty")
+    rate, tpr, fpr = ([parts[at].mean() for parts in groups] for at in (0, 2, 3))
+    eop = float(abs(tpr[0] - tpr[1]))
+    return FairnessReport(accuracy, float(abs(rate[0] - rate[1])), eop,
+                          float(abs(fpr[0] - fpr[1])) + eop,
+                          *(_group_counts(pm, ym) for pm, ym, _, _ in groups))
 
 
 REPORT_HEADER = ("method,seed,accuracy,dp,eop,eod,"
@@ -105,8 +101,7 @@ REPORT_HEADER = ("method,seed,accuracy,dp,eop,eod,"
 def report_csv_row(report: FairnessReport, method: str, seed: int) -> str:
     g0, g1 = report.group0, report.group1
     cells = [method, str(seed),
-             repr(report.accuracy), repr(report.dp_diff),
-             repr(report.eop_diff), repr(report.eod_diff)]
+             repr(report.accuracy), repr(report.dp), repr(report.eop), repr(report.eod)]
     for g in (g0, g1):
         cells.extend(repr(v) for v in (g.n, g.positives, g.tp, g.fp, g.fn, g.tn))
     return ",".join(cells)

@@ -440,14 +440,34 @@ def _csr_to_dense(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
     return features
 
 
-def load_dataset(path) -> Dataset:
+def read_npz(path, what: str) -> dict[str, np.ndarray]:
+    """Every array of the npz archive at ``path``, by name, read without
+    unpickling. A file that cannot be read, is no whole npz archive, or has
+    an array that is damaged or holds Python objects raises ConfigError
+    naming it as not ``what`` (numpy's own message for such a file would
+    suggest unpickling it)."""
+    reason = "not an npz archive, or a truncated one"
     try:
         with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
+            arrays = {}
+            for name in archive.files:
+                reason = f"its array {name!r} is damaged or holds Python objects"
+                arrays[name] = archive[name]
+        return arrays
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile):
+        # TypeError: a lone .npy array, which is no archive
+        raise ConfigError(f"{path} is not {what} ({reason}); rerun train-attr") from None
+
+
+def load_dataset(path) -> Dataset:
+    arrays = read_npz(path, "a CSR npz dataset cache")
+    try:
         features = _csr_to_dense(*(arrays.pop(name) for name in ("data", "indices", "indptr",
                                                                   "shape")))
         return Dataset(features, **arrays)
-    except (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         # KeyError: a dense-features archive from an earlier version
         raise ConfigError(f"{path} is not a CSR npz dataset cache ({exc}); "
                           "rerun train-attr to rebuild the run directory") from exc

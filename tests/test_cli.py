@@ -186,10 +186,15 @@ def test_fig2_h_above_every_entropy_exits_1_before_any_fit(demo_run, tmp_path, c
     "eps_grid = inf",
     "H = nan",
     "H = inf",
+    "uncertainty_source = conformal0.05",
+    "uncertainty_source = conformal)0.05(",
+    "uncertainty_source = conformal",
+    "uncertainty_source = mc",
 ], ids=["variants", "seeds", "source-suffix", "source-param", "eps_grid", "H",
         "confidence-range", "conformal-range", "exp_grad_iters", "oracle_max_iter",
         "base_seed", "constraint", "eps_grid-range", "eps_grid-nan", "eps_grid-inf",
-        "H-nan", "H-inf"])
+        "H-nan", "H-inf", "source-unbracketed", "source-reversed-brackets",
+        "source-bare-kind", "source-alias"])
 def test_config_error_exit_code(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"{line}\nrun_dir = nowhere\n", encoding="utf-8")
@@ -202,7 +207,8 @@ def test_config_error_exit_code(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("text,names", [
     ("run_dir = nowhere\nvariant = vanilla\n", "unknown sweep key 'variant'"),
-    ("run_dir = nowhere\ndata = census.csv\n", "data: a sweep reads a run directory; run train-attr"),
+    # a phase-1 setting is no sweep key: a sweep reads a run directory
+    ("run_dir = nowhere\ndata = census.csv\n", "unknown sweep key 'data'"),
     ("variants = vanilla\n", "run_dir is required"),
     ("run_dir = nowhere\nvariants = vanilla, certain, vanilla\n", "variants repeats a value"),
     ("run_dir = nowhere\neps_grid = 0.1, 0.10\n", "eps_grid repeats a value"),
@@ -417,6 +423,8 @@ DAMAGED_RUN_FILES = {
     # other than 0 or 1 would count as 0
     "d2-attribute-not-binary": ("d2.ds", set_array("sensitive", with_entry(0, 7))),
     "checkpoint-not-an-archive": (CHECKPOINT, lambda p: p.write_text("teacher", "utf-8")),
+    "checkpoint-object-array": (CHECKPOINT, set_array("calib_rows", lambda r: r.astype(object))),
+    "d1.ds-not-an-archive": ("d1.ds", lambda p: p.write_text("rows", "utf-8")),
     "checkpoint-truncated": (CHECKPOINT, truncate),
     "checkpoint-layer-missing": (CHECKPOINT, edit_archive(lambda a: a.pop("teacher_b1"))),
     "checkpoint-weight-nan": (CHECKPOINT, set_array("teacher_w1", with_entry((0, 0), np.nan))),
@@ -453,6 +461,8 @@ def test_damaged_run_dir_exit_code(demo_run, tmp_path, capsys, probe):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and name in err, err
+        # numpy's advice to unpickle a file never reaches the user
+        assert "allow_pickle" not in err and "pickle.load" not in err, err
     assert not (tmp_path / "out").exists()
 
 

@@ -77,7 +77,7 @@ def test_run_cell_variants(small_run):
                 "uncertain": artifacts.proxies.u[rows] > cut}
         assert n_train == (kept[variant].sum() if variant in kept else len(rows))
         assert 0.5 <= report.accuracy <= 1.0
-        assert 0.0 <= report.dp_diff <= 1.0
+        assert 0.0 <= report.dp <= 1.0
 
 
 def test_run_cell_deterministic(small_run):
@@ -109,7 +109,7 @@ def test_constrained_variant_fairer_than_vanilla(small_run):
     vanilla, _ = harness.run_cell(artifacts, "vanilla", "dp", 0.01, seed=0, threshold=0.4)
     clean, _ = harness.run_cell(artifacts, "clean", "dp", 0.01, seed=0, threshold=0.4,
                                 iters=20, oracle_max_iter=800)
-    assert clean.dp_diff < vanilla.dp_diff
+    assert clean.dp < vanilla.dp
 
 
 def test_pareto_front_examples():
@@ -134,13 +134,36 @@ def test_pareto_front_matches_brute_force():
 
 
 def test_uncertainty_source_parsing():
-    assert harness.parse_uncertainty_source("mc-dropout").kind == "mc-dropout"
+    assert harness.parse_uncertainty_source("mc-dropout") == harness.UncertaintySource()
     src = harness.parse_uncertainty_source("conformal(0.05)")
-    assert src.kind == "conformal" and src.epsilon == 0.05
+    assert src.kind == "conformal" and src.level == 0.05
     src = harness.parse_uncertainty_source("confidence(0.8)")
-    assert src.kind == "confidence" and src.tau == 0.8
+    assert src.kind == "confidence" and src.level == 0.8
+    # one spelling per source: no alias, no bare kind, no stray parenthesis
+    for text in ("quantum", "mc", "mc_dropout", " mc-dropout", "conformal", "confidence",
+                 "conformal0.05", "conformal)0.05(", "confidence((0.8", "conformal((0.05))",
+                 "conformal(0.05))", "conformal( 0.05)", "conformal(nan)", "conformal(0.05)x"):
+        with pytest.raises(ConfigError, match="mc-dropout, conformal"):
+            harness.parse_uncertainty_source(text)
+
+
+@pytest.mark.parametrize("source", [harness.UncertaintySource(),
+                                    harness.UncertaintySource("conformal", 0.05),
+                                    harness.UncertaintySource("conformal", 1e-05),
+                                    harness.UncertaintySource("confidence", 0.9),
+                                    harness.UncertaintySource("confidence", 1.0)],
+                         ids=lambda s: s.describe())
+def test_uncertainty_source_describe_parses_back(source):
+    assert harness.parse_uncertainty_source(source.describe()) == source
+
+
+@pytest.mark.parametrize("kind,level", [("mc-dropout", 0.1), ("conformal", None),
+                                        ("conformal", 0.0), ("conformal", 1.0),
+                                        ("confidence", 0.4), ("confidence", math.nan),
+                                        ("quantum", None)])
+def test_uncertainty_source_out_of_range_is_a_config_error(kind, level):
     with pytest.raises(ConfigError):
-        harness.parse_uncertainty_source("quantum")
+        harness.UncertaintySource(kind, level)
 
 
 @pytest.fixture
@@ -154,11 +177,9 @@ def small_tune_budget(monkeypatch):
 
 def test_tune_threshold_returns_grid_value(small_run, small_tune_budget):
     _, artifacts = small_run
-    tuned = harness.tune_threshold(artifacts, (0.2, 0.5), seed=1)
-    assert 0.2 <= tuned.threshold <= 0.5
-    grid = [round(0.2 + 0.05 * i, 10) for i in range(7)]
-    assert tuned.threshold in grid
-    assert len(tuned.table) == 7
+    tuned = harness.tune_threshold(artifacts, seed=1)
+    assert tuned.threshold in harness.TUNE_GRID
+    assert [row[0] for row in tuned.table] == list(harness.TUNE_GRID)
 
 
 def test_tune_threshold_never_reads_d1_hidden_attribute(small_run, small_tune_budget):
@@ -170,7 +191,7 @@ def test_tune_threshold_never_reads_d1_hidden_attribute(small_run, small_tune_bu
     assert (shuffled != d1.masked_sensitive).any()
     blind = dataclasses.replace(artifacts, split=dataclasses.replace(
         artifacts.split, d1=dataclasses.replace(d1, masked_sensitive=shuffled)))
-    tuned, tuned_blind = (harness.tune_threshold(a, (0.2, 0.5), seed=1)
+    tuned, tuned_blind = (harness.tune_threshold(a, seed=1)
                           for a in (artifacts, blind))
     assert tuned.threshold == tuned_blind.threshold
     np.testing.assert_array_equal(np.array(tuned.table), np.array(tuned_blind.table))
@@ -201,7 +222,7 @@ def test_one_group_candidate_makes_no_oracle_call(small_run, small_tune_budget, 
 
     monkeypatch.setattr(harness.reduction, "fit_cost_sensitive", counting_oracle)
     monkeypatch.setattr(harness, "_fit", recording_fit)
-    tuned = harness.tune_threshold(artifacts, (0.1, 0.3), seed=1)
+    tuned = harness.tune_threshold(artifacts, seed=1)
     assert outcomes[:2] == [("one group", 0)] * 2
     assert [kind for kind, _ in outcomes[-2:]] == ["trained"] * 2
     assert all(n == 0 if kind == "one group" else n >= 2 for kind, n in outcomes)
@@ -210,9 +231,7 @@ def test_one_group_candidate_makes_no_oracle_call(small_run, small_tune_budget, 
         kind == "one group" for kind, _ in outcomes]
 
 
-@pytest.mark.parametrize("lo,hi", [(0.1, LN2), (0.1, 0.43), (0.23, 0.41), (0.2, 0.5),
-                                   (0.3, 0.3)])
-def test_tune_grid_stays_in_range(small_run, monkeypatch, lo, hi):
+def test_tune_grid_is_the_twelve_values(small_run, monkeypatch):
     _, artifacts = small_run
     tried = []
 
@@ -221,12 +240,13 @@ def test_tune_grid_stays_in_range(small_run, monkeypatch, lo, hi):
         raise EmptySelection("no rows")
 
     monkeypatch.setattr(harness, "select", keeps_no_rows)
-    with pytest.raises(EmptySelection):
-        harness.tune_threshold(artifacts, (lo, hi))
-    # steps of 0.05 from lo, up to the last one that does not pass hi
-    assert tried == [round(lo + 0.05 * i, 10) for i in range(len(tried))]
-    assert all(lo <= h <= hi for h in tried)
-    assert tried[-1] + 0.05 > hi + 1e-9
+    with pytest.raises(EmptySelection, match="of 12, 12 kept no rows"):
+        harness.tune_threshold(artifacts)
+    # steps of 0.05 from 0.1, up to the last one that does not pass ln 2
+    twelve = [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65]
+    assert tried == list(harness.TUNE_GRID) == twelve
+    assert tried == [round(0.1 + 0.05 * i, 10) for i in range(12)]
+    assert tried[-1] <= LN2 < tried[-1] + 0.05
 
 
 def test_sweep_writes_artifacts_and_manifest(small_run, tmp_path):
@@ -258,7 +278,7 @@ def test_untuned_source_sweep_skips_tuning(small_run, tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "tune_threshold", no_tuning)
     run_dir, _ = small_run
     cases = {"conformal": (("vanilla", "certain"),
-                           harness.UncertaintySource("conformal", epsilon=0.1)),
+                           harness.UncertaintySource("conformal", 0.1)),
              "mc-dropout": (("vanilla", "weighted"), harness.UncertaintySource("mc-dropout"))}
     for name, (variants, source) in cases.items():
         out = tmp_path / name
@@ -271,9 +291,13 @@ def test_untuned_source_sweep_skips_tuning(small_run, tmp_path, monkeypatch):
         assert len(rows) == 2 and all(row[4] == "" for row in rows), name
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["H"] is None and manifest["config"]["tuned"] is False, name
+        # the recorded source names the sweep's source and no other
+        assert harness.parse_uncertainty_source(
+            manifest["config"]["uncertainty_source"]) == source, name
 
 
-def test_tuned_sweep_tunes_for_its_constraint(small_run, tmp_path, monkeypatch):
+def test_tuned_sweep_tunes_for_its_constraint(small_run, tmp_path, monkeypatch,
+                                              small_tune_budget):
     kinds = []
     exp_grad_train = harness.reduction.exp_grad_train
 
@@ -285,13 +309,15 @@ def test_tuned_sweep_tunes_for_its_constraint(small_run, tmp_path, monkeypatch):
     run_dir, _ = small_run
     out = tmp_path / "sweep"
     config = harness.SweepConfig(run_dir=str(run_dir), out_dir=str(out), variants=("certain",),
-                                 constraint="eod", eps_grid=(0.1,), seeds=1, tune_lo=0.55,
+                                 constraint="eod", eps_grid=(0.1,), seeds=1,
                                  exp_grad_iters=3, oracle_max_iter=150)
     harness.run_sweep(config)
     tuning = (out / "tuning.csv").read_text().splitlines()
     assert tuning[0] == "H,accuracy,eod_proxy,objective"
-    # every candidate and the one cell
-    assert kinds == ["eod"] * len(tuning)
+    # every candidate that trained (a candidate that keeps one proxy group
+    # or no row fails before exp-grad) and the one cell
+    trained = [row for row in tuning[1:] if row.split(",")[1] != "nan"]
+    assert trained and kinds == ["eod"] * (len(trained) + 1)
 
 
 def test_sweep_reproducible_byte_for_byte(small_run, tmp_path):
@@ -564,7 +590,7 @@ uncertainty_source = conformal(0.1)
     assert cfg.variants == ("vanilla", "certain")
     assert cfg.eps_grid == (0.01, 0.1)
     assert cfg.threshold == 0.35
-    assert cfg.source.kind == "conformal" and cfg.source.epsilon == 0.1
+    assert cfg.source == harness.UncertaintySource("conformal", 0.1)
 
 
 def test_sweep_config_defaults_live_in_the_dataclass(tmp_path):
@@ -574,16 +600,6 @@ def test_sweep_config_defaults_live_in_the_dataclass(tmp_path):
     assert cfg == harness.SweepConfig(run_dir="some/run")
     # output goes to the run directory unless out_dir says otherwise
     assert cfg.out_dir == "some/run"
-
-
-def test_reversed_tune_range_is_a_config_error(small_run):
-    run_dir, artifacts = small_run
-    with pytest.raises(ConfigError, match="tune range"):
-        harness.SweepConfig(run_dir=str(run_dir), tune_lo=0.5, tune_hi=0.2)
-    with pytest.raises(ConfigError, match="no candidate H"):
-        harness.tune_threshold(artifacts, (0.5, 0.2))
-    # a nominal upper end past ln 2 clamps to it
-    assert harness.SweepConfig(run_dir=str(run_dir), tune_hi=0.7).tune_hi == LN2
 
 
 def test_sweep_config_rejects_bad_variant(tmp_path):

@@ -33,14 +33,17 @@ def oracle_alpha(preds, labels, sensitive, j):
     return abs(r0 - r1)
 
 
-def alpha_sum(preds, labels, sensitive):
-    """alpha_0 + alpha_1, the equalized-odds gap."""
-    return sum(metrics.alpha_j(preds, labels, sensitive, j) for j in (0, 1))
+def alphas(preds, labels, sensitive):
+    """(alpha_0, alpha_1), the FPR and TPR gaps, from ``evaluate_report``:
+    alpha_1 is its eop gap and alpha_0 its eod gap less eop."""
+    report = metrics.evaluate_report(preds, labels, sensitive)
+    return report.eod - report.eop, report.eop
 
 
 def test_dp_hand_cases():
-    assert metrics.demographic_parity_diff([1, 1, 0, 0], [0, 0, 1, 1]) == pytest.approx(1.0)
-    assert metrics.demographic_parity_diff([1, 0, 1, 0], [0, 0, 1, 1]) == pytest.approx(0.0)
+    labels = [1, 0, 1, 0]  # every (group, label) cell holds a row
+    assert metrics.evaluate_report([1, 1, 0, 0], labels, [0, 0, 1, 1]).dp == pytest.approx(1.0)
+    assert metrics.evaluate_report([1, 0, 1, 0], labels, [0, 0, 1, 1]).dp == pytest.approx(0.0)
 
 
 def test_alpha_hand_confusion_table():
@@ -48,17 +51,17 @@ def test_alpha_hand_confusion_table():
     labels = [1, 1, 0, 0, 1, 1, 0, 0]
     sens = [0, 0, 0, 0, 1, 1, 1, 1]
     preds = [1, 1, 0, 0, 1, 0, 0, 0]
-    assert metrics.alpha_j(preds, labels, sens, 1) == pytest.approx(0.5)
-    assert metrics.alpha_j(preds, labels, sens, 0) == pytest.approx(0.0)
+    alpha_0, alpha_1 = alphas(preds, labels, sens)
+    assert alpha_1 == pytest.approx(0.5)
+    assert alpha_0 == pytest.approx(0.0)
 
 
 def test_alpha_constant_classifier():
     labels = [1, 0, 1, 0]
     sens = [0, 0, 1, 1]
     ones = [1, 1, 1, 1]
-    assert metrics.alpha_j(ones, labels, sens, 0) == 0.0
-    assert metrics.alpha_j(ones, labels, sens, 1) == 0.0
-    assert alpha_sum(ones, labels, sens) == 0.0
+    assert alphas(ones, labels, sens) == (0.0, 0.0)
+    assert metrics.evaluate_report(ones, labels, sens).eod == 0.0
 
 
 def test_perfect_classifier_zero_gaps():
@@ -66,16 +69,16 @@ def test_perfect_classifier_zero_gaps():
     sens = np.array([0, 0, 0, 1, 1, 1])
     report = metrics.evaluate_report(labels, labels, sens)
     assert report.accuracy == 1.0
-    assert report.dp_diff == pytest.approx(abs(2 / 3 - 1 / 3))
-    assert report.eop_diff == 0.0
-    assert report.eod_diff == 0.0
+    assert report.dp == pytest.approx(abs(2 / 3 - 1 / 3))
+    assert report.eop == 0.0
+    assert report.eod == 0.0
 
 
 def test_degenerate_errors():
     with pytest.raises(DegenerateGroup):
-        metrics.demographic_parity_diff([1, 0], [0, 0])
+        metrics.evaluate_report([1, 0], [1, 0], [0, 0])
     with pytest.raises(DegenerateCell):
-        metrics.alpha_j([1, 0], [1, 1], [0, 1], 0)
+        metrics.evaluate_report([1, 0], [1, 1], [0, 1])
 
 
 @pytest.mark.parametrize("labels,sens,error,names", [
@@ -105,27 +108,43 @@ def test_metrics_match_enumeration_oracle():
     for _ in range(400):
         n = int(rng.integers(4, 13))
         preds, labels, sens = random_instance(rng, n)
-        assert metrics.demographic_parity_diff(preds, sens) == pytest.approx(oracle_dp(preds, sens))
         a0 = oracle_alpha(preds, labels, sens, 0)
         a1 = oracle_alpha(preds, labels, sens, 1)
-        assert metrics.alpha_j(preds, labels, sens, 0) == pytest.approx(a0)
-        assert metrics.alpha_j(preds, labels, sens, 1) == pytest.approx(a1)
-        assert alpha_sum(preds, labels, sens) == pytest.approx(a0 + a1)
+        alpha_0, alpha_1 = alphas(preds, labels, sens)
+        assert alpha_0 == pytest.approx(a0)
+        assert alpha_1 == pytest.approx(a1)
         report = metrics.evaluate_report(preds, labels, sens)
-        assert report.dp_diff == pytest.approx(oracle_dp(preds, sens))
-        assert report.eop_diff == pytest.approx(a1)
-        assert report.eod_diff == pytest.approx(a0 + a1)
+        assert report.dp == pytest.approx(oracle_dp(preds, sens))
+        assert report.eop == pytest.approx(a1)
+        assert report.eod == pytest.approx(a0 + a1)
+
+
+def test_gaps_equal_masked_means_bit_for_bit():
+    # each gap reduces the same elements in the same order as a mean over
+    # the rows one (group, label) mask selects, so it is that float exactly
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        _, labels, sens = random_instance(rng, 200)
+        preds = rng.random(200)
+
+        def gap(mask):
+            return float(abs(preds[mask(0)].mean() - preds[mask(1)].mean()))
+
+        eop = gap(lambda g: (sens == g) & (labels == 1))
+        report = metrics.evaluate_report(preds, labels, sens)
+        assert report.dp == gap(lambda g: sens == g)
+        assert report.eop == eop
+        assert report.eod == gap(lambda g: (sens == g) & (labels == 0)) + eop
 
 
 @given(st.integers(min_value=0, max_value=2 ** 12 - 1), st.integers(min_value=0, max_value=10_000))
 def test_group_relabel_and_complement_symmetry(bits, seed):
     rng = np.random.default_rng(seed)
     preds, labels, sens = random_instance(rng, 12)
-    dp = metrics.demographic_parity_diff(preds, sens)
-    assert metrics.demographic_parity_diff(preds, 1 - sens) == pytest.approx(dp)
-    assert metrics.demographic_parity_diff(1 - preds, sens) == pytest.approx(dp)
-    eod = alpha_sum(preds, labels, sens)
-    assert alpha_sum(preds, labels, 1 - sens) == pytest.approx(eod)
+    report = metrics.evaluate_report(preds, labels, sens)
+    assert metrics.evaluate_report(preds, labels, 1 - sens).dp == pytest.approx(report.dp)
+    assert metrics.evaluate_report(1 - preds, labels, sens).dp == pytest.approx(report.dp)
+    assert metrics.evaluate_report(preds, labels, 1 - sens).eod == pytest.approx(report.eod)
 
 
 def test_ranges_and_eod_dominates_eop():
@@ -133,11 +152,11 @@ def test_ranges_and_eod_dominates_eop():
     for _ in range(200):
         preds, labels, sens = random_instance(rng, 10)
         report = metrics.evaluate_report(preds, labels, sens)
-        for v in (report.dp_diff, report.eop_diff, report.eod_diff):
+        for v in (report.dp, report.eop, report.eod):
             assert 0.0 <= v <= 2.0
-        assert report.dp_diff <= 1.0
-        assert report.eop_diff <= 1.0
-        assert report.eod_diff >= report.eop_diff - 1e-12
+        assert report.dp <= 1.0
+        assert report.eop <= 1.0
+        assert report.eod >= report.eop - 1e-12
 
 
 def test_report_recompute_from_counts():
@@ -149,9 +168,9 @@ def test_report_recompute_from_counts():
     dp = abs(g0.positives / g0.n - g1.positives / g1.n)
     eop = abs(g0.tp / (g0.tp + g0.fn) - g1.tp / (g1.tp + g1.fn))
     eod = abs(g0.fp / (g0.fp + g0.tn) - g1.fp / (g1.fp + g1.tn)) + eop
-    assert dp == pytest.approx(report.dp_diff)
-    assert eop == pytest.approx(report.eop_diff)
-    assert eod == pytest.approx(report.eod_diff)
+    assert dp == pytest.approx(report.dp)
+    assert eop == pytest.approx(report.eop)
+    assert eod == pytest.approx(report.eod)
 
 
 def test_fractional_predictions_evaluate_expected_rates():
@@ -159,8 +178,8 @@ def test_fractional_predictions_evaluate_expected_rates():
     preds = np.array([0.5, 0.5, 0.25, 0.75])
     sens = np.array([0, 0, 1, 1])
     labels = np.array([1, 0, 1, 0])
-    assert metrics.demographic_parity_diff(preds, sens) == pytest.approx(0.0)
     report = metrics.evaluate_report(preds, labels, sens)
+    assert report.dp == pytest.approx(0.0)
     # expected accuracy: mean of p*y + (1-p)*(1-y)
     assert report.accuracy == pytest.approx((0.5 + 0.5 + 0.25 + 0.25) / 4)
 

@@ -633,9 +633,9 @@ def test_select_every_variant_and_source_on_unsorted_ids():
         # u <= 0.3
         "mc-dropout": (MC_DROPOUT, {0, 2, 4}),
         # singleton set iff p >= 0.8 or p <= 0.2
-        "conformal": (harness.UncertaintySource("conformal", epsilon=0.7), {1, 2, 4, 5}),
+        "conformal": (harness.UncertaintySource("conformal", 0.7), {1, 2, 4, 5}),
         # p <= 0.1 or p >= 0.9
-        "confidence": (harness.UncertaintySource("confidence", tau=0.9), {1, 2, 4}),
+        "confidence": (harness.UncertaintySource("confidence", 0.9), {1, 2, 4}),
     }
     rows = np.array([0, 1, 2, 4, 5])  # row 3 is held out
     for name, (source, certain) in sources.items():
