@@ -249,6 +249,35 @@ def test_tune_grid_is_the_twelve_values(small_run, monkeypatch):
     assert tried[-1] <= LN2 < tried[-1] + 0.05
 
 
+@pytest.mark.parametrize("lo,hi", [(0.1, LN2), (0.1, 0.43), (0.23, 0.41), (0.2, 0.5),
+                                   (0.3, 0.3)])
+def test_tune_grid_stays_in_range(small_run, monkeypatch, lo, hi):
+    # candidates inside [lo, hi] keep one proxy group, the rest keep no
+    # rows: every grid value is tried, stays within (0, ln 2], and the
+    # error counts each reason, the more telling one raised
+    _, artifacts = small_run
+    tried = []
+
+    def fails_by_window(artifacts, variant, rows, threshold, source):
+        tried.append(threshold)
+        if lo <= threshold <= hi:
+            raise DegenerateGroup("one group")
+        raise EmptySelection("no rows")
+
+    monkeypatch.setattr(harness, "select", fails_by_window)
+    inside = [h for h in harness.TUNE_GRID if lo <= h <= hi]
+    # the grid points in the window are a run of 0.05 steps
+    assert inside and inside == [round(inside[0] + 0.05 * i, 10) for i in range(len(inside))]
+    assert inside[-1] + 0.05 > hi + 1e-9
+    counts = f"{len(inside)} kept one proxy group only"
+    if len(inside) < len(harness.TUNE_GRID):
+        counts += f", {len(harness.TUNE_GRID) - len(inside)} kept no rows"
+    with pytest.raises(DegenerateGroup, match=f"of 12, {counts}$"):
+        harness.tune_threshold(artifacts)
+    assert tried == list(harness.TUNE_GRID)
+    assert all(0 < h <= LN2 for h in tried)
+
+
 def test_sweep_writes_artifacts_and_manifest(small_run, tmp_path):
     run_dir, _ = small_run
     out = tmp_path / "sweep"
