@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, InsufficientRows, NonFiniteGradient, ShapeMismatch
+from .errors import ConfigError, FairscarceError, ShapeMismatch
 from .tabular import Dataset, ScarceSplit, read_npz
 from .uncertainty import LN2, binary_entropy
 
@@ -284,14 +284,14 @@ class AttrTrainResult:
 
 
 def require_d2_slices(n_d2: int, config: AttrTrainConfig) -> None:
-    """Raise InsufficientRows unless ``n_d2`` rows of d2 carve into a
+    """Raise ConfigError unless ``n_d2`` rows of d2 carve into a
     validation, a calibration and a training slice of one row or more each
     (``config.val_fraction`` and ``config.calib_fraction`` of the rows,
     rounded, and the rest)."""
     n_val = int(round(config.val_fraction * n_d2))
     n_calib = int(round(config.calib_fraction * n_d2))
     if min(n_val, n_calib, n_d2 - n_val - n_calib) < 1:
-        raise InsufficientRows(
+        raise ConfigError(
             f"d2 holds {n_d2} rows, too few to carve a validation ({config.val_fraction}), "
             f"a calibration ({config.calib_fraction}) and a training slice of one row or "
             "more each; raise the group-labelled ratio or use a larger corpus")
@@ -321,7 +321,7 @@ def train_attribute_classifier(split: ScarceSplit,
     noised forward penalizes logit variance and systematically inflates the
     MC entropy. A held-out slice of d2 drives early stopping; a second
     disjoint slice is reserved for conformal calibration. A d2 too small to
-    give each slice a row raises InsufficientRows.
+    give each slice a row raises ConfigError.
 
     Returns the teacher after the last epoch run, the per-epoch
     log, the sorted d2 row indices of the calibration slice, and the epoch of
@@ -396,7 +396,7 @@ def train_attribute_classifier(split: ScarceSplit,
                 cons_sum += cons_loss
                 grads = tuple(a + lam * b for a, b in zip(grads, cons_grads))
             if not math.isfinite(loss):
-                raise NonFiniteGradient(f"non-finite loss at epoch {epoch}")
+                raise FairscarceError(f"non-finite loss at epoch {epoch}")
             adam, student = nn.adam_step(adam, student, grads)
             # the 1 - 1/t warm-up lets the teacher track the student instead
             # of its random initialization in early steps

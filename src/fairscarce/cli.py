@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train_fair)
 
     p = sub.add_parser("sweep", help="run a sweep from a key=value config file")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", required=True,
+                   help="a file of key = value lines; keys: " + ", ".join(harness._SWEEP_KEYS))
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fig2", help="uncertainty-threshold study")
@@ -183,12 +184,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # a path that cannot be read or written as asked (missing, a
-        # directory, an existing file) is bad usage, like a bad setting
+    except (ConfigError, OSError) as exc:
+        # an OSError is a path that cannot be read or written as asked
+        # (missing, a directory, an existing file): bad usage, like a bad setting
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FairscarceError as exc:

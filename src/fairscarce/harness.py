@@ -92,8 +92,8 @@ def run_attribute_phase(csv_path, schema_path, out_dir, ratio: float = 0.2,
                         lenient: bool = False) -> RunArtifacts:
     """Phase 1 end to end: split, train, emit proxies plus conformal inputs,
     and cache everything under ``out_dir``. Bad settings, a bad corpus or
-    schema, and a d2 too small to carve raise ConfigError (or a subclass)
-    before ``out_dir`` is created."""
+    schema, and a d2 too small to carve raise ConfigError before ``out_dir``
+    is created."""
     if not (0.0 < ratio < 1.0 and 0.0 < test_fraction < 1.0):
         raise ConfigError(f"ratio and test fraction must lie in (0, 1), "
                           f"got {ratio} and {test_fraction}")
@@ -198,8 +198,9 @@ def load_run(run_dir) -> RunArtifacts:
     """Read a run directory written by ``run_attribute_phase`` (all of it
     but the log) and derive the conformal inputs from its checkpoint. A
     missing or damaged file raises ConfigError naming it: a summary that is
-    not a JSON object, a part without a 0/1 vector its role needs, a bad
-    proxies file (``load_checked_proxies``), or a checkpoint that
+    not a JSON object, a d2 or test part whose feature width is not d1's, a
+    part without a 0/1 vector its role needs, a bad proxies file
+    (``load_checked_proxies``), or a checkpoint that
     ``attr.load_checkpoint`` rejects, whose teacher does not read d1's
     feature width, or whose calibration rows are not strictly ascending d2
     row indices, one or more."""
@@ -217,6 +218,12 @@ def load_run(run_dir) -> RunArtifacts:
         raise ConfigError(f"{summary_path}: not a JSON object")
     split = tabular.ScarceSplit(*(tabular.load_dataset(run / f"{part}.ds")
                                   for part in _PART_VECTORS))
+    width = split.d1.features.shape[1]
+    for part in ("d2", "test"):
+        part_width = getattr(split, part).features.shape[1]
+        if part_width != width:
+            raise ConfigError(f"{run / part}.ds: holds {part_width} feature columns, "
+                              f"d1.ds holds {width}; rerun train-attr")
     for part, vectors in _PART_VECTORS.items():
         for vector in vectors:
             values = getattr(getattr(split, part), vector)
@@ -225,9 +232,9 @@ def load_run(run_dir) -> RunArtifacts:
     proxies = load_checked_proxies(run / "proxies.csv", split.d1.sample_ids)
     checkpoint = run / "attr_checkpoint.npz"
     teacher, calib_rows = attr.load_checkpoint(checkpoint)
-    if teacher.in_dim != split.d1.features.shape[1]:
+    if teacher.in_dim != width:
         raise ConfigError(f"{checkpoint}: the teacher reads {teacher.in_dim} features, "
-                          f"d1 holds {split.d1.features.shape[1]}")
+                          f"d1 holds {width}")
     n_d2 = len(split.d2)
     if not (calib_rows.ndim == 1 and calib_rows.dtype.kind in "iu" and len(calib_rows)
             and calib_rows[0] >= 0 and calib_rows[-1] < n_d2
@@ -366,9 +373,11 @@ def _fit(d1: tabular.Dataset, idx: np.ndarray, a: np.ndarray, w: np.ndarray,
     """The model of one selection ``(idx, a, w)`` of d1 rows: the one place
     phase 2 trains a selection. An ``a`` of -1 (``select``'s vanilla and
     uncertain) gives the unconstrained fit on the rows; any other ``a`` gives
-    exp-grad under ``constraint``, seeded by that fit. A selection that
-    leaves a constraint cell without weight raises DegenerateGroup or
-    DegenerateCell before any fit.
+    exp-grad under ``constraint``, seeded by that fit. Before any fit, a
+    selection with a proxy group of no weight raises DegenerateGroup, and one
+    with an empty (group, label) cell of the constraint's label slices (eop,
+    eod) raises DegenerateCell (``reduction.constraint_matrix``); an
+    unconstrained selection raises neither.
 
     ``fits`` maps a set of training rows (``idx.tobytes()``) to the
     unconstrained fit on them. A fit it lacks is made and stored, so callers
@@ -401,7 +410,8 @@ def _fit(d1: tabular.Dataset, idx: np.ndarray, a: np.ndarray, w: np.ndarray,
 def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
              eps_fair: float, seed: int, threshold: float | None,
              source: UncertaintySource = UncertaintySource(),
-             iters: int = 50, oracle_max_iter: int = 5000,
+             iters: int = reduction.EXP_GRAD_ITERS,
+             oracle_max_iter: int = reduction.ORACLE_MAX_ITER,
              fits: dict | None = None) -> tuple[metrics.FairnessReport, int]:
     """Train one variant on a per-seed 70 percent slice of d1 and score it on
     the held-out 30 percent against the true (masked) sensitive attributes:
@@ -534,8 +544,8 @@ class SweepConfig:
     base_seed: int = 0
     threshold: float | None = None  # fixed H; None means tune (mc-dropout only)
     source: UncertaintySource = UncertaintySource()
-    exp_grad_iters: int = 50
-    oracle_max_iter: int = 5000
+    exp_grad_iters: int = reduction.EXP_GRAD_ITERS
+    oracle_max_iter: int = reduction.ORACLE_MAX_ITER
 
     def __post_init__(self):
         if not self.run_dir:

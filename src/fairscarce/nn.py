@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteGradient, ShapeMismatch
+from .errors import FairscarceError, ShapeMismatch
 
 # rows per hidden-layer block in eval_logits: a block's 64-wide first layer
 # takes 1 MB; a 2 MB block freed in load_run raises glibc's dynamic mmap
@@ -275,7 +275,7 @@ def adam_step(state: AdamState, params: MlpParams,
     and parameters."""
     for arr in grads:
         if not np.isfinite(arr).all():
-            raise NonFiniteGradient("gradient contains NaN or infinity")
+            raise FairscarceError("gradient contains NaN or infinity")
     if len(grads) != len(state.m):
         raise ShapeMismatch(f"{len(grads)} gradients for {len(state.m)} parameter tensors")
     t = state.t + 1

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateCell, DegenerateGroup, NonFiniteCost
+from .errors import DegenerateCell, DegenerateGroup, FairscarceError
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
@@ -35,12 +35,15 @@ DEMOGRAPHIC_PARITY = "dp"
 EQUALIZED_ODDS = "eod"
 EQUAL_OPPORTUNITY = "eop"
 
-# oracle: gradient-norm stopping tolerance and the L2 penalty on coefficients
+# oracle: gradient-norm stopping tolerance, the default iteration budget of
+# a fit and the L2 penalty on coefficients
 ORACLE_TOL = 1e-6
+ORACLE_MAX_ITER = 5000
 RIDGE = 1e-3
-# exp-grad: multiplier learning rate, the bound on the multipliers' 1-norm
-# (also the price of a violation in the duality gap) and the gap that counts
-# as converged
+# exp-grad: the default iteration budget, multiplier learning rate, the bound
+# on the multipliers' 1-norm (also the price of a violation in the duality
+# gap) and the gap that counts as converged
+EXP_GRAD_ITERS = 50
 ETA = 2.0
 BOUND = 100.0
 GAP_TOL = 1e-3
@@ -140,7 +143,8 @@ def oracle_design(x: np.ndarray) -> OracleDesign:
 
 
 def fit_cost_sensitive(design: OracleDesign,
-                       signed_costs: np.ndarray, max_iter: int = 5000) -> LinearModel:
+                       signed_costs: np.ndarray,
+                       max_iter: int = ORACLE_MAX_ITER) -> LinearModel:
     """Best-response oracle: minimize sum_i c_i * h(x_i) over linear
     classifiers, trained as weighted logistic regression with targets
     1{c_i < 0} and weights |c_i|. ``design`` is the ``oracle_design`` of the
@@ -183,7 +187,7 @@ def fit_cost_sensitive(design: OracleDesign,
     matrix, matrix_t = design
     c = np.asarray(signed_costs, dtype=float)
     if not np.isfinite(c).all():
-        raise NonFiniteCost("signed costs contain NaN or infinity")
+        raise FairscarceError("signed costs contain NaN or infinity")
     n, cols = matrix.shape
     targets = (c < 0).astype(float)
     weights = np.abs(c)
@@ -277,28 +281,40 @@ class MomentConstraint:
         if self.slack < 0:
             raise ValueError("slack must be nonnegative")
 
-    def label_slices(self, y: np.ndarray) -> list[np.ndarray]:
+    def label_slices(self, y: np.ndarray) -> list[tuple[int | None, np.ndarray]]:
+        """Each label slice a gap is measured on: its label (None for dp's
+        one slice of every row) and the mask of its rows."""
         if self.kind == DEMOGRAPHIC_PARITY:
-            return [np.ones(len(y), dtype=bool)]
+            return [(None, np.ones(len(y), dtype=bool))]
         if self.kind == EQUAL_OPPORTUNITY:
-            return [y == 1]
-        return [y == 0, y == 1]
+            return [(1, y == 1)]
+        return [(0, y == 0), (1, y == 1)]
 
 
 def constraint_matrix(constraint: MomentConstraint, y, a, w) -> np.ndarray:
     """The signed conditional-rate constraints over proxy-attribute cells as
     one (K, n) matrix: row k is d(g_k)/d(h_i), so ``M @ preds`` gives the
     signed gaps g_k(h), which the constraints read as g_k <= slack, and
-    ``lam @ M`` the multipliers' share of the per-row costs."""
+    ``lam @ M`` the multipliers' share of the per-row costs.
+
+    A selection with a proxy group of no total weight ``w`` raises
+    DegenerateGroup naming the group, under every kind. Failing that, one
+    with a (group, label) cell of no weight in one of the kind's label
+    slices raises DegenerateCell naming both; under dp the one slice is
+    every row, so only DegenerateGroup can arise."""
+    for group in (0, 1):
+        if float(w[a == group].sum()) <= 0.0:
+            raise DegenerateGroup(f"proxy group {group} holds no constraint weight")
     rows = []
-    for sl in constraint.label_slices(y):
+    for label, sl in constraint.label_slices(y):
         cell0 = (a == 0) & sl
         cell1 = (a == 1) & sl
         w0 = float(w[cell0].sum())
         w1 = float(w[cell1].sum())
-        if w0 <= 0.0 or w1 <= 0.0:
-            exc = DegenerateGroup if constraint.kind == DEMOGRAPHIC_PARITY else DegenerateCell
-            raise exc("a constraint cell has no weight mass")
+        for group, mass in ((0, w0), (1, w1)):
+            if mass <= 0.0:
+                raise DegenerateCell(f"the (proxy group {group}, label {label}) cell "
+                                     "holds no constraint weight")
         base = np.where(cell0, w / w0, 0.0) - np.where(cell1, w / w1, 0.0)
         rows.append(base)
         rows.append(-base)
@@ -338,8 +354,8 @@ class ExpGradLog:
 
 
 def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
-                   constraint: MomentConstraint, iters: int = 50,
-                   oracle_max_iter: int = 5000, *, start: LinearModel,
+                   constraint: MomentConstraint, iters: int = EXP_GRAD_ITERS,
+                   oracle_max_iter: int = ORACLE_MAX_ITER, *, start: LinearModel,
                    design: OracleDesign | None = None) -> tuple[RandomizedClassifier, ExpGradLog]:
     """Train a randomized fair classifier by exponentiated gradient on rows
     ``x`` with labels ``y``, attributes ``a`` (0 or 1) and constraint weights
@@ -471,8 +487,8 @@ def exp_grad_train(x: np.ndarray, y: np.ndarray, a: np.ndarray, w: np.ndarray,
     return RandomizedClassifier(kept_members, kept_weights), log
 
 
-def unconstrained_train(x: np.ndarray, y: np.ndarray, oracle_max_iter: int = 5000,
-                        design: OracleDesign | None = None) -> RandomizedClassifier:
+def unconstrained_train(x: np.ndarray, y: np.ndarray,
+                        oracle_max_iter: int = ORACLE_MAX_ITER, design: OracleDesign | None = None) -> RandomizedClassifier:
     """Plain accuracy-only logistic fit wrapped as a single-member mixture;
     ``design``, when given, is the caller's ``oracle_design(x)``."""
     y = np.asarray(y, dtype=float)

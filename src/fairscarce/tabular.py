@@ -26,14 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .configio import parse_kv, read_kv_file
-from .errors import (
-    ConfigError,
-    EmptyFile,
-    EmptyFit,
-    InsufficientRows,
-    MalformedRow,
-    MissingColumn,
-)
+from .errors import ConfigError, FairscarceError
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -105,12 +98,12 @@ def load_csv(path, schema: Schema, strict: bool = True) -> RawTable:
     """Read a UTF-8 CSV with a header row into a column-major RawTable.
 
     The header must hold the target, the sensitive column and every column
-    the schema gives a kind (MissingColumn otherwise), so a misspelt
+    the schema gives a kind (ConfigError otherwise), so a misspelt
     ``kind.<name>`` fails like a missing column. Cells are stripped of
     surrounding whitespace. Each cell of a column the schema declares
     ``numeric`` is parsed with ``float()`` once, as its row is read, and the
     column is kept as a float64 array. A row with the wrong number of cells
-    or a bad numeric cell raises MalformedRow (with its line number) in
+    or a bad numeric cell raises ConfigError (with its line number) in
     strict mode or is dropped (and counted) otherwise. Every other column,
     and the target and sensitive columns whatever their kind, keeps its
     tokens as a tuple of strings that holds one ``str`` object per
@@ -121,11 +114,11 @@ def load_csv(path, schema: Schema, strict: bool = True) -> RawTable:
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyFile(f"{path}: no header row")
+            raise ConfigError(f"{path}: no header row")
         header = tuple(h.strip() for h in header)
         for needed in (schema.target, schema.sensitive, *schema.kinds):
             if needed not in header:
-                raise MissingColumn(f"{path}: declared column {needed!r} not in header")
+                raise ConfigError(f"{path}: declared column {needed!r} not in header")
         numeric = [i for i, name in enumerate(header) if schema.kinds.get(name) == NUMERIC]
         text = [i for i, name in enumerate(header)
                 if i not in numeric or name in (schema.target, schema.sensitive)]
@@ -152,10 +145,10 @@ def load_csv(path, schema: Schema, strict: bool = True) -> RawTable:
                     n_rows += 1
                     continue
             if strict:
-                raise MalformedRow(f"{path}:{lineno}: {bad}")
+                raise ConfigError(f"{path}:{lineno}: {bad}")
             dropped += 1
     if not n_rows:
-        raise EmptyFile(f"{path}: no data rows")
+        raise ConfigError(f"{path}: no data rows")
     parsed = np.frombuffer(values, dtype=float).reshape(n_rows, len(numeric))
     columns = {i: tuple(tokens[j::len(text)]) for j, i in enumerate(text)}
     for j, i in enumerate(numeric):  # a numeric target or sensitive column keeps its tokens
@@ -250,13 +243,13 @@ def encode(table: RawTable, fitting_rows: Sequence[int], schema: Schema,
     does not declare is numeric when every token parses as a float. Each
     part's rows are written straight into its own matrix, so no matrix of
     every row is built: a part equals the rows of the whole table's encoding
-    bit for bit. Empty or out-of-range ``fitting_rows`` raise EmptyFit."""
+    bit for bit. Empty or out-of-range ``fitting_rows`` raise FairscarceError."""
     n = table.n_rows
     fit = np.unique(np.asarray(fitting_rows, dtype=np.intp))
     if len(fit) == 0:
-        raise EmptyFit("no fitting rows")
+        raise FairscarceError("no fitting rows")
     if fit[0] < 0 or fit[-1] >= n:
-        raise EmptyFit(f"fitting rows outside [0, {n})")
+        raise FairscarceError(f"fitting rows outside [0, {n})")
     numeric = []  # (feature column, values, fitted mean, divisor)
     onehot = []  # (first feature column, vocabulary code of each row)
     width = 0
@@ -342,7 +335,7 @@ def stratified_holdout(labels: np.ndarray, sensitive: np.ndarray, fraction: floa
     with each (sensitive, label) cell represented proportionally."""
     cells = _strata(labels, sensitive)
     if any(len(c) == 0 for c in cells):
-        raise InsufficientRows("a (sensitive, label) stratification cell is empty")
+        raise ConfigError("a (sensitive, label) stratification cell is empty")
     rng = np.random.default_rng(seed)
     counts = _apportion([len(c) for c in cells], fraction)
     chosen = []
@@ -360,7 +353,7 @@ def split_scarce_rows(labels: np.ndarray, sensitive: np.ndarray, ratio: float, s
     (fraction ``ratio``) from the remainder; d1 is what is left. Ascending
     rows keep sample ids ascending, so the d1 row order of phase 1's per-row
     outputs is ascending sample id. A part that would hold no row, or an
-    empty (sensitive, label) cell, raises InsufficientRows."""
+    empty (sensitive, label) cell, raises ConfigError."""
     if not 0.0 < ratio < 1.0 or not 0.0 < test_fraction < 1.0:
         raise ValueError("ratio and test_fraction must lie in (0, 1)")
     test_rows = stratified_holdout(labels, sensitive, test_fraction, seed)
@@ -372,7 +365,7 @@ def split_scarce_rows(labels: np.ndarray, sensitive: np.ndarray, ratio: float, s
     parts = rest_rows[~in_d2], rest_rows[in_d2], test_rows
     for name, rows in zip(("d1", "d2", "test"), parts):
         if len(rows) == 0:
-            raise InsufficientRows(
+            raise ConfigError(
                 f"the {name} split of {len(labels)} rows holds no row (group-labelled ratio "
                 f"{ratio}, test fraction {test_fraction}); raise its share or use a larger corpus")
     return parts
@@ -448,7 +441,9 @@ def read_npz(path, what: str) -> dict[str, np.ndarray]:
     suggest unpickling it)."""
     reason = "not an npz archive, or a truncated one"
     try:
-        with np.load(path) as archive:
+        # np.load of a path leaves its file open when zipfile rejects the
+        # archive; this handle closes on every path
+        with open(path, "rb") as fh, np.load(fh) as archive:
             arrays = {}
             for name in archive.files:
                 reason = f"its array {name!r} is damaged or holds Python objects"

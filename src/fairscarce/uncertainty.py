@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyCalibration
+from .errors import FairscarceError
 
 LN2 = math.log(2.0)
 
@@ -32,7 +32,7 @@ def conformal_calibrate(probs: Sequence[float], truths: Sequence[int], epsilon: 
     p = np.asarray(probs, dtype=float)
     a = np.asarray(truths, dtype=int)
     if p.size == 0:
-        raise EmptyCalibration("no calibration rows")
+        raise FairscarceError("no calibration rows")
     if p.shape != a.shape:
         raise ValueError("probs and truths must have equal length")
     if not 0.0 < epsilon < 1.0:

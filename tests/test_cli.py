@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -396,6 +397,12 @@ def set_array(name, value):
     return edit_archive(lambda arrays: arrays.update({name: value(arrays[name])}))
 
 
+def drop_last_feature(path):
+    """Rewrite a dataset cache without its last feature column."""
+    ds = tabular.load_dataset(path)
+    tabular.save_dataset(path, dataclasses.replace(ds, features=ds.features[:, :-1]))
+
+
 def with_entry(index, value):
     def change(array):
         array[index] = value
@@ -425,6 +432,9 @@ DAMAGED_RUN_FILES = {
     "checkpoint-not-an-archive": (CHECKPOINT, lambda p: p.write_text("teacher", "utf-8")),
     "checkpoint-object-array": (CHECKPOINT, set_array("calib_rows", lambda r: r.astype(object))),
     "d1.ds-not-an-archive": ("d1.ds", lambda p: p.write_text("rows", "utf-8")),
+    # a part of another width than d1 would fail in a cell (exit 1), or not at all
+    "d2.ds-narrower-than-d1": ("d2.ds", drop_last_feature),
+    "test.ds-narrower-than-d1": ("test.ds", drop_last_feature),
     "checkpoint-truncated": (CHECKPOINT, truncate),
     "checkpoint-layer-missing": (CHECKPOINT, edit_archive(lambda a: a.pop("teacher_b1"))),
     "checkpoint-weight-nan": (CHECKPOINT, set_array("teacher_w1", with_entry((0, 0), np.nan))),
@@ -596,9 +606,9 @@ def test_train_attr_bad_input_exit_code(small_corpus, tmp_path, capsys, probe):
     assert (tmp_path / "afile").is_file()
 
 
-# the classes whose errors are bad input (exit 2); every other package error
+# the class whose errors are bad input (exit 2); every other package error
 # means the run failed (exit 1)
-INPUT_ERRORS = {"ConfigError", "MissingColumn", "MalformedRow", "EmptyFile", "InsufficientRows"}
+INPUT_ERRORS = {"ConfigError"}
 ERROR_CLASSES = [cls for cls in vars(errors).values()
                  if isinstance(cls, type) and issubclass(cls, errors.FairscarceError)]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairscarce import nn
-from fairscarce.errors import NonFiniteGradient, ShapeMismatch
+from fairscarce.errors import FairscarceError, ShapeMismatch
 
 
 def weighted_value_and_grad(params, x, terms, dropout):
@@ -245,7 +245,7 @@ def test_adam_rejects_non_finite_gradient():
     state = nn.init_adam(params)
     bad = (*(np.full_like(w, np.nan) for w in params.weights),
            *(np.zeros_like(b) for b in params.biases))
-    with pytest.raises(NonFiniteGradient):
+    with pytest.raises(FairscarceError, match="gradient contains NaN or infinity"):
         nn.adam_step(state, params, bad)
 
 
@@ -257,7 +257,7 @@ def test_adam_checks_finiteness_before_shapes():
     with pytest.raises(ShapeMismatch):
         nn.adam_step(state, params, (*weights, *wrong_bias))
     nan_weights = (np.full_like(params.weights[0], np.nan),) + weights[1:]
-    with pytest.raises(NonFiniteGradient):
+    with pytest.raises(FairscarceError, match="gradient contains NaN or infinity"):
         nn.adam_step(state, params, (*nan_weights, *wrong_bias))
     # a flat tuple short of one tensor
     with pytest.raises(ShapeMismatch):

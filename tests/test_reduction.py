@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 from fairscarce import attribute as attr
 from fairscarce import harness, synthdata, tabular
 from fairscarce import reduction as red
-from fairscarce.errors import EmptySelection, NonFiniteCost
+from fairscarce.errors import DegenerateCell, DegenerateGroup, EmptySelection, FairscarceError
 from fairscarce.uncertainty import LN2
 
 
@@ -58,7 +58,7 @@ def test_logreg_weight_mass_invariance():
 
 
 def test_logreg_rejects_non_finite_costs():
-    with pytest.raises(NonFiniteCost):
+    with pytest.raises(FairscarceError, match="signed costs contain NaN or infinity"):
         red.fit_cost_sensitive(red.oracle_design(np.zeros((2, 1))), np.array([np.nan, 1.0]))
 
 
@@ -330,6 +330,53 @@ def test_feasible_seed_converges_without_oracle_calls(instance):
     assert log.converged and log.iterations == 1 and log.oracle_calls == 0
     assert all(member is start for member in model.members)
     np.testing.assert_array_equal(model.expected_predictions(x), start.predict(x))
+
+
+# --- constraint cells (reduction.constraint_matrix) ----------------------------
+
+CONSTRAINT_KINDS = [red.DEMOGRAPHIC_PARITY, red.EQUAL_OPPORTUNITY, red.EQUALIZED_ODDS]
+# eight rows, each proxy group holding two rows of each label
+CELL_Y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+CELL_A = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("kind", CONSTRAINT_KINDS)
+def test_constraint_matrix_one_proxy_group_is_a_degenerate_group(kind):
+    with pytest.raises(DegenerateGroup, match="^proxy group 0 holds no constraint weight$"):
+        red.constraint_matrix(red.MomentConstraint(kind, 0.0), CELL_Y,
+                              np.ones(8, dtype=int), np.ones(8))
+
+
+@pytest.mark.parametrize("kind", CONSTRAINT_KINDS)
+def test_constraint_matrix_weightless_group_is_a_degenerate_group(kind):
+    # the weighted variant under a conformal source weighs a row 1 when its
+    # set is a singleton and 0 otherwise: here no group-1 row is certain
+    w = np.where(CELL_A == 1, 0.0, 1.0)
+    with pytest.raises(DegenerateGroup, match="^proxy group 1 holds no constraint weight$"):
+        red.constraint_matrix(red.MomentConstraint(kind, 0.0), CELL_Y, CELL_A, w)
+
+
+@pytest.mark.parametrize("kind", CONSTRAINT_KINDS)
+def test_constraint_matrix_group_without_a_label_1_row(kind):
+    y = np.where(CELL_A == 1, 0, CELL_Y)  # group 1 holds label-0 rows only
+    constraint = red.MomentConstraint(kind, 0.0)
+    if kind == red.DEMOGRAPHIC_PARITY:
+        # dp's one slice is every row, so both groups hold weight
+        gap = np.where(CELL_A == 0, 0.25, -0.25)
+        np.testing.assert_array_equal(red.constraint_matrix(constraint, y, CELL_A, np.ones(8)),
+                                      [gap, -gap])
+        return
+    with pytest.raises(DegenerateCell, match=r"^the \(proxy group 1, label 1\) cell holds no "
+                                             "constraint weight$"):
+        red.constraint_matrix(constraint, y, CELL_A, np.ones(8))
+
+
+@pytest.mark.parametrize("kind", CONSTRAINT_KINDS)
+def test_tuning_names_one_proxy_group_under_every_kind(kind):
+    # every candidate H keeps all 200 rows, and every proxy names group 1
+    arts = tiny_artifacts([(i, 1, 0.05) for i in range(200)])
+    with pytest.raises(DegenerateGroup, match="of 12, 12 kept one proxy group only$"):
+        harness.tune_threshold(arts, kind)
 
 
 # --- hull LP (reduction.linprog) -----------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairscarce import uncertainty as unc
-from fairscarce.errors import EmptyCalibration
+from fairscarce.errors import FairscarceError
 
 
 def test_binary_entropy_values():
@@ -44,7 +44,7 @@ def test_conformal_calibrate_clamps_to_one():
 
 
 def test_conformal_calibrate_empty():
-    with pytest.raises(EmptyCalibration):
+    with pytest.raises(FairscarceError, match="no calibration rows"):
         unc.conformal_calibrate([], [], 0.1)
 
 
