@@ -4,6 +4,7 @@ Subcommands:
   make-demo   write the bundled census-like corpus and its schema
   train-attr  phase 1: train the attribute classifier, emit proxies
   train-fair  phase 2: train one fair (or unconstrained) model from a run dir
+              and print the header and the one row of its results.csv
   sweep       (variant x slack x seed) sweep over a run dir, from a config file
   fig2        the uncertainty-threshold study CSV
   table       mean/std summary rows from a sweep's results.csv
@@ -31,6 +32,14 @@ def _require_finite(flag: str, value: float) -> None:
     # argparse's float() accepts "nan" and "inf"
     if not math.isfinite(value):
         raise ConfigError(f"{flag} must be a finite number, got {value}")
+
+
+def _require_out_file(out) -> None:
+    """An --out file that could not be written fails before any work starts."""
+    path = Path(out)
+    if path.is_dir() or not path.parent.is_dir():
+        raise ConfigError(f"--out {path}: " + ("is a directory" if path.is_dir()
+                                               else f"{path.parent} is not a directory"))
 
 
 def _cmd_make_demo(args) -> int:
@@ -68,18 +77,20 @@ def _cmd_train_fair(args) -> int:
     _require_at_least("--H", args.H, 0.0)
     _require_at_least("--seed", args.seed, 0)
     source = harness.parse_uncertainty_source(args.uncertainty_source)
+    if args.out:
+        _require_out_file(args.out)
     artifacts = harness.load_run(args.run)
     if args.proxies:
         artifacts.proxies = harness.load_checked_proxies(args.proxies,
                                                          artifacts.split.d1.sample_ids)
     report, _ = harness.run_cell(artifacts, args.variant, args.constraint, args.eps,
                                  args.seed, args.H, source)
-    row = metrics.report_csv_row(report, args.variant, args.seed)
-    print(metrics.REPORT_HEADER)
-    print(row)
+    text = harness.RESULTS_HEADER + "\n" + harness.results_row(
+        args.variant, args.constraint, args.eps, args.seed, args.H, source, report) + "\n"
+    print(text, end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(metrics.REPORT_HEADER + "\n" + row + "\n")
+            fh.write(text)
     return 0
 
 
@@ -104,6 +115,8 @@ def _cmd_fig2(args) -> int:
         _require_finite("--grid", h_cut)
     _require_at_least("--seeds", args.seeds, 1)
     _require_at_least("--seed", args.seed, 0)
+    if args.out is not None:
+        _require_out_file(args.out)
     artifacts = harness.load_run(args.run)
     out = Path(args.run) / "fig2.csv" if args.out is None else Path(args.out)
     kwargs = {"seeds": args.seeds, "base_seed": args.seed}
@@ -157,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uncertainty-source", default="mc-dropout",
                    help=f"which rows count as certain: {harness.SOURCE_FORMS}")
     p.add_argument("--run", required=True, help="run directory from train-attr")
-    p.add_argument("--out", default=None, help="write the report row to this file")
+    p.add_argument("--out", default=None,
+                   help="also write the header and the one results.csv row to this file")
     p.set_defaults(func=_cmd_train_fair)
 
     p = sub.add_parser("sweep", help="run a sweep from a key=value config file")

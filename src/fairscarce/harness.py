@@ -28,6 +28,9 @@ one ``uncertain`` cell per (H, seed), on the training rows with u >= H, the
 same way: one map for the whole study, so H values that keep the same rows
 share a fit. ``tune_threshold`` keeps a map of its own per call, since it
 trains on a smaller budget.
+
+A trained cell has one row format, ``results_row``'s: a sweep writes it to
+results.csv, and train-fair prints it.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ import math
 import re
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -49,10 +52,13 @@ from .errors import ConfigError, DegenerateCell, DegenerateGroup, EmptySelection
 from .uncertainty import LN2
 
 VARIANTS = ("vanilla", "clean", "proxy-dnn", "proxy-knn", "certain", "weighted", "uncertain")
-RESULTS_HEADER = "variant,constraint,eps_fair,seed,H,uncertainty_source,accuracy,dp,eop,eod"
+# the report columns of a results or fig2 row, and the metrics a table sums up
+_REPORT_COLUMNS = ("accuracy", *metrics.GAPS)
+RESULTS_HEADER = ",".join(("variant", "constraint", "eps_fair", "seed", "H",
+                           "uncertainty_source", *_REPORT_COLUMNS))
 PARETO_HEADER = ("variant,metric,eps_fair,accuracy_median,unfairness_median,"
                  "accuracy_min,accuracy_max")
-FIG2_HEADER = "H,seed,n_rows,accuracy,dp,eop,eod"
+FIG2_HEADER = ",".join(("H", "seed", "n_rows", *_REPORT_COLUMNS))
 _TRAIN_FRACTION = 0.7  # share of d1 each seed trains on; the rest evaluates
 # each part of a run directory's split and the vectors its role needs: d1's
 # training labels and evaluation attribute, d2's attribute for phase 1,
@@ -320,7 +326,10 @@ def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: f
     """The training rows of one variant out of the d1 row indices ``rows``:
     their indices, the attribute each fairness constraint reads (-1 for the
     unconstrained vanilla and uncertain variants) and the weight of each
-    row's constraint terms."""
+    row's constraint terms. A certain selection that keeps no row raises
+    EmptySelection, and failing that one that keeps no row of proxy group
+    0, then 1, DegenerateGroup; each names the cut and, under mc-dropout,
+    the least u of the training rows it missed."""
     d1 = artifacts.split.d1
     ones = np.ones(len(rows))
     if variant == "vanilla":
@@ -341,11 +350,27 @@ def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: f
     certain = certain_mask(artifacts, source, threshold)[rows]
     if variant == "weighted":
         return rows, a_hat[rows], certain.astype(float)
-    idx = rows[certain] if variant == "certain" else rows[~certain]
+    if variant == "certain":
+        idx = rows[certain]
+        kept = np.bincount(a_hat[idx], minlength=2)
+        if not kept.all():
+            group = int(np.argmin(kept)) if len(idx) else None
+            missed = rows if group is None else rows[a_hat[rows] == group]
+            what = "no training row" + ("" if group is None else f" of proxy group {group}")
+            if source.kind != "mc-dropout":
+                why = f"under {source.describe()}"
+            elif len(missed):
+                why = (f"at H {threshold!r}: the least u of its {len(missed)} training row(s) "
+                       f"is {float(u[missed].min())!r}")
+            else:
+                why = f"at H {threshold!r}: no training row has that proxy group"
+            raise (EmptySelection if group is None else DegenerateGroup)(
+                f"certain variant kept {what} {why}")
+        return idx, a_hat[idx], np.ones(len(idx))
+    idx = rows[~certain]
     if len(idx) == 0:
-        raise EmptySelection(f"{variant} variant kept no rows")
-    a = a_hat[idx] if variant == "certain" else np.full(len(idx), -1)
-    return idx, a, np.ones(len(idx))
+        raise EmptySelection("uncertain variant kept no rows")
+    return idx, np.full(len(idx), -1), np.ones(len(idx))
 
 
 # --- one sweep cell ------------------------------------------------------------
@@ -425,6 +450,21 @@ def run_cell(artifacts: RunArtifacts, variant: str, constraint_kind: str,
     model = _fit(d1, idx, a, w, reduction.MomentConstraint(constraint_kind, eps_fair),
                  iters, oracle_max_iter, {} if fits is None else fits)
     return _score(model, d1, eval_rows), len(idx)
+
+
+def _report_cells(report: metrics.FairnessReport) -> list[str]:
+    """``report``'s ``_REPORT_COLUMNS``, as results and fig2 rows write them."""
+    return [repr(getattr(report, name)) for name in _REPORT_COLUMNS]
+
+
+def results_row(variant: str, constraint_kind: str, eps_fair: float, seed: int,
+                threshold: float | None, source: UncertaintySource,
+                report: metrics.FairnessReport) -> str:
+    """The results.csv row of one trained cell, under ``RESULTS_HEADER``; an
+    H of None (one that is neither fixed nor tuned) is an empty cell."""
+    return ",".join([variant, constraint_kind, repr(eps_fair), str(seed),
+                     "" if threshold is None else repr(threshold), source.describe(),
+                     *_report_cells(report)])
 
 
 # --- threshold tuning ----------------------------------------------------------
@@ -517,21 +557,16 @@ def pareto_front(points: Sequence[tuple[float, float]]) -> list[tuple[float, flo
     least one coordinate), sorted by accuracy. Exact ties survive."""
     if not points:
         raise ValueError("pareto_front needs at least one point")
-    kept = []
-    for i, (acc_i, unf_i) in enumerate(points):
-        dominated = False
-        for j, (acc_j, unf_j) in enumerate(points):
-            if j == i:
-                continue
-            if acc_j >= acc_i and unf_j <= unf_i and (acc_j > acc_i or unf_j < unf_i):
-                dominated = True
-                break
-        if not dominated:
-            kept.append((acc_i, unf_i))
-    return sorted(kept)
+    # neither a point nor an exact tie of it dominates it
+    return sorted((acc, unf) for acc, unf in points
+                  if not any(a >= acc and u <= unf and (a > acc or u < unf) for a, u in points))
 
 
 # --- sweep ----------------------------------------------------------------------
+
+# the slacks a sweep runs when its config sets none: 12 log-spaced from 0.001 to 0.3
+_DEFAULT_EPS_GRID = tuple(round(float(v), 12) for v in np.geomspace(0.001, 0.3, 12))
+
 
 @dataclass
 class SweepConfig:
@@ -539,7 +574,7 @@ class SweepConfig:
     out_dir: str = ""  # empty means run_dir
     variants: tuple[str, ...] = ("certain",)
     constraint: str = reduction.DEMOGRAPHIC_PARITY
-    eps_grid: tuple[float, ...] = field(default_factory=tuple)
+    eps_grid: tuple[float, ...] = _DEFAULT_EPS_GRID
     seeds: int = 7
     base_seed: int = 0
     threshold: float | None = None  # fixed H; None means tune (mc-dropout only)
@@ -564,15 +599,14 @@ class SweepConfig:
             raise ConfigError(f"oracle_max_iter must be >= 1, got {self.oracle_max_iter}")
         if self.constraint not in metrics.GAPS:
             raise ConfigError(f"unknown constraint {self.constraint!r}")
+        if not self.eps_grid:
+            raise ConfigError("eps_grid must name at least one slack")
         if not all(math.isfinite(eps) and eps >= 0 for eps in self.eps_grid):
             raise ConfigError(f"eps_grid values must be finite and >= 0, got {self.eps_grid}")
         # no entropy is below 0, so a negative H would keep no certain row
         if self.threshold is not None and not (math.isfinite(self.threshold)
                                                and self.threshold >= 0):
             raise ConfigError(f"H must be a finite number >= 0, got {self.threshold}")
-        if not self.eps_grid:
-            self.eps_grid = tuple(round(float(v), 12) for v in
-                                  np.geomspace(0.001, 0.3, 12))
         if not self.variants:
             raise ConfigError("variants must name at least one variant")
         for v in self.variants:
@@ -651,7 +685,6 @@ def run_sweep(config: SweepConfig,
         threshold = tuning.threshold
         _write_csv(out / "tuning.csv", f"H,accuracy,{config.constraint}_proxy,objective",
                    [f"{h},{repr(a)},{repr(g)},{repr(o)}" for h, a, g, o in tuning.table])
-    h_text = "" if threshold is None else repr(threshold)
 
     cells = [(variant, eps, config.base_seed + j)
              for variant in config.variants
@@ -672,10 +705,8 @@ def run_sweep(config: SweepConfig,
         except Exception as exc:  # recorded, never fabricated
             error = f"{type(exc).__name__}: {exc}"
         else:
-            result_rows.append(
-                f"{variant},{config.constraint},{repr(eps)},{seed},{h_text},"
-                f"{config.source.describe()},{repr(report.accuracy)},{repr(report.dp)},"
-                f"{repr(report.eop)},{repr(report.eod)}")
+            result_rows.append(results_row(variant, config.constraint, eps, seed, threshold,
+                                           config.source, report))
             grouped.setdefault((variant, eps), []).append(report)
         status = "ok" if error is None else "failed"
         cell_status.append({"variant": variant, "eps_fair": eps, "seed": seed,
@@ -752,14 +783,12 @@ def fig2_study(artifacts: RunArtifacts, out_path,
         for seed in range(base_seed, base_seed + seeds):
             report, n_rows = run_cell(artifacts, "uncertain", reduction.DEMOGRAPHIC_PARITY,
                                       0.0, seed, below, fits=fits)
-            rows_out.append(f"{h_cut},{seed},{n_rows},{repr(report.accuracy)},"
-                            f"{repr(report.dp)},{repr(report.eop)},{repr(report.eod)}")
+            rows_out.append(",".join([f"{h_cut}", str(seed), str(n_rows),
+                                      *_report_cells(report)]))
     _write_csv(out_path, FIG2_HEADER, rows_out)
 
 
 # --- table summaries -------------------------------------------------------------
-
-_SUMMARY_METRICS = ("accuracy", *metrics.GAPS)
 
 
 def table_summary(results_csv) -> list[str]:
@@ -770,10 +799,10 @@ def table_summary(results_csv) -> list[str]:
     ConfigError naming the file and the row."""
     lines = Path(results_csv).read_text().splitlines()
     header = lines[0].split(",") if lines else []
-    if not {"variant", "eps_fair", *_SUMMARY_METRICS} <= set(header):
+    if not {"variant", "eps_fair", *_REPORT_COLUMNS} <= set(header):
         raise ConfigError(f"{results_csv} is not a results file")
     variant_at, eps_at = header.index("variant"), header.index("eps_fair")
-    metric_at = [header.index(name) for name in _SUMMARY_METRICS]
+    metric_at = [header.index(name) for name in _REPORT_COLUMNS]
     groups: dict[tuple[str, str], list[list[float]]] = {}
     order: list[tuple[str, str]] = []
     for row, line in enumerate(lines[1:], start=1):
@@ -790,12 +819,12 @@ def table_summary(results_csv) -> list[str]:
             groups[key] = []
             order.append(key)
         groups[key].append(values)
-    stats = [f"{name}_{stat}" for name in _SUMMARY_METRICS for stat in ("mean", "std")]
+    stats = [f"{name}_{stat}" for name in _REPORT_COLUMNS for stat in ("mean", "std")]
     out = [",".join(["variant", "eps_fair", "n_runs", *stats])]
     for key in order:
         arr = np.array(groups[key])
         cells = [key[0], key[1], str(len(arr))]
-        for col in range(len(_SUMMARY_METRICS)):
+        for col in range(len(_REPORT_COLUMNS)):
             cells.append(repr(float(arr[:, col].mean())))
             cells.append(repr(float(arr[:, col].std())))
         out.append(",".join(cells))

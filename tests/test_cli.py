@@ -12,7 +12,7 @@ import pytest
 
 import fairscarce
 from fairscarce import cli, errors, harness, reduction, tabular
-from fairscarce.errors import ConfigError, DegenerateGroup
+from fairscarce.errors import ConfigError, DegenerateGroup, EmptySelection
 from fairscarce.uncertainty import LN2
 
 
@@ -72,8 +72,61 @@ def test_train_fair_command(demo_run, capsys):
                    "--run", str(demo_run / "run")])
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("method,seed,accuracy")
-    assert out[1].startswith("vanilla,1,")
+    assert out[0] == harness.RESULTS_HEADER
+    assert out[1].startswith("vanilla,dp,0.05,1,0.5,mc-dropout,")
+
+
+# cells that train on the demo run; there every certain selection, and the
+# conformal weighted one, keeps one proxy group only
+ONE_CELL_SWEEPS = [("vanilla", "dp", "mc-dropout"), ("clean", "eod", "mc-dropout"),
+                   ("proxy-dnn", "dp", "mc-dropout"), ("uncertain", "dp", "conformal(0.1)")]
+
+
+@pytest.mark.parametrize("variant,constraint,source", ONE_CELL_SWEEPS,
+                         ids=[cell[0] for cell in ONE_CELL_SWEEPS])
+def test_train_fair_row_is_the_one_cell_sweep_row(demo_run, tmp_path, capsys, variant,
+                                                  constraint, source):
+    # a trained cell has one row format: train-fair prints and saves the
+    # results.csv a sweep of that one cell writes, byte for byte
+    row = tmp_path / "row.csv"
+    assert cli.main(["train-fair", "--variant", variant, "--constraint", constraint,
+                     "--uncertainty-source", source, "--eps", "0.05", "--H", "0.5",
+                     "--seed", "1", "--run", str(demo_run / "run"), "--out", str(row)]) == 0
+    printed = capsys.readouterr().out
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"run_dir = {demo_run / 'run'}\nout_dir = {tmp_path / 'out'}\n"
+                   f"variants = {variant}\nconstraint = {constraint}\n"
+                   f"uncertainty_source = {source}\neps_grid = 0.05\nseeds = 1\n"
+                   "base_seed = 1\nH = 0.5\n", encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(cfg)]) == 0
+    results = (tmp_path / "out" / "results.csv").read_bytes()
+    assert row.read_bytes() == results
+    assert printed.encode() == results
+
+
+def test_certain_selection_errors_name_the_cut(demo_run):
+    # seed 1's training rows hold one proxy group-0 row, of u near ln 2: at
+    # H 0.5 the certain variant keeps no row, and at H 0.6 none of group 0
+    artifacts = harness.load_run(demo_run / "run")
+    rows, _ = harness._d1_train_eval(artifacts, 1)
+    u, a_hat = artifacts.proxies.u, artifacts.proxies.a_hat
+    least, least0 = float(u[rows].min()), float(u[rows[a_hat[rows] == 0]].min())
+    assert 0.5 < least < 0.6 < least0 and (a_hat[rows] == 0).sum() == 1
+    mc = harness.UncertaintySource()
+    with pytest.raises(EmptySelection) as caught:
+        harness.select(artifacts, "certain", rows, 0.5, mc)
+    assert str(caught.value) == (f"certain variant kept no training row at H 0.5: the least u "
+                                 f"of its {len(rows)} training row(s) is {least!r}")
+    with pytest.raises(DegenerateGroup) as caught:
+        harness.select(artifacts, "certain", rows, 0.6, mc)
+    assert str(caught.value) == ("certain variant kept no training row of proxy group 0 at "
+                                 f"H 0.6: the least u of its 1 training row(s) is "
+                                 f"{least0!r}")
+    with pytest.raises(DegenerateGroup) as caught:
+        harness.select(artifacts, "certain", rows, None,
+                       harness.parse_uncertainty_source("conformal(0.1)"))
+    assert str(caught.value) == ("certain variant kept no training row of proxy group 0 "
+                                 "under conformal(0.1)")
 
 
 def test_train_fair_partial_proxies_exit_code(demo_run, tmp_path, capsys):
@@ -213,7 +266,11 @@ def test_config_error_exit_code(tmp_path, capsys, line):
     ("variants = vanilla\n", "run_dir is required"),
     ("run_dir = nowhere\nvariants = vanilla, certain, vanilla\n", "variants repeats a value"),
     ("run_dir = nowhere\neps_grid = 0.1, 0.10\n", "eps_grid repeats a value"),
-], ids=["misspelt-key", "phase-1-key", "no-run_dir", "repeated-variant", "repeated-eps"])
+    # no slack is no cell, not the default grid's twelve
+    ("run_dir = nowhere\neps_grid = ,\n", "eps_grid must name at least one slack"),
+    ("run_dir = nowhere\neps_grid =\n", "eps_grid must name at least one slack"),
+], ids=["misspelt-key", "phase-1-key", "no-run_dir", "repeated-variant", "repeated-eps",
+        "eps_grid-empty", "eps_grid-blank"])
 def test_sweep_config_key_exit_code(tmp_path, capsys, text, names):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text, encoding="utf-8")
@@ -517,9 +574,12 @@ def test_train_attr_missing_corpus_creates_no_directory(demo_run, tmp_path, caps
 
 
 @pytest.mark.parametrize("command", ["train-attr-schema", "sweep-config", "table-run",
-                                     "sweep-config-directory"])
-def test_missing_input_path_exit_code(demo_run, tmp_path, capsys, command):
+                                     "sweep-config-directory", "train-fair-out-parent",
+                                     "train-fair-out-directory", "fig2-out-parent",
+                                     "fig2-out-directory"])
+def test_missing_input_path_exit_code(demo_run, tmp_path, capsys, monkeypatch, command):
     absent = tmp_path / "absent"
+    run = ["--run", str(demo_run / "run")]
     # the arguments, and the path the error must name
     argv, named = {
         "train-attr-schema": (["train-attr", "--data", str(demo_run / "data" / "census.csv"),
@@ -528,7 +588,16 @@ def test_missing_input_path_exit_code(demo_run, tmp_path, capsys, command):
         "sweep-config": (["sweep", "--config", str(absent)], absent),
         "table-run": (["table", "--run", str(absent)], absent),
         "sweep-config-directory": (["sweep", "--config", str(tmp_path)], tmp_path),
+        "train-fair-out-parent": (["train-fair", "--variant", "vanilla", *run,
+                                   "--out", str(absent / "row.csv")], absent / "row.csv"),
+        "train-fair-out-directory": (["train-fair", "--variant", "vanilla", *run,
+                                      "--out", str(tmp_path)], tmp_path),
+        "fig2-out-parent": (["fig2", *run, "--out", str(absent / "fig2.csv")],
+                            absent / "fig2.csv"),
+        "fig2-out-directory": (["fig2", *run, "--out", str(tmp_path)], tmp_path),
     }[command]
+    # an --out that cannot be written fails before the run directory is read
+    monkeypatch.setattr(harness, "load_run", lambda run_dir: pytest.fail("read the run"))
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(named) in err, err

@@ -199,28 +199,33 @@ def test_tune_threshold_never_reads_d1_hidden_attribute(small_run, small_tune_bu
 
 def test_one_group_candidate_makes_no_oracle_call(small_run, small_tune_budget, monkeypatch):
     # no proxy group-0 row of this run has an entropy below 0.17, so the
-    # lowest candidates keep one group; each must fail before its
-    # unconstrained fit, not after it
+    # lowest candidates keep one group; each must fail in its selection,
+    # before its unconstrained fit, not after it
     _, artifacts = small_run
     assert artifacts.proxies.u[artifacts.proxies.a_hat == 0].min() > 0.15
     calls, outcomes = [], []
-    oracle, fit = harness.reduction.fit_cost_sensitive, harness._fit
+    oracle, pick, fit = harness.reduction.fit_cost_sensitive, harness.select, harness._fit
 
     def counting_oracle(*args, **kw):
         calls.append(1)
         return oracle(*args, **kw)
 
-    def recording_fit(*args):
+    def recording_select(*args):
         before = len(calls)
         try:
-            model = fit(*args)
+            return pick(*args)
         except DegenerateGroup:
             outcomes.append(("one group", len(calls) - before))
             raise
+
+    def recording_fit(*args):
+        before = len(calls)
+        model = fit(*args)
         outcomes.append(("trained", len(calls) - before))
         return model
 
     monkeypatch.setattr(harness.reduction, "fit_cost_sensitive", counting_oracle)
+    monkeypatch.setattr(harness, "select", recording_select)
     monkeypatch.setattr(harness, "_fit", recording_fit)
     tuned = harness.tune_threshold(artifacts, seed=1)
     assert outcomes[:2] == [("one group", 0)] * 2
@@ -440,7 +445,7 @@ def test_sweep_oracle_calls_equal_logged_calls_plus_unconstrained_fits(small_run
 
 
 def known_report(accuracy, dp, eop, eod):
-    return metrics.FairnessReport(accuracy, dp, eop, eod, None, None)
+    return metrics.FairnessReport(accuracy, dp, eop, eod)
 
 
 # the reports of seeds 0, 1 and 2 per (variant, eps); None is a failed cell
@@ -627,6 +632,8 @@ def test_sweep_config_defaults_live_in_the_dataclass(tmp_path):
     path.write_text("run_dir = some/run\n", encoding="utf-8")
     cfg = harness.parse_sweep_config(path)
     assert cfg == harness.SweepConfig(run_dir="some/run")
+    # twelve log-spaced slacks from 0.001 to 0.3, as the manifest lists them
+    assert len(cfg.eps_grid) == 12 and (cfg.eps_grid[0], cfg.eps_grid[-1]) == (0.001, 0.3)
     # output goes to the run directory unless out_dir says otherwise
     assert cfg.out_dir == "some/run"
 

@@ -618,9 +618,15 @@ def select_all(records, variant, threshold, source=MC_DROPOUT):
 
 
 def test_filter_certain_membership_and_boundary():
-    idx, a, w = select_all([(0, 1, 0.1), (1, 0, 0.4)], "certain", 0.3)
-    assert idx.tolist() == [0]
-    assert w.tolist() == [1.0] and a.tolist() == [1]
+    idx, a, w = select_all([(0, 1, 0.1), (1, 0, 0.4), (2, 0, 0.2)], "certain", 0.3)
+    assert idx.tolist() == [0, 2]
+    assert w.tolist() == [1.0, 1.0] and a.tolist() == [1, 0]
+    # a cut that keeps one proxy group only fails in the selection itself
+    with pytest.raises(DegenerateGroup, match="^certain variant kept no training row of "
+                                              "proxy group 0 at H 0.3: "):
+        select_all([(0, 1, 0.1), (1, 0, 0.4)], "certain", 0.3)
+    with pytest.raises(DegenerateGroup, match="0 at H 0.3: no training row has that proxy group$"):
+        select_all([(0, 1, 0.1), (1, 1, 0.4)], "certain", 0.3)
     idx, _, _ = select_all([(0, 1, 0.3), (1, 0, 0.3)], "certain", 0.3)
     assert len(idx) == 2  # <= is inclusive
     idx, _, _ = select_all([(0, 1, 0.5), (1, 0, LN2)], "certain", LN2)
