@@ -40,6 +40,7 @@ import re
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -80,6 +81,14 @@ class RunArtifacts:
     calib_truth: np.ndarray  # their true attribute
     d1_eval_probs: np.ndarray  # teacher eval probability of every d1 row, d1 row order
     config: dict
+
+    @cached_property
+    def knn_a_hat(self) -> np.ndarray:
+        """The proxy-knn attribute of every d1 row, in row order: the
+        majority attribute of its 5 nearest d2 rows. Imputed on first use
+        and kept, so a sweep's proxy-knn cells index one pass over d1."""
+        d1, d2 = self.split.d1, self.split.d2
+        return reduction.knn_impute(d1.features, d2.features, d2.sensitive, k=5)
 
 
 def conformal_inputs(teacher: nn.MlpParams, split: tabular.ScarceSplit,
@@ -329,7 +338,10 @@ def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: f
     row's constraint terms. A certain selection that keeps no row raises
     EmptySelection, and failing that one that keeps no row of proxy group
     0, then 1, DegenerateGroup; each names the cut and, under mc-dropout,
-    the least u of the training rows it missed."""
+    the least u of the training rows it missed. A weighted selection under
+    a conformal or confidence source that counts no row of proxy group 0,
+    then 1, certain raises DegenerateGroup naming the group and the source.
+    proxy-knn indexes ``artifacts.knn_a_hat``, imputed once per run."""
     d1 = artifacts.split.d1
     ones = np.ones(len(rows))
     if variant == "vanilla":
@@ -337,8 +349,7 @@ def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: f
     if variant == "clean":
         return rows, tabular.oracle_sensitive(d1)[rows], ones
     if variant == "proxy-knn":
-        d2 = artifacts.split.d2
-        return rows, reduction.knn_impute(d1.features[rows], d2.features, d2.sensitive, k=5), ones
+        return rows, artifacts.knn_a_hat[rows], ones
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     a_hat, u = artifacts.proxies.a_hat, artifacts.proxies.u
@@ -349,6 +360,10 @@ def select(artifacts: RunArtifacts, variant: str, rows: np.ndarray, threshold: f
         return rows, a_hat[rows], np.maximum(1.0 - u[rows] / LN2, 0.0)
     certain = certain_mask(artifacts, source, threshold)[rows]
     if variant == "weighted":
+        for group in (0, 1):
+            if not certain[a_hat[rows] == group].any():
+                raise DegenerateGroup(f"weighted variant kept no certain training row of proxy "
+                                      f"group {group} under {source.describe()}")
         return rows, a_hat[rows], certain.astype(float)
     if variant == "certain":
         idx = rows[certain]

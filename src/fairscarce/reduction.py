@@ -11,25 +11,26 @@ built from the current multipliers with (2) a multiplicative-weights update
 of the multipliers by the observed constraint violations, and returns a
 mixture of the iterates chosen by a duality-gap criterion.
 
-The oracle works on a CSR design (``oracle_design``) with scipy's CSR
-kernel. ``scipy.sparse`` is imported on the first ``oracle_design`` or
-``fit_cost_sensitive`` call, so a process that only imports the package or
-runs phase 1 does not load it. The hull LP that re-mixes exp-grad's members
-is a small dense simplex in numpy (``linprog``), so no phase-2 run loads
-``scipy.optimize``.
+The oracle works on a CSR design (``oracle_design``, built with numpy) with
+scipy's compiled CSR kernel, ``csr_matvec``. The kernel is loaded on the
+first ``fit_cost_sensitive`` call from its extension file alone, so phase
+2 imports neither ``scipy`` nor ``scipy.sparse`` (whose package init costs
+~20 MB of RSS). The hull LP that re-mixes exp-grad's members is a small
+dense simplex in numpy (``linprog``), so no phase-2 run loads
+``scipy.optimize`` either.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateCell, DegenerateGroup, FairscarceError
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
 
 DEMOGRAPHIC_PARITY = "dp"
 EQUALIZED_ODDS = "eod"
@@ -52,8 +53,11 @@ GAP_TOL = 1e-3
 LP_TOL = 1e-10
 
 
-# the oracle's CSR design of a set of rows and a CSR copy of its transpose
-OracleDesign = tuple["csr_array", "csr_array"]
+# a CSR matrix as ``csr_matvec`` takes it ahead of its two vectors: (n_rows,
+# n_cols, indptr, indices, data)
+CsrParts = tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+# the oracle's design of a set of rows and of its transpose
+OracleDesign = tuple[CsrParts, CsrParts]
 
 
 @dataclass(frozen=True)
@@ -131,15 +135,47 @@ def linprog(errors: np.ndarray, viols: np.ndarray,
     return None
 
 
-def oracle_design(x: np.ndarray) -> OracleDesign:
-    """The oracle's design for rows ``x``: the features plus an intercept
-    column as a CSR matrix, and a CSR copy of its transpose. Built once per
-    training call and shared by every oracle call on the same rows."""
-    from scipy.sparse import csr_array
+def _csr_parts(dense: np.ndarray) -> CsrParts:
+    """The CSR parts of the float64 matrix ``dense``, exactly as
+    ``scipy.sparse.csr_array(dense)`` holds them: its nonzeros in row-major
+    order (a -0.0 entry is not stored), and int32 indices and indptr unless
+    a dimension or the nonzero count passes the int32 range."""
+    rows, cols = np.nonzero(dense)
+    n, width = dense.shape
+    index = np.int32 if max(n, width, len(rows)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return n, width, indptr.astype(index), cols.astype(index), dense[rows, cols]
 
-    x = np.asarray(x, dtype=float)
-    design = csr_array(np.column_stack([x, np.ones(len(x))]))
-    return design, design.T.tocsr()
+
+def oracle_design(x: np.ndarray) -> OracleDesign:
+    """The oracle's design for rows ``x``: the CSR parts of the features
+    plus an intercept column, and those of its transpose (byte for byte
+    ``csr_array([x, 1])`` and its ``.T.tocsr()``). Built once per training
+    call and shared by every oracle call on the same rows."""
+    design = np.column_stack([np.asarray(x, dtype=float), np.ones(len(x))])
+    return _csr_parts(design), _csr_parts(design.T)
+
+
+@functools.cache
+def _csr_matvec():
+    """scipy's compiled kernel ``csr_matvec(n_rows, n_cols, indptr, indices,
+    data, v, out)``, which adds the product with ``v`` into ``out``. It is
+    loaded from the extension file of ``scipy.sparse._sparsetools`` alone:
+    importing that module by name would run ``scipy.sparse``'s package init.
+    Finding scipy's directory imports nothing. The extension registers
+    itself in ``sys.modules`` as ``_sparsetools``, and a later ``import
+    scipy.sparse`` loads its own copy."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed: the oracle needs its csr_matvec kernel")
+    where = [os.path.join(d, "sparse") for d in scipy.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec("_sparsetools", where)
+    if spec is None:
+        raise ImportError(f"no _sparsetools extension in {', '.join(where)}: the oracle "
+                          "loads scipy's csr_matvec kernel from it")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.csr_matvec
 
 
 def fit_cost_sensitive(design: OracleDesign,
@@ -165,9 +201,11 @@ def fit_cost_sensitive(design: OracleDesign,
     directly, into a preallocated buffer zeroed first: that is all
     ``csr_array @ vector`` does once its operator dispatch, shape checks and
     fresh output array are done, so the result is the same to the bit, and
-    an oracle call makes thousands of products. scipy exposes the kernel
-    only in the private ``scipy.sparse._sparsetools`` module, so a test
-    pins it against ``csr_array @ vector`` bit for bit.
+    an oracle call makes thousands of products. The kernel lives in scipy's
+    private ``_sparsetools`` extension, loaded by ``_csr_matvec`` from its
+    file, so tests pin ``oracle_design``'s parts against ``csr_array`` byte
+    for byte and the kernel's product against ``csr_array @ vector`` bit for
+    bit.
 
     A loss evaluation keeps ``z`` and ``exp(-|z|)`` in one preallocated
     pair; the gradient is computed only for an accepted step, and always
@@ -182,13 +220,12 @@ def fit_cost_sensitive(design: OracleDesign,
     bit-identical to those of a loop that allocates every temporary and
     computes every gradient.
     """
-    from scipy.sparse._sparsetools import csr_matvec
-
-    matrix, matrix_t = design
+    csr_matvec = _csr_matvec()
+    fwd, back = design
     c = np.asarray(signed_costs, dtype=float)
     if not np.isfinite(c).all():
         raise FairscarceError("signed costs contain NaN or infinity")
-    n, cols = matrix.shape
+    n, cols = fwd[:2]
     targets = (c < 0).astype(float)
     weights = np.abs(c)
     total = weights.sum()
@@ -208,8 +245,6 @@ def fit_cost_sensitive(design: OracleDesign,
     nonneg = np.empty(n, dtype=bool)
     g = np.empty(cols)
     small = np.empty(cols)
-    fwd = (n, cols, matrix.indptr, matrix.indices, matrix.data)
-    back = (cols, n, matrix_t.indptr, matrix_t.indices, matrix_t.data)
 
     def loss(th) -> float:
         z.fill(0.0)

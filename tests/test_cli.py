@@ -122,11 +122,16 @@ def test_certain_selection_errors_name_the_cut(demo_run):
     assert str(caught.value) == ("certain variant kept no training row of proxy group 0 at "
                                  f"H 0.6: the least u of its 1 training row(s) is "
                                  f"{least0!r}")
+    conformal = harness.parse_uncertainty_source("conformal(0.1)")
     with pytest.raises(DegenerateGroup) as caught:
-        harness.select(artifacts, "certain", rows, None,
-                       harness.parse_uncertainty_source("conformal(0.1)"))
+        harness.select(artifacts, "certain", rows, None, conformal)
     assert str(caught.value) == ("certain variant kept no training row of proxy group 0 "
                                  "under conformal(0.1)")
+    # weighted trains on every row, but gives the uncertain ones no weight
+    with pytest.raises(DegenerateGroup) as caught:
+        harness.select(artifacts, "weighted", rows, None, conformal)
+    assert str(caught.value) == ("weighted variant kept no certain training row of proxy "
+                                 "group 0 under conformal(0.1)")
 
 
 def test_train_fair_partial_proxies_exit_code(demo_run, tmp_path, capsys):
@@ -249,14 +254,14 @@ def test_fig2_h_above_every_entropy_exits_1_before_any_fit(demo_run, tmp_path, c
         "base_seed", "constraint", "eps_grid-range", "eps_grid-nan", "eps_grid-inf",
         "H-nan", "H-inf", "source-unbracketed", "source-reversed-brackets",
         "source-bare-kind", "source-alias"])
-def test_config_error_exit_code(tmp_path, capsys, line):
+def test_config_error_exit_code(tmp_path, capsys, monkeypatch, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"{line}\nrun_dir = nowhere\n", encoding="utf-8")
+    # the bad line fails at parse time: a config that reaches the placeholder
+    # run_dir was accepted
+    monkeypatch.setattr(harness, "load_run", lambda run_dir: pytest.fail(f"accepted {line!r}"))
     assert cli.main(["sweep", "--config", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    # the bad line fails at parse time, before the placeholder run_dir is read
-    assert "run_dir" not in err
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 @pytest.mark.parametrize("text,names", [
@@ -744,9 +749,9 @@ def test_tuned_sweep_names_one_group_candidates(tmp_path, capsys):
     assert "no tuning candidate could be trained" in err and "one proxy group" in err, err
 
 
-# run in a fresh interpreter: whether scipy.sparse and scipy.optimize are
-# loaded after the CLI import and phase 1, after an unconstrained cell, and
-# after an exp-grad cell, with the count of hull LPs solved so far
+# run in a fresh interpreter: whether scipy, scipy.sparse and scipy.optimize
+# are loaded after the CLI import and phase 1, after an unconstrained cell,
+# and after an exp-grad cell, with the count of hull LPs solved so far
 SCIPY_IMPORT_PROBE = """
 import sys
 from pathlib import Path
@@ -758,7 +763,8 @@ lp_calls = []
 solve = reduction.linprog
 reduction.linprog = lambda *args: lp_calls.append(1) or solve(*args)
 root = Path(sys.argv[1])
-report = lambda: print(*(name in sys.modules for name in ("scipy.sparse", "scipy.optimize")),
+report = lambda: print(*(name in sys.modules
+                         for name in ("scipy", "scipy.sparse", "scipy.optimize")),
                        len(lp_calls))
 synthdata.write_corpus(root / "census.csv", 300, seed=1)
 synthdata.write_schema(root / "census.schema")
@@ -773,15 +779,16 @@ report()
 """
 
 
-def test_phase_two_never_loads_the_lp_module(tmp_path):
+def test_phase_two_never_loads_scipy(tmp_path):
     src = str(Path(fairscarce.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", SCIPY_IMPORT_PROBE, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    # phase 1 loads neither; the first oracle call loads scipy.sparse; the
-    # exp-grad cell solves its hull LPs in numpy and never loads scipy.optimize
+    # phase 1 loads no scipy module; the oracle loads scipy's CSR kernel from
+    # its extension file alone, and the exp-grad cell solves its hull LPs in
+    # numpy, so neither cell loads one either
     flags, lp_calls = zip(*(line.rsplit(" ", 1) for line in done.stdout.splitlines()))
-    assert flags == ("False False", "True False", "True False")
+    assert flags == ("False False False",) * 3
     assert lp_calls[:2] == ("0", "0") and int(lp_calls[2]) > 0

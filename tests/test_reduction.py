@@ -227,19 +227,39 @@ def test_oracle_matches_reference_fit_on_saturated_rows(demo_d1):
         np.testing.assert_array_equal(theta, reference_fit(x, costs, max_iter=200))
 
 
-def test_csr_kernel_equals_matmul_bit_for_bit():
-    # the oracle calls scipy's private CSR kernel directly, imported as the
-    # oracle imports it; a scipy release that changes it must fail here, not
-    # deep inside a sweep
-    from scipy.sparse._sparsetools import csr_matvec
-
-    rng = np.random.default_rng(5)
+def csr_instance(seed):
+    """A mostly-zero matrix with a row of no nonzeros and a -0.0 entry (not
+    stored), and scipy's CSR matrices of it plus an intercept column and of
+    their transpose."""
+    rng = np.random.default_rng(seed)
     dense = rng.normal(size=(300, 40)) * (rng.random((300, 40)) < 0.15)
-    dense[7] = 0.0  # a row with no nonzeros
-    for matrix in red.oracle_design(dense):
+    dense[7] = 0.0
+    dense[11, 3] = -0.0
+    design = sparse.csr_array(np.column_stack([dense, np.ones(len(dense))]))
+    return dense, (design, design.T.tocsr())
+
+
+def test_oracle_design_holds_scipys_csr_parts():
+    # oracle_design builds with numpy the parts scipy's csr_array holds, to
+    # the dtype and the byte
+    dense, matrices = csr_instance(5)
+    for parts, matrix in zip(red.oracle_design(dense), matrices):
+        assert parts[:2] == matrix.shape
+        for got, want in zip(parts[2:], (matrix.indptr, matrix.indices, matrix.data)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_csr_kernel_equals_matmul_bit_for_bit():
+    # the oracle calls scipy's private CSR kernel directly, loaded as the
+    # oracle loads it; a scipy release that changes it must fail here, not
+    # deep inside a sweep
+    csr_matvec = red._csr_matvec()
+    rng = np.random.default_rng(6)
+    dense, matrices = csr_instance(5)
+    for parts, matrix in zip(red.oracle_design(dense), matrices):
         v = rng.normal(size=matrix.shape[1])
         out = np.zeros(matrix.shape[0])
-        csr_matvec(*matrix.shape, matrix.indptr, matrix.indices, matrix.data, v, out)
+        csr_matvec(*parts, v, out)
         assert out.tobytes() == (matrix @ v).tobytes()
 
 
